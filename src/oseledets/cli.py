@@ -82,8 +82,8 @@ class RunConfig:
             raise _UsageError("thresholds must be positive and strictly increasing")
 
     def to_obj(self) -> dict:
-        # the output directory is plumbing, not experiment identity, so it
-        # stays out of the report: same experiment -> same bytes anywhere
+        # plumbing (the output directory, --jobs) stays out of the report:
+        # same experiment -> same bytes anywhere
         obj = {"command": self.command, "seed": str(self.seed)}
         if self.spec is not None:
             obj["spec"] = self.spec
@@ -92,7 +92,6 @@ class RunConfig:
         if self.command == "onestep":
             obj["trials"] = self.trials
             obj["thresholds"] = [repr(t) for t in self.thresholds]
-            obj["jobs"] = self.jobs
         if self.command == "flexible":
             obj["mode"] = self.mode
             obj["rates"] = [repr(self.rates[0]), repr(self.rates[1])]
@@ -141,18 +140,12 @@ def _angle_chunk(args) -> np.ndarray:
 def _angle_tail(nu: MatrixDistribution, config: RunConfig):
     """Tail report from config.trials stationary gap-angle samples.
 
-    Triangular families with positive laws run in the log domain, which
-    keeps heavy tails representable; everything else samples matrix
-    products directly.  Trials are split over a fixed number of chunks
-    with derived seeds, so the result is byte-identical for any --jobs.
+    Triangular families with positively supported laws run in the log
+    domain, which keeps heavy tails representable; everything else samples
+    matrix products directly.  Trials are split over a fixed number of
+    chunks with derived seeds, so the result is byte-identical for any --jobs.
     """
-    neglog = False
-    if nu.kind == "triangular":
-        try:
-            estimation.triangular_gap_neglog_samples(nu, 2, depth=4, seed=0)
-            neglog = True
-        except ValueError:
-            neglog = False
+    neglog = estimation.log_domain_supported(nu)
     chunks = SAMPLE_CHUNKS if config.trials >= SAMPLE_CHUNKS else 1
     sizes = [
         config.trials // chunks + (1 if i < config.trials % chunks else 0)

@@ -75,33 +75,35 @@ class MatrixDistribution:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample_matrices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n i.i.d. matrices, shape (n, 2, 2).
+    def sample_block(self, rng: np.random.Generator, steps: int, n: int) -> np.ndarray:
+        """Draw steps x n i.i.d. matrices as entry arrays, shape (2, 2, steps, n).
 
-        Uniform consumption order is field-major: atoms use one stream of n
-        uniforms; triangular draws all a then all b; rotgain all angles then
-        all gains.
-        """
+        Uniforms are consumed step after step, field-major within a step:
+        atoms use one stream of n uniforms; triangular draws all a then all
+        b; rotgain all angles then all gains."""
         if self.kind == "atoms":
             w = np.asarray(self.weights, dtype=float)
-            idx = np.searchsorted(np.cumsum(w), rng.random(n), side="left")
+            idx = np.searchsorted(np.cumsum(w), rng.random((steps, n)), side="left")
             idx = np.minimum(idx, len(w) - 1)
-            return np.asarray(self.matrices, dtype=float)[idx]
+            return np.asarray(self.matrices, dtype=float).transpose(1, 2, 0)[:, :, idx]
+        u = rng.random((steps, 2, n))
+        out = np.empty((2, 2, steps, n))
         if self.kind == "triangular":
-            a = self.a.sample(rng, n)
-            braw = self.b.sample(rng, n)
-            b = np.exp(braw) if self.log_scale_b else braw
-            out = np.zeros((n, 2, 2))
-            out[:, 0, 0] = a
-            out[:, 0, 1] = b
-            out[:, 1, 1] = 1.0
+            braw = self.b.icdf(u[:, 1])
+            out[0, 0] = self.a.icdf(u[:, 0])
+            out[0, 1] = np.exp(braw) if self.log_scale_b else braw
+            out[1, 0], out[1, 1] = 0.0, 1.0
             return out
-        ang = self.angle.sample(rng, n)
-        t = self.log_gain.sample(rng, n)
-        out = gl2.rotation(ang)
-        out[:, :, 0] *= np.exp(t)[:, None]
-        out[:, :, 1] *= np.exp(-t)[:, None]
+        ang = self.angle.icdf(u[:, 0])
+        out[0, 0], out[0, 1] = np.cos(ang), -np.sin(ang)
+        out[1, 0], out[1, 1] = -out[0, 1], out[0, 0]
+        t = self.log_gain.icdf(u[:, 1])
+        out *= np.exp([t, -t])  # columns scale by e^t and e^-t
         return out
+
+    def sample_matrices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw n i.i.d. matrices, shape (n, 2, 2): one step of sample_block."""
+        return np.ascontiguousarray(self.sample_block(rng, 1, n)[:, :, 0].transpose(2, 0, 1))
 
     # -- serialization ----------------------------------------------------
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import gl2
 from .cocycle import (
@@ -37,6 +36,9 @@ from .scalars import BadTerm, ScalarDist, Unsupported, constant, dyadic
 # row chunk for the big vectorized Monte Carlo loops; fixed so a given seed
 # always produces the same stream layout
 CHUNK = 2048
+
+# steps x trials per block of product-sampler draws; samples do not depend on it
+BLOCK_ELEMENTS = 1 << 16
 
 # a truncated-mean increment below this fraction of the mean reads as
 # converging even when statistically resolved: smooth angle laws keep an
@@ -196,25 +198,40 @@ def oseledets_angle_samples(
     line) and one independent forward product (s2 right line) from their
     own streams, and the pair has exactly the stationary joint law.
 
-    Products renormalize by their max-abs entry every step; singular lines
-    are scale-free so this is exact.
+    Products, carried as (2, 2, trials) entry arrays over factor blocks of
+    about BLOCK_ELEMENTS steps x trials, renormalize by their max-abs entry
+    every step; singular lines are scale-free so this is exact.
     """
     rng_b, rng_f = _spawn_rngs(seed, 2)
 
-    def top_lines(rng, which):
-        prod = np.tile(np.eye(2), (trials, 1, 1))
-        for _ in range(depth):
-            step = nu.sample_matrices(rng, trials)
-            prod = step @ prod
-            prod /= np.abs(prod).reshape(trials, 4).max(axis=1)[:, None, None]
+    def lines(rng):
+        prod = np.eye(2)[:, :, None].repeat(trials, axis=2)
+        block = max(1, BLOCK_ELEMENTS // trials)
+        for start in range(0, depth, block):
+            g = nu.sample_block(rng, min(block, depth - start), trials)
+            for s in range(g.shape[2]):  # g[s] @ prod: later factors act on the left
+                prod = g[:, 0, s, None] * prod[0] + g[:, 1, s, None] * prod[1]
+                prod /= np.abs(prod).reshape(4, trials).max(axis=0)
         # singular_lines, not svd2: deep products are numerically rank-1
         # and trip svd2's invertibility guard; the lines stay conditioned
-        left, right = gl2.singular_lines(prod)
-        return left if which == "left" else gl2.canon_line(right + math.pi / 2.0)
+        return gl2.singular_lines(prod.transpose(2, 0, 1))
 
-    e1 = top_lines(rng_b, "left")
-    e2 = top_lines(rng_f, "s2right")
-    return gl2.line_angle(e1, e2)
+    e1, _ = lines(rng_b)
+    _, right = lines(rng_f)
+    return gl2.line_angle(e1, gl2.canon_line(right + math.pi / 2.0))
+
+
+def log_domain_supported(nu: MatrixDistribution) -> bool:
+    """Triangular, with a (and b unless given as log|b|) supported in (0, inf)."""
+    laws = (nu.a,) if nu.log_scale_b else (nu.a, nu.b)
+    return nu.kind == "triangular" and all(law.support()[0] > 0 for law in laws)
+
+
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x), axis=1)) by a max shift (finite row maxima); overwrites x."""
+    top = x.max(axis=1)
+    x -= top[:, None]
+    return np.log(np.exp(x, out=x).sum(axis=1)) + top
 
 
 def triangular_gap_neglog_samples(
@@ -226,25 +243,28 @@ def triangular_gap_neglog_samples(
     exactly, and the expanding line is spanned by (X, 1) where X is the
     invariant series, so -log sin(theta) = log sqrt(1 + X^2).  Everything
     runs in the log domain, which keeps tails like log b = 2^26
-    representable where explicit matrices would overflow.  Requires a > 0
-    and b > 0 laws.
+    representable where explicit matrices would overflow.  Requires
+    log_domain_supported(nu).  A point-mass a only advances the stream.
     """
-    if nu.kind != "triangular":
-        raise Unsupported("needs a triangular matrix distribution")
+    if not log_domain_supported(nu):
+        raise Unsupported("log-domain series needs a triangular law with positive a and b")
     (rng,) = _spawn_rngs(seed, 1)
+    point = nu.a.kind == "atoms" and len(nu.a.values) == 1
+    if point:  # log a prefix sums, shared by every row
+        prefix = np.cumsum(np.log(np.full(depth - 1, float(nu.a.values[0]))))
     out = np.empty(trials)
     done = 0
     while done < trials:
         m = min(CHUNK, trials - done)
-        a = np.asarray(nu.a.sample(rng, m * depth), dtype=float).reshape(m, depth)
+        if point:
+            rng.bit_generator.advance(m * depth)
+        else:
+            la = np.log(np.asarray(nu.a.sample(rng, m * depth), dtype=float))
+            prefix = np.cumsum(la.reshape(m, depth)[:, :-1], axis=1)
         braw = np.asarray(nu.b.sample(rng, m * depth), dtype=float).reshape(m, depth)
-        if np.any(a <= 0) or (not nu.log_scale_b and np.any(braw <= 0)):
-            raise Unsupported("log-domain series needs positive a and b values")
-        lb = braw if nu.log_scale_b else np.log(braw)
-        la = np.log(a)
-        prefix = np.concatenate([np.zeros((m, 1)), np.cumsum(la, axis=1)[:, :-1]], axis=1)
-        log_x = logsumexp(prefix + lb, axis=1)
-        out[done : done + m] = 0.5 * np.logaddexp(0.0, 2.0 * log_x)
+        terms = braw if nu.log_scale_b else np.log(braw)
+        terms[:, 1:] += prefix
+        out[done : done + m] = 0.5 * np.logaddexp(0.0, 2.0 * _logsumexp_rows(terms))
         done += m
     return out
 

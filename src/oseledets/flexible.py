@@ -62,6 +62,8 @@ COVARIANCE_TOL = 1e-9
 # an estimated direction agrees with the prescribed one below this angle
 AGREEMENT_TOL = 1e-3
 
+CSV_ROWS = 1 << 16  # rows per chunk in ConstructionReport.to_csv, bounding its memory
+
 
 class BadEtaSpec(ValueError):
     """Mixture weights or rectangle bounds violate the domain invariants."""
@@ -950,13 +952,23 @@ class ConstructionReport:
     def to_csv(self) -> str:
         """One row per stored transition: absolute step, its travel cost,
         the label at the step's source, and the source gap angle."""
-        lines = ["step,cost,label,theta"]
-        for j in range(len(self.step_cost)):
-            lines.append(
-                f"{self.offset + j},{float(self.step_cost[j])!r},"
-                f"{int(self.step_label[j])},{float(self.step_theta[j])!r}"
-            )
-        return "\n".join(lines) + "\n"
+        parts = ["step,cost,label,theta\n"]
+        for lo in range(0, len(self.step_cost), CSV_ROWS):
+            part = slice(lo, lo + CSV_ROWS)
+            cost, theta = _float_reprs(self.step_cost[part]), _float_reprs(self.step_theta[part])
+            steps = range(self.offset + lo, self.offset + lo + len(cost))
+            rows = zip(steps, cost, self.step_label[part].tolist(), theta)
+            parts.append("".join(f"{s},{c},{k},{t}\n" for s, c, k, t in rows))
+        return "".join(parts)
+
+
+def _float_reprs(values: np.ndarray) -> list:
+    """repr of each float of a nonempty array, once per run of equal bits
+    (so -0.0 and 0.0 never share a string)."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    starts = np.concatenate([[True], bits[1:] != bits[:-1]])
+    reprs = np.array([repr(x) for x in bits[starts].view(float).tolist()], dtype=object)
+    return reprs[np.cumsum(starts) - 1].tolist()
 
 
 def _theta_marginal_cdf(pieces: list[Piece], ts: np.ndarray, strict: bool) -> np.ndarray:

@@ -74,6 +74,8 @@ class ScalarDist:
         """Inverse CDF, array-generic; u in [0, 1)."""
         u = np.asarray(u, dtype=float)
         if self.kind == "atoms":
+            if len(self.values) == 1:  # point mass: skip the lookup
+                return np.full(u.shape, float(self.values[0]))
             idx = np.searchsorted(self._cum, u, side="left")
             idx = np.minimum(idx, len(self.values) - 1)
             return np.asarray(self.values, dtype=float)[idx]
@@ -113,6 +115,17 @@ class ScalarDist:
         if self.kind == "affine":
             return self.shift + self.scale * self.base.mean()
         return 1.5  # dyadic: (3/4) sum 2^k 4^-k = (3/4) sum 2^-k
+
+    def support(self) -> tuple[float, float]:
+        """Closed interval [lo, hi] holding every draw; hi may be inf."""
+        if self.kind == "atoms":
+            return min(self.values), max(self.values)
+        if self.kind == "uniform":
+            return self.lo, self.hi
+        if self.kind == "affine":
+            ends = [self.shift + self.scale * v for v in self.base.support()]
+            return min(ends), max(ends)
+        return (0.0 if self.kind == "exponential" else 1.0), math.inf
 
     def second_moment(self) -> float:
         if self.kind == "atoms":

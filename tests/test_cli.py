@@ -7,11 +7,14 @@ exponents against the closed form; byte determinism by running twice.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from oseledets import cli
-from oseledets.cocycle import MatrixDistribution, atoms_distribution
+from oseledets import cli, scalars
+from oseledets.cocycle import MatrixDistribution, atoms_distribution, triangular_distribution
 from oseledets.estimation import build_counterexample_cocycle
 from oseledets.flexible import EtaSpec, atom_cell, uniform_cell
 
@@ -78,16 +81,41 @@ def test_onestep_reports_are_byte_identical(tmp_path):
 
 def test_onestep_jobs_do_not_change_samples(tmp_path):
     spec = write_spec(tmp_path, "nu.json", DIAG)
-    tails = []
+    blobs = []
     for jobs, sub in (("1", "a"), ("2", "b")):
         code = cli.main(
             ["onestep", "--spec", spec, "--steps", "1100", "--trials", "80",
              "--seed", "5", "--jobs", jobs, "--out", str(tmp_path / sub)]
         )
         assert code == 0
-        obj = json.loads((tmp_path / sub / "onestep_report.json").read_text())
-        tails.append(obj["angle_tail"])
-    assert tails[0] == tails[1]
+        blobs.append(
+            [(tmp_path / sub / name).read_bytes()
+             for name in ("onestep_report.json", "onestep_tail.csv")]
+        )
+    assert blobs[0] == blobs[1]
+
+
+def test_onestep_rarely_signed_law_uses_matrix_sampler(tmp_path, capsys):
+    # a < 0 has probability 0.001: a small probe would rarely see it, the
+    # law's support always does, so the run never reaches the log domain
+    nu = triangular_distribution(
+        scalars.atoms([(-0.5, 0.001), (0.5, 0.999)]), scalars.uniform(0.5, 1.5)
+    )
+    spec = write_spec(tmp_path, "nu.json", nu)
+    code = cli.main(
+        ["onestep", "--spec", spec, "--trials", "2000", "--seed", "1",
+         "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    obj = json.loads((tmp_path / "onestep_report.json").read_text())
+    assert obj["angle_tail"]["sample_count"] == 2000
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, oseledets.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_onestep_env_seed(tmp_path, monkeypatch):

@@ -196,6 +196,116 @@ def test_angle_samples_deterministic_and_in_range():
     assert np.all(a > 0) and np.all(a <= math.pi / 2 + 1e-12)
 
 
+def _stack_angle_samples(nu, trials, depth, seed):
+    """Reference sampler: full (trials, 2, 2) stacks, one matrix draw and
+    one @ per step, renormalized by the max-abs entry every step."""
+    rng_b, rng_f = est._spawn_rngs(seed, 2)
+
+    def lines(rng):
+        prod = np.tile(np.eye(2), (trials, 1, 1))
+        for _ in range(depth):
+            prod = nu.sample_matrices(rng, trials) @ prod
+            prod /= np.abs(prod).reshape(trials, 4).max(axis=1)[:, None, None]
+        return gl2.singular_lines(prod)
+
+    e1, _ = lines(rng_b)
+    _, right = lines(rng_f)
+    return gl2.line_angle(e1, gl2.canon_line(right + math.pi / 2.0))
+
+
+KERNEL_LAWS = {
+    "rotgain": cocycle.rotgain_distribution(scalars.uniform(0, math.pi), scalars.constant(1.0)),
+    "diagonal_atoms": cocycle.atoms_distribution(
+        [(gl2.mat2(2, 0, 0, 0.5), 0.5), (gl2.mat2(1.5, 0, 0, 0.25), 0.5)]
+    ),
+    "signed_triangular": cocycle.triangular_distribution(
+        scalars.atoms([(-0.5, 0.3), (0.5, 0.7)]), scalars.uniform(-1.0, 2.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("law", sorted(KERNEL_LAWS))
+@pytest.mark.parametrize(
+    "trials, depth, block_elements",
+    [
+        (300, 40, est.BLOCK_ELEMENTS),  # one block covers every step
+        (300, 23, 300 * 5),  # depth not a multiple of the 5-step block
+        (300, 12, 100),  # budget below the trial count: one step per block
+    ],
+)
+def test_angle_kernel_matches_stack_oracle(monkeypatch, law, trials, depth, block_elements):
+    nu = KERNEL_LAWS[law]
+    monkeypatch.setattr(est, "BLOCK_ELEMENTS", block_elements)
+    got = oseledets_angle_samples(nu, trials, depth, seed=21)
+    want = _stack_angle_samples(nu, trials, depth, seed=21)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_sample_block_steps_match_sample_matrices():
+    for nu in KERNEL_LAWS.values():
+        block = nu.sample_block(np.random.default_rng(4), 3, 50)
+        rng = np.random.default_rng(4)
+        for s in range(3):
+            np.testing.assert_array_equal(
+                block[:, :, s].transpose(2, 0, 1), nu.sample_matrices(rng, 50)
+            )
+
+
+def test_neglog_point_mass_advance_keeps_b_draws():
+    # skipping a point-mass a must leave the b stream exactly where drawing
+    # and discarding a would
+    (rng,) = est._spawn_rngs(17, 1)
+    rng.bit_generator.advance(2048 * 8)
+    skipped = scalars.dyadic().sample(rng, 2048 * 8)
+    (rng,) = est._spawn_rngs(17, 1)
+    scalars.constant(math.exp(-1)).sample(rng, 2048 * 8)
+    drawn = scalars.dyadic().sample(rng, 2048 * 8)
+    np.testing.assert_array_equal(skipped, drawn)
+
+
+def test_neglog_point_mass_matches_drawn_prefix():
+    # the shared prefix row of a point mass gives the same samples as the
+    # general path with a law that draws that value every time
+    point = cocycle.triangular_distribution(
+        scalars.constant(math.exp(-1)), scalars.dyadic(), log_scale_b=True
+    )
+    drawn = cocycle.triangular_distribution(
+        scalars.atoms([(math.exp(-1), 1.0), (1.0, 0.0)]), scalars.dyadic(), log_scale_b=True
+    )
+    v_point = triangular_gap_neglog_samples(point, trials=3000, depth=64, seed=8)
+    v_drawn = triangular_gap_neglog_samples(drawn, trials=3000, depth=64, seed=8)
+    np.testing.assert_array_equal(v_point, v_drawn)
+
+
+def test_logsumexp_rows_matches_scipy():
+    from scipy.special import logsumexp
+
+    x = np.random.default_rng(3).normal(scale=30.0, size=(50, 200))
+    x[7, :50] = -np.inf
+    x[9, 0] = -np.inf
+    want = logsumexp(x, axis=1)
+    got = est._logsumexp_rows(x.copy())
+    np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+def test_log_domain_support_predicate():
+    pos = scalars.uniform(0.5, 1.5)
+    assert est.log_domain_supported(cocycle.triangular_distribution(pos, pos))
+    rare_negative = scalars.atoms([(-0.5, 0.001), (0.5, 0.999)])
+    for a, b, log_b in [
+        (rare_negative, pos, False),
+        (pos, rare_negative, False),
+        (scalars.exponential(1.0), pos, False),  # a = 0 at u = 0
+        (scalars.affine(scalars.dyadic(), -1.0, 3.0), pos, False),  # unbounded below
+    ]:
+        nu = cocycle.triangular_distribution(a, b, log_scale_b=log_b)
+        assert not est.log_domain_supported(nu)
+        with pytest.raises(Unsupported):
+            triangular_gap_neglog_samples(nu, trials=10, depth=4)
+    # log|b| may take any sign
+    assert est.log_domain_supported(cocycle.triangular_distribution(pos, rare_negative, True))
+
+
 def test_neglog_sampler_constant_family():
     nu = cocycle.triangular_distribution(
         scalars.constant(math.exp(-1)), scalars.constant(1.0)

@@ -627,3 +627,30 @@ def test_report_validates_invariants():
         ConstructionReport(tv_distance=-0.1, agreement_fraction=1.0, **kw)
     with pytest.raises(ValueError):
         ConstructionReport(tv_distance=0.0, agreement_fraction=1.5, **kw)
+
+
+def _per_row_csv(rep) -> str:
+    """Reference writer: one f-string per row from per-element indexing."""
+    lines = ["step,cost,label,theta"]
+    for j in range(len(rep.step_cost)):
+        lines.append(
+            f"{rep.offset + j},{float(rep.step_cost[j])!r},"
+            f"{int(rep.step_label[j])},{float(rep.step_theta[j])!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, fx.CSV_ROWS + 5])
+def test_report_csv_matches_per_row_writer(rows):
+    rng = np.random.default_rng(rows)
+    special = np.array([0.0, -0.0, -0.0, 0.0, np.nan, np.nan, 5e-324, 1e16, 1e16, 0.1, 0.1])
+    pool = np.concatenate([special, rng.normal(size=5)])
+    cost = pool[rng.integers(0, pool.size, rows)]
+    theta = np.repeat(pool, rows // pool.size + 1)[:rows]  # long runs
+    rep = ConstructionReport(
+        lambda_hat=(0.5, -0.5), tv_distance=0.0, ks_theta=0.0, max_cost=0.0,
+        mean_cost=0.0, agreement_fraction=1.0, steps=rows + 1, offset=-3,
+        mode="bounded", rates=(0.5, -0.5), seed=None, step_cost=cost,
+        step_label=rng.integers(-1, 4, rows), step_theta=theta,
+    )
+    assert rep.to_csv() == _per_row_csv(rep)

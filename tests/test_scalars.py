@@ -130,3 +130,31 @@ def test_affine_bad_terms():
         scalars.affine(scalars.dyadic(), scale=0.0, shift=1.0)
     with pytest.raises(BadTerm):
         ScalarDist(kind="affine")
+
+
+@pytest.mark.parametrize(
+    "law, lo, hi",
+    [
+        (scalars.atoms([(0.5, 0.999), (-0.5, 0.001)]), -0.5, 0.5),
+        (scalars.constant(2.0), 2.0, 2.0),
+        (scalars.uniform(-1.0, 3.0), -1.0, 3.0),
+        (scalars.exponential(2.0), 0.0, math.inf),
+        (scalars.dyadic(), 1.0, math.inf),
+        (scalars.affine(scalars.uniform(1.0, 2.0), scale=2.0, shift=-1.0), 1.0, 3.0),
+        (scalars.affine(scalars.uniform(1.0, 2.0), scale=-2.0, shift=5.0), 1.0, 3.0),
+        (scalars.affine(scalars.dyadic(), scale=-1.0, shift=2.0), -math.inf, 1.0),
+        (scalars.affine(scalars.exponential(1.0), scale=3.0, shift=0.5), 0.5, math.inf),
+    ],
+)
+def test_support_holds_every_draw(law, lo, hi):
+    assert law.support() == (lo, hi)
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(5).random(20_000)])
+    with np.errstate(divide="ignore"):  # mirrored u = 1 is an infinite draw
+        x = law.icdf(u)
+    assert x.min() >= lo and x.max() <= hi
+
+
+def test_point_mass_icdf_skips_lookup_exactly():
+    d = scalars.constant(math.exp(-1))
+    u = np.random.default_rng(2).random((3, 7))
+    np.testing.assert_array_equal(d.icdf(u), np.full((3, 7), math.exp(-1)))
