@@ -198,9 +198,8 @@ def oseledets_angle_samples(
     line) and one independent forward product (s2 right line) from their
     own streams, and the pair has exactly the stationary joint law.
 
-    Products, carried as (2, 2, trials) entry arrays over factor blocks of
-    about BLOCK_ELEMENTS steps x trials, renormalize by their max-abs entry
-    every step; singular lines are scale-free so this is exact.
+    Products, carried as (2, 2, trials) entry arrays, renormalize by their
+    max-abs entry every step; singular lines are scale-free so this is exact.
     """
     rng_b, rng_f = _spawn_rngs(seed, 2)
 
@@ -222,18 +221,20 @@ def oseledets_angle_samples(
 
 
 def log_domain_supported(nu: MatrixDistribution) -> bool:
-    """Triangular, with a (and b unless given as log|b|) supported in (0, inf)."""
+    """Triangular, with a (and b unless given as log|b|) supported in [0, inf)."""
     laws = (nu.a,) if nu.log_scale_b else (nu.a, nu.b)
-    return nu.kind == "triangular" and all(law.support()[0] > 0 for law in laws)
+    return nu.kind == "triangular" and all(law.support()[0] >= 0 for law in laws)
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x), axis=1)) by a max shift (finite row maxima); overwrites x."""
+    """log(sum(exp(x), axis=1)) by a max shift; overwrites x.  All -inf rows give -inf."""
     top = x.max(axis=1)
+    top[np.isneginf(top)] = 0.0
     x -= top[:, None]
     return np.log(np.exp(x, out=x).sum(axis=1)) + top
 
 
+@np.errstate(divide="ignore")  # log 0 = -inf is intended
 def triangular_gap_neglog_samples(
     nu: MatrixDistribution, trials: int, depth: int = 512, seed: int = 0
 ) -> np.ndarray:
@@ -243,11 +244,11 @@ def triangular_gap_neglog_samples(
     exactly, and the expanding line is spanned by (X, 1) where X is the
     invariant series, so -log sin(theta) = log sqrt(1 + X^2).  Everything
     runs in the log domain, which keeps tails like log b = 2^26
-    representable where explicit matrices would overflow.  Requires
-    log_domain_supported(nu).  A point-mass a only advances the stream.
+    representable where explicit matrices would overflow.  A zero a or b is
+    a -inf log term that drops out exactly; a point-mass a only advances the stream.
     """
     if not log_domain_supported(nu):
-        raise Unsupported("log-domain series needs a triangular law with positive a and b")
+        raise Unsupported("log-domain series needs a triangular law with nonnegative a and b")
     (rng,) = _spawn_rngs(seed, 1)
     point = nu.a.kind == "atoms" and len(nu.a.values) == 1
     if point:  # log a prefix sums, shared by every row

@@ -963,8 +963,7 @@ class ConstructionReport:
 
 
 def _float_reprs(values: np.ndarray) -> list:
-    """repr of each float of a nonempty array, once per run of equal bits
-    (so -0.0 and 0.0 never share a string)."""
+    """repr of each float of a nonempty array, once per run of equal bits (-0.0 != 0.0)."""
     bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
     starts = np.concatenate([[True], bits[1:] != bits[:-1]])
     reprs = np.array([repr(x) for x in bits[starts].view(float).tolist()], dtype=object)

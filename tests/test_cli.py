@@ -112,6 +112,24 @@ def test_onestep_rarely_signed_law_uses_matrix_sampler(tmp_path, capsys):
     assert obj["angle_tail"]["sample_count"] == 2000
 
 
+def test_onestep_law_supported_from_zero_uses_log_domain(tmp_path, monkeypatch):
+    # a ~ uniform(0, 1): its closed support starts at 0, which the log
+    # domain takes (log 0 = -inf drops later terms); the matrix sampler
+    # would form b = exp(psi) and overflow once psi >= 1024
+    from oseledets import estimation
+
+    def no_matrix_sampler(*args, **kwargs):
+        raise AssertionError("routed to the matrix-product sampler")
+
+    monkeypatch.setattr(estimation, "oseledets_angle_samples", no_matrix_sampler)
+    nu = triangular_distribution(scalars.uniform(0.0, 1.0), scalars.dyadic(), log_scale_b=True)
+    spec = write_spec(tmp_path, "nu.json", nu)
+    code = cli.main(["onestep", "--spec", spec, "--seed", "1", "--out", str(tmp_path)])
+    assert code == 0
+    obj = json.loads((tmp_path / "onestep_report.json").read_text())
+    assert obj["angle_tail"]["sample_count"] == obj["config"]["trials"]
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, oseledets.cli; sys.exit('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -7,6 +7,7 @@ closed-form tail law; LAPACK and brute-force sums pin everything else.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,22 +289,51 @@ def test_logsumexp_rows_matches_scipy():
     np.testing.assert_array_max_ulp(got, want, maxulp=4)
 
 
+def test_logsumexp_rows_all_neginf_row():
+    x = np.full((2, 5), -np.inf)
+    x[1, 3] = 2.0
+    with np.errstate(divide="ignore"):
+        np.testing.assert_array_equal(est._logsumexp_rows(x), [-np.inf, 2.0])
+
+
 def test_log_domain_support_predicate():
     pos = scalars.uniform(0.5, 1.5)
-    assert est.log_domain_supported(cocycle.triangular_distribution(pos, pos))
     rare_negative = scalars.atoms([(-0.5, 0.001), (0.5, 0.999)])
+    for a, b, log_b in [
+        (pos, pos, False),
+        (scalars.uniform(0.0, 1.0), pos, False),  # closed support starts at 0
+        (scalars.exponential(1.0), scalars.exponential(2.0), False),
+        (scalars.atoms([(0.0, 0.5), (0.5, 0.5)]), pos, False),  # a = 0 drops later terms
+        (pos, scalars.atoms([(0.0, 0.5), (1.0, 0.5)]), False),  # b = 0 drops its term
+        (pos, rare_negative, True),  # log|b| may take any sign
+    ]:
+        assert est.log_domain_supported(cocycle.triangular_distribution(a, b, log_scale_b=log_b))
     for a, b, log_b in [
         (rare_negative, pos, False),
         (pos, rare_negative, False),
-        (scalars.exponential(1.0), pos, False),  # a = 0 at u = 0
         (scalars.affine(scalars.dyadic(), -1.0, 3.0), pos, False),  # unbounded below
     ]:
         nu = cocycle.triangular_distribution(a, b, log_scale_b=log_b)
         assert not est.log_domain_supported(nu)
         with pytest.raises(Unsupported):
             triangular_gap_neglog_samples(nu, trials=10, depth=4)
-    # log|b| may take any sign
-    assert est.log_domain_supported(cocycle.triangular_distribution(pos, rare_negative, True))
+
+
+def test_neglog_zero_a_or_b_terms_drop_out():
+    b = scalars.uniform(0.5, 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a = 0: X = b_0 exactly
+        zero_a = cocycle.triangular_distribution(scalars.constant(0.0), b)
+        got = triangular_gap_neglog_samples(zero_a, trials=500, depth=16, seed=2)
+        # b = 0: X = 0, the gap angle is pi/2
+        zero_b = cocycle.triangular_distribution(b, scalars.constant(0.0))
+        flat = triangular_gap_neglog_samples(zero_b, trials=500, depth=16, seed=2)
+    (rng,) = est._spawn_rngs(2, 1)
+    rng.bit_generator.advance(500 * 16)  # the a draws
+    b0 = b.sample(rng, 500 * 16).reshape(500, 16)[:, 0]
+    np.testing.assert_allclose(got, 0.5 * np.log1p(b0**2), rtol=1e-14)
+    np.testing.assert_array_equal(flat, 0.0)
 
 
 def test_neglog_sampler_constant_family():
