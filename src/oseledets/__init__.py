@@ -12,6 +12,8 @@ Submodules:
 - ``cli``: command-line front end
 """
 
-from . import gl2, scalars, cocycle, estimation, skyscraper, flexible, verify, cli  # noqa: F401
+# verify and cli load only when imported by name (``from oseledets import
+# cli``), so ``python -m oseledets.cli`` does not find cli already loaded
+from . import gl2, scalars, cocycle, estimation, skyscraper, flexible  # noqa: F401
 
 __version__ = "0.1.0"

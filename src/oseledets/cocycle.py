@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,10 @@ from . import gl2
 from .scalars import ScalarDist, Unsupported
 
 RENORM_EVERY = 32
+
+# projective draws divide a factor by a positive scalar once an entry would
+# pass e^LOG_ENTRY_CAP, so a sum of two entry products stays finite
+LOG_ENTRY_CAP = 700.0
 
 
 class WindowExhausted(IndexError):
@@ -43,6 +47,12 @@ class MatrixDistribution:
       heavy-tailed b in the representable range of downstream closed forms
     - ``rotgain``: rotation(angle) @ diag(e^t, e^-t) with scalar laws for
       the rotation angle and the log-gain t
+
+    ``bounded_condition`` is decided from the scalar laws' supports when the
+    law is built: it holds for atoms, for rotgain with a bounded log-gain,
+    and for triangular laws with bounded b (or log|b|) and with a supported
+    in a bounded interval that excludes 0.  Such factors have condition
+    numbers below a fixed bound.
     """
 
     kind: str
@@ -53,6 +63,7 @@ class MatrixDistribution:
     log_scale_b: bool = False
     angle: ScalarDist | None = None     # rotgain
     log_gain: ScalarDist | None = None  # rotgain
+    bounded_condition: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "atoms":
@@ -72,15 +83,33 @@ class MatrixDistribution:
                 raise ValueError("rotgain kind needs angle and log_gain laws")
         else:
             raise Unsupported(f"unknown matrix distribution kind {self.kind!r}")
+        object.__setattr__(self, "bounded_condition", self._bounded_condition())
+
+    def _bounded_condition(self) -> bool:
+        def bounded(law):
+            return all(math.isfinite(v) for v in law.support())
+
+        if self.kind == "atoms":
+            return True
+        if self.kind == "rotgain":
+            return bounded(self.log_gain)
+        lo, hi = self.a.support()
+        return bounded(self.b) and bounded(self.a) and (lo > 0 or hi < 0)
 
     # -- sampling ---------------------------------------------------------
 
-    def sample_block(self, rng: np.random.Generator, steps: int, n: int) -> np.ndarray:
+    def sample_block(
+        self, rng: np.random.Generator, steps: int, n: int, projective: bool = False
+    ) -> np.ndarray:
         """Draw steps x n i.i.d. matrices as entry arrays, shape (2, 2, steps, n).
 
         Uniforms are consumed step after step, field-major within a step:
         atoms use one stream of n uniforms; triangular draws all a then all
-        b; rotgain all angles then all gains."""
+        b; rotgain all angles then all gains.  With ``projective``, a
+        triangular factor with log|b| > LOG_ENTRY_CAP comes divided by
+        e^(log|b| - LOG_ENTRY_CAP), which keeps its entries finite and the
+        lines of every product the same (not its norm or determinant); all
+        other factors are drawn bit for bit as without it."""
         if self.kind == "atoms":
             w = np.asarray(self.weights, dtype=float)
             idx = np.searchsorted(np.cumsum(w), rng.random((steps, n)), side="left")
@@ -91,8 +120,15 @@ class MatrixDistribution:
         if self.kind == "triangular":
             braw = self.b.icdf(u[:, 1])
             out[0, 0] = self.a.icdf(u[:, 0])
-            out[0, 1] = np.exp(braw) if self.log_scale_b else braw
             out[1, 0], out[1, 1] = 0.0, 1.0
+            if self.log_scale_b:
+                if projective and (big := braw > LOG_ENTRY_CAP).any():
+                    shrink = np.exp(LOG_ENTRY_CAP - braw[big])
+                    out[0, 0][big] *= shrink
+                    out[1, 1][big] = shrink
+                    braw[big] = LOG_ENTRY_CAP
+                braw = np.exp(braw)
+            out[0, 1] = braw
             return out
         ang = self.angle.icdf(u[:, 0])
         out[0, 0], out[0, 1] = np.cos(ang), -np.sin(ang)

@@ -40,6 +40,11 @@ CHUNK = 2048
 # steps x trials per block of product-sampler draws; samples do not depend on it
 BLOCK_ELEMENTS = 1 << 16
 
+# a product sampler of bounded condition checks its lines every STOP_EVERY
+# steps and stops once none moved by STOP_TOL radians since the last check
+STOP_EVERY = 8
+STOP_TOL = 1e-12
+
 # a truncated-mean increment below this fraction of the mean reads as
 # converging even when statistically resolved: smooth angle laws keep an
 # exactly positive exp(-M) tail forever, and at large sample counts a pure
@@ -187,6 +192,67 @@ def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
+def _right_lines(prod: np.ndarray) -> np.ndarray:
+    """s1 right singular lines of a (2, 2, trials) entry array.
+
+    singular_lines, not svd2: deep products are numerically rank-1 and trip
+    svd2's invertibility guard; the lines stay conditioned."""
+    return gl2.singular_lines(prod.transpose(2, 0, 1))[1]
+
+
+def _doubled_right_angles(prod: np.ndarray) -> np.ndarray:
+    """r (cos 2t, sin 2t), t the s1 right line of a (2, 2, trials) entry
+    array: the top eigenvector of prod^T prod, with no arctan or mod."""
+    a, b, c, d = prod.reshape(4, -1)
+    return np.stack([a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d)])
+
+
+def _all_settled(last: np.ndarray, now: np.ndarray) -> bool:
+    """Whether every line moved less than STOP_TOL between two doubled-angle
+    readings: a change dt has |sin 2dt| < sin(2 STOP_TOL) and cos 2dt > 0."""
+    (x0, y0), (x1, y1) = last, now
+    bound = (2.0 * STOP_TOL) ** 2 * (x0 * x0 + y0 * y0) * (x1 * x1 + y1 * y1)
+    return bool(np.all(((x0 * y1 - y0 * x1) ** 2 < bound) & (x0 * x1 + y0 * y1 > 0.0)))
+
+
+def _product_right_lines(
+    nu: MatrixDistribution, rng, trials: int, depth: int, transpose: bool
+) -> np.ndarray:
+    """s1 right lines of g_d ... g_1 (each g transposed if asked), trials at once.
+
+    The product, a (2, 2, trials) entry array, takes each new factor on the
+    left and is renormalized by its max-abs entry every step.  For a law of
+    bounded condition it stops at the first multiple of STOP_EVERY steps
+    where every line moved less than STOP_TOL since the previous multiple;
+    otherwise it runs to depth.
+    """
+    settles = nu.bounded_condition
+    prod = np.eye(2)[:, :, None].repeat(trials, axis=2)
+    block = max(1, BLOCK_ELEMENTS // trials)
+    if settles:  # draw little beyond the step where the product may stop
+        block = min(block, STOP_EVERY)
+    last = None
+    for start in range(0, depth, block):
+        g = nu.sample_block(rng, min(block, depth - start), trials, projective=True)
+        if transpose:
+            g = g.swapaxes(0, 1)
+        for s in range(g.shape[2]):  # g[s] @ prod: later factors act on the left
+            new = g[:, 0, s, None] * prod[0] + g[:, 1, s, None] * prod[1]
+            scale = np.abs(new).reshape(4, trials).max(axis=0)
+            if not scale.all():
+                # a rank-1 (underflowed) factor annihilated a rank-1 product
+                # u v^T: exactly, g u is only tiny, and the lines stay those of u v^T
+                dead = scale == 0.0
+                new[:, :, dead], scale[dead] = prod[:, :, dead], 1.0
+            prod = new / scale
+            if settles and (start + s + 1) % STOP_EVERY == 0:
+                now = _doubled_right_angles(prod)
+                if last is not None and _all_settled(last, now):
+                    return _right_lines(prod)
+                last = now
+    return _right_lines(prod)
+
+
 def oseledets_angle_samples(
     nu: MatrixDistribution, trials: int, depth: int, seed: int = 0
 ) -> np.ndarray:
@@ -194,29 +260,25 @@ def oseledets_angle_samples(
 
     For an i.i.d. product the expanding line at time 0 depends only on the
     past and the contracting line only on the future, so the two are
-    independent: each trial builds one backward product (left singular
-    line) and one independent forward product (s2 right line) from their
-    own streams, and the pair has exactly the stationary joint law.
+    independent: each trial builds one backward and one independent forward
+    product from their own streams, and the pair has exactly the stationary
+    joint law.  Both halves read right singular lines, which converge
+    pathwise as factors are added: the forward half the s2 line of
+    g_d ... g_1, the backward half the s1 line of g_d^T ... g_1^T, which is
+    the left s1 line of g_1 ... g_d with g_1 the factor nearest time 0.
 
-    Products, carried as (2, 2, trials) entry arrays, renormalize by their
-    max-abs entry every step; singular lines are scale-free so this is exact.
+    ``depth`` caps the number of factors.  A law of bounded condition
+    (``MatrixDistribution.bounded_condition``) stops each half of a call
+    once every trial's line has settled (see _product_right_lines), usually
+    well before the cap; such a law cannot bring a huge factor after its
+    lines look settled.  Every other law runs to the cap, since under a
+    heavy tail a rare huge factor can still turn a settled line.  Draws are
+    step-major, so a stopped half consumes a prefix of the full-depth stream.
+    A gap below the resolution of a line (about 1e-16 rad) comes out as 0.
     """
     rng_b, rng_f = _spawn_rngs(seed, 2)
-
-    def lines(rng):
-        prod = np.eye(2)[:, :, None].repeat(trials, axis=2)
-        block = max(1, BLOCK_ELEMENTS // trials)
-        for start in range(0, depth, block):
-            g = nu.sample_block(rng, min(block, depth - start), trials)
-            for s in range(g.shape[2]):  # g[s] @ prod: later factors act on the left
-                prod = g[:, 0, s, None] * prod[0] + g[:, 1, s, None] * prod[1]
-                prod /= np.abs(prod).reshape(4, trials).max(axis=0)
-        # singular_lines, not svd2: deep products are numerically rank-1
-        # and trip svd2's invertibility guard; the lines stay conditioned
-        return gl2.singular_lines(prod.transpose(2, 0, 1))
-
-    e1, _ = lines(rng_b)
-    _, right = lines(rng_f)
+    e1 = _product_right_lines(nu, rng_b, trials, depth, transpose=True)
+    right = _product_right_lines(nu, rng_f, trials, depth, transpose=False)
     return gl2.line_angle(e1, gl2.canon_line(right + math.pi / 2.0))
 
 
@@ -321,7 +383,7 @@ def angle_tail_report_neglog(neglog_samples, thresholds) -> AngleTailReport:
     v = np.asarray(neglog_samples, dtype=float)
     if v.size == 0:
         raise NoData("no angle samples")
-    if np.any(v < 0):
+    if not np.all(v >= 0):  # nan fails too
         raise BadTerm("-log sin values must be nonnegative")
     ts = [float(t) for t in thresholds]
     if len(ts) == 0 or any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
@@ -342,13 +404,20 @@ def angle_tail_report_neglog(neglog_samples, thresholds) -> AngleTailReport:
 
 
 def angle_tail_report(samples, thresholds) -> AngleTailReport:
-    """Report on gap-angle samples in (0, pi/2]."""
+    """Report on gap-angle samples in [0, pi/2]; nan is rejected.
+
+    A gap angle of exactly 0 reads as below float resolution (the product
+    sampler resolves lines to about 1e-16 rad): its -log sin is +inf, which
+    clips to t at every threshold t.
+    """
     th = np.asarray(samples, dtype=float)
     if th.size == 0:
         raise NoData("no angle samples")
-    if np.any(th <= 0) or np.any(th > math.pi / 2.0 + 1e-12):
-        raise BadTerm("gap angles must lie in (0, pi/2]")
-    return angle_tail_report_neglog(-np.log(np.sin(th)), thresholds)
+    if not np.all((th >= 0) & (th <= math.pi / 2.0 + 1e-12)):  # nan fails too
+        raise BadTerm("gap angles must lie in [0, pi/2]")
+    with np.errstate(divide="ignore"):  # -log sin 0 = +inf
+        neglog = -np.log(np.sin(th))
+    return angle_tail_report_neglog(neglog, thresholds)
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,9 @@ class ScalarDist:
         if self.kind == "exponential":
             return -np.log1p(-u) / self.rate
         if self.kind == "affine":
-            # negative scale reverses the CDF, so feed the mirrored uniform
-            v = u if self.scale > 0 else 1.0 - u
+            # negative scale reverses the CDF, so feed the mirrored uniform;
+            # mirroring on the 53-bit grid keeps it in [0, 1) and exact
+            v = u if self.scale > 0 else (1.0 - 2.0**-53) - u
             return self.shift + self.scale * self.base.icdf(v)
         # dyadic: smallest k with 1 - 4^-(k+1) >= u, value 2^k
         k = np.ceil(-np.log1p(-u) / _LN4 - 1.0)

@@ -136,6 +136,58 @@ def test_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_module_run_prints_no_runpy_warning():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "oseledets.cli", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and "onestep" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_onestep_jobs_do_not_change_stopped_samples(tmp_path):
+    # rotgain has bounded condition: each chunk's halves stop at their own depth
+    nu = MatrixDistribution.from_obj({
+        "kind": "rotgain",
+        "angle": {"kind": "uniform", "lo": "0.0", "hi": repr(math.pi)},
+        "log_gain": {"kind": "atoms", "values": ["1.0"], "weights": ["1.0"]},
+    })
+    assert nu.bounded_condition
+    spec = write_spec(tmp_path, "nu.json", nu)
+    blobs = []
+    for jobs, sub in (("1", "a"), ("2", "b")):
+        code = cli.main(
+            ["onestep", "--spec", spec, "--steps", "1100", "--trials", "3000",
+             "--seed", "6", "--jobs", jobs, "--out", str(tmp_path / sub)]
+        )
+        assert code == 0
+        blobs.append(
+            [(tmp_path / sub / name).read_bytes()
+             for name in ("onestep_report.json", "onestep_tail.csv")]
+        )
+    assert blobs[0] == blobs[1]
+
+
+def test_onestep_signed_law_with_underflowing_angles_exits_zero(tmp_path, capsys):
+    # a = +-0.3 with a dyadic log|b|: some gap angles underflow to 0 (below
+    # float resolution) and some b = e^psi overflow a float
+    nu = triangular_distribution(
+        scalars.atoms([(-0.3, 0.5), (0.3, 0.5)]), scalars.dyadic(), log_scale_b=True
+    )
+    spec = write_spec(tmp_path, "nu.json", nu)
+    code = cli.main(
+        ["onestep", "--spec", spec, "--steps", "1000", "--trials", "20000",
+         "--seed", "3", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    obj = json.loads((tmp_path / "onestep_report.json").read_text())
+    assert obj["angle_tail"]["sample_count"] == 20000
+    assert all(0.0 < float(m) <= t for m, t in
+               zip(obj["angle_tail"]["truncated_means"], cli.DEFAULT_THRESHOLDS))
+
+
 def test_onestep_env_seed(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "nu.json", DIAG)
     monkeypatch.setenv("OSL_DEFAULT_SEED", "42")

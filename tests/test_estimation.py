@@ -199,18 +199,21 @@ def test_angle_samples_deterministic_and_in_range():
 
 def _stack_angle_samples(nu, trials, depth, seed):
     """Reference sampler: full (trials, 2, 2) stacks, one matrix draw and
-    one @ per step, renormalized by the max-abs entry every step."""
+    one @ per step, renormalized by the max-abs entry every step, always to
+    the full depth.  The backward half multiplies the transposed draws, and
+    both halves read right singular lines."""
     rng_b, rng_f = est._spawn_rngs(seed, 2)
 
-    def lines(rng):
+    def right_lines(rng, transpose):
         prod = np.tile(np.eye(2), (trials, 1, 1))
         for _ in range(depth):
-            prod = nu.sample_matrices(rng, trials) @ prod
+            g = nu.sample_matrices(rng, trials)
+            prod = (g.transpose(0, 2, 1) if transpose else g) @ prod
             prod /= np.abs(prod).reshape(trials, 4).max(axis=1)[:, None, None]
-        return gl2.singular_lines(prod)
+        return gl2.singular_lines(prod)[1]
 
-    e1, _ = lines(rng_b)
-    _, right = lines(rng_f)
+    e1 = right_lines(rng_b, transpose=True)
+    right = right_lines(rng_f, transpose=False)
     return gl2.line_angle(e1, gl2.canon_line(right + math.pi / 2.0))
 
 
@@ -250,6 +253,131 @@ def test_sample_block_steps_match_sample_matrices():
             np.testing.assert_array_equal(
                 block[:, :, s].transpose(2, 0, 1), nu.sample_matrices(rng, 50)
             )
+
+
+def _count_steps(monkeypatch):
+    """Record the steps of every sample_block call."""
+    steps = []
+    draw = cocycle.MatrixDistribution.sample_block
+
+    def counting(self, rng, n_steps, n, projective=False):
+        steps.append(n_steps)
+        return draw(self, rng, n_steps, n, projective)
+
+    monkeypatch.setattr(cocycle.MatrixDistribution, "sample_block", counting)
+    return steps
+
+
+BOUNDED_LAWS = {
+    "rotgain": KERNEL_LAWS["rotgain"],
+    "shear_atoms": cocycle.atoms_distribution(
+        [(gl2.mat2(1, 1, 0, 1), 0.5), (gl2.mat2(1, 0, 1, 1), 0.5)]
+    ),
+    "negative_a_triangular": cocycle.triangular_distribution(
+        scalars.uniform(-0.6, -0.2), scalars.uniform(-1.0, 2.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("law", sorted(BOUNDED_LAWS))
+def test_bounded_laws_stop_early_and_match_full_depth(monkeypatch, law):
+    nu = BOUNDED_LAWS[law]
+    assert nu.bounded_condition
+    steps = _count_steps(monkeypatch)
+    got = oseledets_angle_samples(nu, 400, 256, seed=13)
+    assert sum(steps) < 256  # both halves together stop before one reaches the cap
+    monkeypatch.undo()
+    want = _stack_angle_samples(nu, 400, 256, seed=13)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [
+        # signed a with a heavy log|b|: a huge factor can turn a settled line
+        cocycle.triangular_distribution(
+            scalars.atoms([(-0.3, 0.5), (0.3, 0.5)]), scalars.dyadic(), log_scale_b=True
+        ),
+        # bounded, but a gap near 0.02 leaves the lines moving at the cap
+        cocycle.rotgain_distribution(scalars.uniform(0, math.pi), scalars.constant(0.15)),
+    ],
+    ids=["signed_a_dyadic_log_b", "rotgain_gain_0.15"],
+)
+def test_unsettled_laws_run_to_the_cap(monkeypatch, nu):
+    steps = _count_steps(monkeypatch)
+    th = oseledets_angle_samples(nu, 300, 100, seed=4)
+    assert sum(steps) == 2 * 100
+    assert np.all((th >= 0) & (th <= math.pi / 2))
+
+
+def test_settled_readings_compare_right_lines():
+    def reading(t):  # diag(2, 1/2) R(-t) has its s1 right line at angle t
+        prod = gl2.mat2(2, 0, 0, 0.5) @ gl2.rotation(-np.asarray(t))
+        return est._doubled_right_angles(prod.transpose(1, 2, 0))
+
+    base = np.array([0.3, 1.2, 2.9])
+    assert est._all_settled(reading(base), reading(base + 0.5e-12))
+    assert est._all_settled(reading(base), reading(base + math.pi))  # the same lines
+    assert not est._all_settled(reading(base), reading(base + [0.0, 2e-12, 0.0]))
+    assert not est._all_settled(reading(base), reading(base + [0.0, 0.0, math.pi / 2]))
+    # a conformal product has no s1 line: never settled
+    eye = est._doubled_right_angles(np.eye(2)[:, :, None].repeat(3, axis=2))
+    assert not est._all_settled(eye, eye)
+
+
+def test_bounded_condition_from_supports():
+    pos = scalars.uniform(0.2, 0.6)
+    b = scalars.uniform(-1.0, 2.0)
+    tri = cocycle.triangular_distribution
+    assert KERNEL_LAWS["diagonal_atoms"].bounded_condition
+    assert cocycle.rotgain_distribution(scalars.uniform(0, 1), pos).bounded_condition
+    assert tri(pos, b).bounded_condition
+    assert tri(scalars.affine(pos, -1.0, 0.0), b).bounded_condition
+    assert tri(pos, scalars.uniform(700, 800), log_scale_b=True).bounded_condition
+    for nu in [
+        cocycle.rotgain_distribution(scalars.uniform(0, 1), scalars.exponential(1.0)),
+        tri(scalars.atoms([(-0.3, 0.5), (0.3, 0.5)]), b),  # a of both signs
+        tri(scalars.uniform(0.0, 1.0), b),  # a reaches 0
+        tri(scalars.exponential(1.0), b),  # a unbounded
+        tri(pos, scalars.exponential(1.0)),  # b unbounded
+        tri(pos, scalars.dyadic(), log_scale_b=True),  # log|b| unbounded
+    ]:
+        assert not nu.bounded_condition
+    # decided from the laws, so a reloaded law agrees and equality ignores it
+    nu = tri(pos, b)
+    assert cocycle.MatrixDistribution.from_json(nu.to_json()).bounded_condition
+    assert nu == tri(pos, b)
+
+
+def test_projective_draws_keep_lines_and_finite_entries():
+    nu = cocycle.triangular_distribution(
+        scalars.uniform(0.2, 0.5), scalars.uniform(600.0, 900.0), log_scale_b=True
+    )
+    u = np.random.default_rng(6).random((5, 2, 400))
+    log_b = 600.0 + 300.0 * u[:, 1]
+    g = nu.sample_block(np.random.default_rng(6), 5, 400, projective=True)
+    assert np.all(np.isfinite(g))
+    small = log_b <= cocycle.LOG_ENTRY_CAP
+    with np.errstate(over="ignore"):
+        plain = nu.sample_block(np.random.default_rng(6), 5, 400)
+    np.testing.assert_array_equal(g[:, :, small], plain[:, :, small])
+    # a big factor is the plain one divided by b / e^cap: same a, same log b
+    np.testing.assert_allclose(g[0, 0] / g[1, 1], plain[0, 0], rtol=1e-14)
+    np.testing.assert_allclose(np.log(g[0, 1]) - np.log(g[1, 1]), log_b, rtol=1e-14)
+
+
+def test_rank_one_factors_give_zero_angles_without_nan():
+    # b = e^2000 or more: each projective factor underflows to rank 1, and
+    # the true gap angle, about 1/|b|, is below float resolution
+    nu = cocycle.triangular_distribution(
+        scalars.atoms([(-0.3, 0.5), (0.3, 0.5)]),
+        scalars.uniform(2000.0, 3000.0),
+        log_scale_b=True,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        th = oseledets_angle_samples(nu, 200, 40, seed=1)
+    np.testing.assert_array_equal(th, 0.0)
 
 
 def test_neglog_point_mass_advance_keeps_b_draws():
@@ -402,6 +530,20 @@ def test_report_infinite_neglog_grows():
     rep = angle_tail_report_neglog([np.inf] * 40, [4.0, 64.0])
     assert rep.truncated_means == (4.0, 64.0)
     assert rep.verdict == "growing"
+
+
+def test_report_zero_angle_reads_below_resolution():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = angle_tail_report([0.0, math.pi / 2, math.pi / 2, math.pi / 2], [4.0, 8.0])
+    assert rep.truncated_means == (1.0, 2.0)
+
+
+def test_report_rejects_nan():
+    with pytest.raises(BadTerm):
+        angle_tail_report(np.array([np.nan, 0.5, 0.2]), (4.0, 8.0))
+    with pytest.raises(BadTerm):
+        angle_tail_report_neglog(np.array([np.nan, 0.5, 0.2]), (4.0, 8.0))
 
 
 def test_report_errors():

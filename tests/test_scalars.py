@@ -1,6 +1,7 @@
 """Tests for scalar laws: inverse CDFs, exact moments, and error cases."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,9 +150,21 @@ def test_affine_bad_terms():
 def test_support_holds_every_draw(law, lo, hi):
     assert law.support() == (lo, hi)
     u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(5).random(20_000)])
-    with np.errstate(divide="ignore"):  # mirrored u = 1 is an infinite draw
+    with np.errstate(all="raise"):
         x = law.icdf(u)
     assert x.min() >= lo and x.max() <= hi
+
+
+@pytest.mark.parametrize("base", [scalars.dyadic(), scalars.exponential(1.0)])
+def test_negative_scale_mirrors_on_the_uniform_grid(base):
+    # u = k 2^-53 mirrors to (2^53 - 1 - k) 2^-53, never to 1.0
+    d = scalars.affine(base, -1.0, 2.0)
+    top = np.nextafter(1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = d.icdf(np.array([0.0, top, 0.25]))
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, 2.0 - base.icdf(np.array([top, 0.0, top - 0.25])))
 
 
 def test_point_mass_icdf_skips_lookup_exactly():
