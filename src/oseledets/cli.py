@@ -331,6 +331,15 @@ def _config_from_args(args) -> RunConfig:
             raise _UsageError("rates must be exactly r1,r2")
         if not rates[0] > rates[1]:
             raise _UsageError("rates must satisfy r1 > r2")
+        try:
+            min_steps = 2 * flexible.direction_depth(*rates) + 10
+        except OverflowError:  # r1 - r2 so small that the depth is infinite
+            raise _UsageError("rates r1,r2 are too close for direction estimates") from None
+        if args.steps < min_steps:
+            raise _UsageError(
+                f"steps must be >= {min_steps} for direction estimates at rates "
+                f"{rates[0]!r},{rates[1]!r}"
+            )
         if args.mode == "bounded" and args.budget is None:
             raise _UsageError("bounded mode needs --budget")
         if args.mode == "lowcost" and args.epsilon is None:

@@ -1,10 +1,10 @@
 """Matrix distributions, orbit windows, and cocycle product machinery.
 
 An orbit window holds the one-step matrices F(T^i omega) for i in
-[offset, offset + n).  Products accumulate with periodic renormalization:
-every RENORM_EVERY factors the running matrix is divided by its max-abs
-entry, which moves into a separate log accumulator, so window lengths of
-10^6 and matrix norms like e^500000 stay representable.
+[offset, offset + n).  Products reduce pairwise in a tree, and every pair
+product is divided by its max-abs entry, whose log moves into a separate
+accumulator, so window lengths of 10^6 and matrix norms like e^500000 stay
+representable.
 
 Seed discipline: all randomness flows through numpy SeedSequence children
 spawned from the master seed in a fixed documented order, one stream per
@@ -23,8 +23,6 @@ import numpy as np
 
 from . import gl2
 from .scalars import ScalarDist, Unsupported
-
-RENORM_EVERY = 32
 
 # projective draws divide a factor by a positive scalar once an entry would
 # pass e^LOG_ENTRY_CAP, so a sum of two entry products stays finite
@@ -282,47 +280,39 @@ class ScaledMat2(NamedTuple):
     log_scale: float
 
 
-def _renorm(m: np.ndarray, log_scale: float) -> tuple[np.ndarray, float]:
-    peak = np.abs(m).max()
-    if peak == 0.0 or not np.isfinite(peak):
+def _normalized(prods: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each matrix of a stack by its max-abs entry, adding the log of
+    that entry to its scale; raises NotInvertible on a zero or non-finite one."""
+    peaks = np.abs(prods).reshape(len(prods), 4).max(axis=1)
+    if np.any(peaks == 0.0) or not np.all(np.isfinite(peaks)):
         raise gl2.NotInvertible("product degenerated during renormalization")
-    return m / peak, log_scale + math.log(peak)
+    return prods / peaks[:, None, None], scales + np.log(peaks)
 
 
 def product_scaled(mats: np.ndarray) -> ScaledMat2:
-    """Ordered product mats[n-1] @ ... @ mats[0] with renormalization.
+    """Ordered product mats[n-1] @ ... @ mats[0] as exp(log_scale) * mat.
 
-    Long ranges use pairwise tree reduction (bit-stable given the input),
-    renormalizing per round; short ranges run sequentially with a
-    renormalization every RENORM_EVERY factors.
+    A pairwise tree at every length, bit-stable given the input: each pair
+    product is renormalized at once (the periodic renormalization of
+    Benettin et al., Meccanica 15, 1980), so no entry passes twice the square
+    of the largest factor entry; a single factor is renormalized alone.  A
+    zero or non-finite factor or product raises NotInvertible.
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[0]
     if n == 0:
         return ScaledMat2(np.eye(2), 0.0)
-    if n <= 2 * RENORM_EVERY:
-        m = np.eye(2)
-        log_scale = 0.0
-        for i in range(n):
-            m = mats[i] @ m
-            if (i + 1) % RENORM_EVERY == 0:
-                m, log_scale = _renorm(m, log_scale)
-        m, log_scale = _renorm(m, log_scale)
-        return ScaledMat2(m, log_scale)
-    # tree reduction: adjacent pairs multiply in orbit order
-    cur = mats
-    scales = np.zeros(n)
+    cur, scales = mats, np.zeros(n)
+    if n == 1:
+        cur, scales = _normalized(cur, scales)
     while cur.shape[0] > 1:
         k = cur.shape[0]
         half = k // 2
-        left = cur[0 : 2 * half : 2]
-        right = cur[1 : 2 * half : 2]
-        prod = right @ left  # later time acts on the left
-        peaks = np.abs(prod).reshape(half, 4).max(axis=1)
-        if np.any(peaks == 0.0) or not np.all(np.isfinite(peaks)):
-            raise gl2.NotInvertible("product degenerated during renormalization")
-        prod /= peaks[:, None, None]
-        new_scales = scales[0 : 2 * half : 2] + scales[1 : 2 * half : 2] + np.log(peaks)
+        # later time acts on the left
+        prod, new_scales = _normalized(
+            cur[1 : 2 * half : 2] @ cur[0 : 2 * half : 2],
+            scales[0 : 2 * half : 2] + scales[1 : 2 * half : 2],
+        )
         if k % 2:
             prod = np.concatenate([prod, cur[-1:]], axis=0)
             new_scales = np.concatenate([new_scales, scales[-1:]])
@@ -354,12 +344,6 @@ def cocycle_product_scaled(
     if n > 0:
         return fwd
     return ScaledMat2(gl2.inv2(fwd.mat), -fwd.log_scale)
-
-
-def cocycle_product(window: OrbitWindow, from_time: int, n: int) -> np.ndarray:
-    """The n-step product as a plain matrix (desk-scale n; may overflow otherwise)."""
-    m, log_scale = cocycle_product_scaled(window, from_time, n)
-    return math.exp(log_scale) * m
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,7 @@ from .estimation import (
     estimate_E2_forward,
     lyapunov_estimates,
 )
-
-# mixture weights must sum to 1 this tightly; also the chain partition tol
-MASS_TOL = 1e-12
+from .skyscraper import ensure
 
 # a declarative tail is expanded until its remaining mass drops below this
 TAIL_RESIDUAL = 1e-12
@@ -264,7 +262,7 @@ class EtaSpec:
         total = math.fsum(w for w, _ in self.pieces)
         if self.tail_rule is not None:
             total += self.tail_rule.total_mass
-        if abs(total - 1.0) > MASS_TOL:
+        if abs(total - 1.0) > skyscraper.MASS_TOL:
             raise BadEtaSpec(f"mixture mass {total!r} is not 1")
         if total <= 0.0:
             raise BadEtaSpec("mixture needs positive mass")
@@ -370,6 +368,16 @@ def _components(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
+def _separation(intervals, b: float) -> tuple | None:
+    """None when the graph "interval gap below b" is connected, else the
+    witness bipartition: (first component, all other indices), each sorted."""
+    comps = _components(_graph_adjacency(intervals, b))
+    if len(comps) == 1:
+        return None
+    rest = sorted(i for comp in comps[1:] for i in comp)
+    return tuple(comps[0]), tuple(rest)
+
+
 class BudgetFit(NamedTuple):
     fits: bool
     witness: tuple | None
@@ -387,14 +395,8 @@ def budget_fit_check(eta: EtaSpec, b: float) -> BudgetFit:
     """
     if not b > 0.0:
         raise ValueError("budget must be positive")
-    pieces = decompose_eta(eta)
-    comps = _components(
-        _graph_adjacency([(p.cell.u_lo, p.cell.u_hi) for p in pieces], b)
-    )
-    if len(comps) == 1:
-        return BudgetFit(True, None)
-    rest = sorted(i for comp in comps[1:] for i in comp)
-    return BudgetFit(False, (tuple(comps[0]), tuple(rest)))
+    witness = _separation([(p.cell.u_lo, p.cell.u_hi) for p in decompose_eta(eta)], b)
+    return BudgetFit(witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +484,12 @@ def march_chain(pieces: list[Piece], b: float) -> list[SubCell]:
         raise ValueError("budget must be positive")
     cells = [p.cell for p in pieces]
     weights = [p.weight for p in pieces]
-    comps = _components(
-        _graph_adjacency([(c.u_lo, c.u_hi) for c in cells], b)
-    )
-    if len(comps) > 1:
-        rest = sorted(i for comp in comps[1:] for i in comp)
+    witness = _separation([(c.u_lo, c.u_hi) for c in cells], b)
+    if witness is not None:
         raise UnboundedGap(
-            f"mixture does not fit budget {b!r}: pieces {tuple(comps[0])} are "
-            f"separated from {tuple(rest)}",
-            (tuple(comps[0]), tuple(rest)),
+            f"mixture does not fit budget {b!r}: pieces {witness[0]} are "
+            f"separated from {witness[1]}",
+            witness,
         )
 
     slices: list[_Slice] = []
@@ -511,7 +510,7 @@ def march_chain(pieces: list[Piece], b: float) -> list[SubCell]:
 
     su = [(float(_u_of_theta(s.theta_lo)), float(_u_of_theta(s.theta_hi))) for s in slices]
     walk = _dfs_walk(_graph_adjacency(su, b))
-    assert len(set(walk)) == len(slices), "slice graph lost connectivity"
+    ensure(len(set(walk)) == len(slices), "slice graph lost connectivity")
 
     # per-visit crossing connectors, then per-slice alpha strips
     visits = []
@@ -554,7 +553,7 @@ def march_chain(pieces: list[Piece], b: float) -> list[SubCell]:
                 if conn is None:
                     continue
                 side, delta = conn
-                assert delta > 0.0, "crossing connector has no width"
+                ensure(delta > 0.0, "crossing connector has no width")
                 if side == "lo":
                     seg = (u_lo + lo_used, u_lo + lo_used + delta)
                     lo_used += delta
@@ -583,15 +582,15 @@ def march_chain(pieces: list[Piece], b: float) -> list[SubCell]:
                 ta, tb = to_theta(seg[0]), to_theta(seg[1])
                 bands.append((ta, tb, strip_mass * (tb - ta) / t_width))
         for ta, tb, mass in bands:
-            assert mass > 0.0, "chain band lost its mass to rounding"
+            ensure(mass > 0.0, "chain band lost its mass to rounding")
             chain.append(SubCell(Cell(a0, a1, ta, tb), mass, s.piece))
 
     # exact re-verification of the two contracts
     spans = [(c.cell.u_lo, c.cell.u_hi) for c in chain]
     for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
-        assert max(hi1, hi2) - min(lo1, lo2) < b, "consecutive chain cells exceed the budget"
+        ensure(max(hi1, hi2) - min(lo1, lo2) < b, "consecutive chain cells exceed the budget")
     total = math.fsum(c.mass for c in chain)
-    assert abs(total - math.fsum(weights)) <= MASS_TOL, "chain masses drifted"
+    ensure(abs(total - math.fsum(weights)) <= skyscraper.MASS_TOL, "chain masses drifted")
     return chain
 
 
@@ -628,9 +627,6 @@ class PsiPair:
         b = self.beta(theta)
         return self.c1 * b, self.c2 * b
 
-    def __call__(self, alpha, theta):
-        return self.at(alpha, theta)
-
 
 def build_psi_pair(eta: EtaSpec, r1: float, r2: float) -> PsiPair:
     """Continuous bounded-support log-gains with exact mixture averages
@@ -650,50 +646,8 @@ def _psi_from_pieces(pieces: list[Piece], r1: float, r2: float) -> PsiPair:
     )
 
 
-def assemble_F(
-    f_now: gl2.SplittingPair, f_next: gl2.SplittingPair, psi_pair: PsiPair
-) -> np.ndarray:
-    """One-step matrix carrying the splitting f_now onto f_next.
-
-    Composes the eigen-matrix of f_now with log-eigenvalues psi1(f_now),
-    psi2(f_now) and the unit-frame interpolation from f_now's canonical
-    lift to f_next's, so each prescribed line maps to its successor and the
-    restriction to f_now.x1 has log-norm exactly psi1(f_now).
-    """
-    p1, p2 = psi_pair.at(f_now[0], gl2.gap_angle(f_now))
-    psi_mat = gl2.eigen_matrix(f_now, float(p1), float(p2))
-    phi = gl2.interp_matrix(gl2.canonical_lift(f_now), gl2.canonical_lift(f_next))
-    return phi @ psi_mat
-
-
 # ---------------------------------------------------------------------------
-# travel costs (batched)
-
-
-def _general_cost_from_gaps(theta, theta_prime, r1: float, r2: float) -> np.ndarray:
-    """Worst-lift log max(norm, inverse norm) of the one-step matrix moving
-    gap theta to gap theta_prime with log-gains (r1, r2).
-
-    The 16 unit-lift combinations collapse to two essential sign patterns
-    (a global sign flip preserves norms), and rotating both splittings so
-    x1 sits at angle 0 changes nothing, so the cost depends only on the two
-    gap angles.
-    """
-    theta = np.asarray(theta, dtype=float)
-    theta_prime = np.asarray(theta_prime, dtype=float)
-    u = gl2._unit_columns(np.zeros_like(theta), theta)
-    v = gl2._unit_columns(np.zeros_like(theta_prime), theta_prime)
-    u_inv = gl2.inv2(u)
-    log_det = np.log(np.sin(theta_prime)) - np.log(np.sin(theta)) + r1 + r2
-    best = None
-    for sign in (1.0, -1.0):
-        d = np.array([[math.exp(r1), 0.0], [0.0, sign * math.exp(r2)]])
-        m = v @ (d @ u_inv)
-        log_s1 = np.log(gl2.top_singular(m))
-        # log ||m^-1|| = log s1 - log |det m|, stable even when s2 underflows
-        val = np.maximum(log_s1, log_s1 - log_det)
-        best = val if best is None else np.maximum(best, val)
-    return best
+# travel costs
 
 
 def _pair_cost_cap(cell_x: Cell, cell_y: Cell, r1: float, r2: float) -> float:
@@ -711,9 +665,7 @@ def _pair_cost_cap(cell_x: Cell, cell_y: Cell, r1: float, r2: float) -> float:
         )
         if same:
             return 0.0  # identical splittings travel for free
-        return float(
-            _general_cost_from_gaps(cell_x.theta_lo, cell_y.theta_lo, r1, r2)
-        )
+        return float(gl2.transfer_cost_general(cell_x.theta_lo, cell_y.theta_lo, r1, r2))
     lsin_x = math.log(math.sin(cell_x.theta_lo / 2.0))
     lcos_x = math.log(math.cos(cell_x.theta_lo / 2.0))
     lsin_y = math.log(math.sin(cell_y.theta_lo / 2.0))
@@ -742,7 +694,8 @@ def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float) -> np.ndarr
     One entry per consecutive stored pair (length len(window) - 1).  The
     bounded regime prices every step by the symmetric gap-ratio cost; the
     lowcost regime prices only actual splitting changes, by the worst-lift
-    gauge cost, since an unchanged splitting travels for free.
+    cost gl2.transfer_cost_general, since an unchanged splitting travels
+    for free.
     """
     if window.prescribed_f is None:
         raise ValueError("window carries no prescribed splittings")
@@ -755,7 +708,7 @@ def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float) -> np.ndarr
         changed = (np.diff(x1) != 0.0) | (np.diff(theta) != 0.0)
         out = np.zeros(len(x1) - 1)
         if changed.any():
-            out[changed] = _general_cost_from_gaps(
+            out[changed] = gl2.transfer_cost_general(
                 theta[:-1][changed], theta[1:][changed], r1, r2
             )
         return out
@@ -780,9 +733,11 @@ def simulate_flexible(
     """Window of one-step matrices whose Oseledets data is prescribed.
 
     A stationary skyscraper trajectory schedules which mixture component
-    the splitting f occupies at each time; matrices are the batched
-    equivalent of assemble_F, so f is carried exactly onto its shift with
-    log-gains (r1, r2) and the exponents/directions are known in advance.
+    the splitting f occupies at each time.  Each matrix composes the
+    eigen-matrix of f with log-eigenvalues psi(f) and the unit-frame map
+    from f's canonical lift to its successor's, so f is carried exactly onto
+    its shift with log-gains (r1, r2) and the exponents/directions are known
+    in advance.
 
     mode "bounded" (keyword budget): chain the mixture by march_chain,
     refine the chain masses into label occupancies, and draw f fresh each
@@ -869,10 +824,10 @@ def simulate_flexible(
         miss = gl2.line_angle(
             gl2.projective_action(mats, angles[:-1]), angles[1:]
         )
-        assert np.all(miss < COVARIANCE_TOL), "prescribed line not carried"
+        ensure(np.all(miss < COVARIANCE_TOL), "prescribed line not carried")
     if mode == "bounded":
         moves = np.abs(np.diff(_u_of_theta(theta)))
-        assert np.all(moves < budget), "budget exceeded along the window"
+        ensure(np.all(moves < budget), "budget exceeded along the window")
 
     prescribed = np.stack(
         [gl2.canon_line(alpha[:steps]), gl2.canon_line(alpha[:steps] + theta[:steps])],
@@ -986,6 +941,12 @@ def _theta_marginal_cdf(pieces: list[Piece], ts: np.ndarray, strict: bool) -> np
     return total
 
 
+def direction_depth(r1: float, r2: float) -> int:
+    """Depth of verify_flexible's direction estimates, ceil(20 / (r1 - r2)) * 10;
+    the window needs at least 2 * depth + 10 steps."""
+    return math.ceil(20.0 / (r1 - r2)) * 10
+
+
 def verify_flexible(
     window: OrbitWindow, eta: EtaSpec, r1: float, r2: float, mode: str = "bounded"
 ) -> ConstructionReport:
@@ -1003,7 +964,7 @@ def verify_flexible(
     if not r1 > r2:
         raise ValueError("need r1 > r2 for a direction-estimate depth")
     n = len(window)
-    depth = math.ceil(20.0 / (r1 - r2)) * 10
+    depth = direction_depth(r1, r2)
     if n < 2 * depth + 10:
         raise NoData(f"window of {n} steps is too short for depth {depth}")
     pieces = decompose_eta(eta)
@@ -1019,7 +980,7 @@ def verify_flexible(
         hit = unassigned & piece.cell.contains(x1, theta)
         freqs[idx] = hit.sum() / n
         unassigned &= ~hit
-    assert not unassigned.any(), "a prescribed splitting fell outside every cell"
+    ensure(not unassigned.any(), "a prescribed splitting fell outside every cell")
     weights = np.asarray([p.weight for p in pieces])
     tv = 0.5 * float(np.abs(freqs - weights).sum())
 

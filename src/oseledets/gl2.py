@@ -9,7 +9,7 @@ unit vectors are angles in [0, 2*pi).  All decompositions here are closed-form
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,9 +18,6 @@ DET_FLOOR = 1e-300
 
 # Pairs of unit vectors whose gap sine falls below this are rejected as a basis.
 GAP_SINE_FLOOR = 1e-12
-
-# Additive slack allowed when checking a user gauge against its lower bound.
-GAUGE_SLACK = 1e-9
 
 
 class NotInvertible(ValueError):
@@ -37,10 +34,6 @@ class IllConditionedPair(ValueError):
 
 class DegeneratePair(ValueError):
     """Vector-angle argument outside the open interval (0, pi)."""
-
-
-class InvalidGauge(ValueError):
-    """User-supplied gauge fell below log_norm_max on an evaluated matrix."""
 
 
 class SplittingPair(NamedTuple):
@@ -119,38 +112,19 @@ class Svd2(NamedTuple):
     right: np.ndarray
 
 
-def svd2(g) -> Svd2:
-    """Singular values and singular lines of invertible 2x2 matrices.
-
-    Closed form via the rotation-diagonal-rotation normal form: writing
-    g as the sum of a conformal and an anticonformal part, atan2 recovers
-    the two rotation angles and hypot the two gains.  Array-generic over
-    stacked inputs.  Raises NotInvertible on (any) singular input.
-    """
+def _conformal_split(g):
+    """(e, f, gg, h) with g = [[e + f, gg - h], [gg + h, e - f]]: the
+    conformal part (e, h) and the anticonformal part (f, gg) of g."""
     g = np.asarray(g, dtype=float)
-    a = g[..., 0, 0]
-    b = g[..., 0, 1]
-    c = g[..., 1, 0]
-    d = g[..., 1, 1]
-    e = (a + d) / 2.0
-    f = (a - d) / 2.0
-    gg = (c + b) / 2.0
-    h = (c - b) / 2.0
-    q = np.hypot(e, h)
-    r = np.hypot(f, gg)
-    s1 = q + r
-    # q^2 - r^2 = det, so |det|/s1 equals |q - r| without the cancellation
-    # that |q - r| hits on extreme-anisotropy inputs (q and r nearly equal
-    # and huge while their true gap is below one ulp)
-    absdet = np.abs(a * d - b * c)
-    if np.any(absdet <= DET_FLOOR) or not np.all(np.isfinite(s1)):
-        raise NotInvertible("svd2 of a singular matrix")
-    s2 = absdet / s1
-    a1 = np.arctan2(gg, f)
-    a2 = np.arctan2(h, e)
-    left = canon_line((a2 + a1) / 2.0)
-    right = canon_line((a1 - a2) / 2.0)
-    return Svd2(s1, s2, left, right)
+    a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    return (a + d) / 2.0, (a - d) / 2.0, (c + b) / 2.0, (c - b) / 2.0
+
+
+def top_singular(g) -> np.ndarray:
+    """Largest singular value (the spectral norm).  Defined for any 2x2
+    matrix, singular ones included, so no invertibility check."""
+    e, f, gg, h = _conformal_split(g)
+    return np.hypot(e, h) + np.hypot(f, gg)
 
 
 def singular_lines(g) -> tuple[np.ndarray, np.ndarray]:
@@ -162,27 +136,29 @@ def singular_lines(g) -> tuple[np.ndarray, np.ndarray]:
     singular lines stay perfectly well-conditioned because they never
     touch the determinant.
     """
-    g = np.asarray(g, dtype=float)
-    a = g[..., 0, 0]
-    b = g[..., 0, 1]
-    c = g[..., 1, 0]
-    d = g[..., 1, 1]
-    a1 = np.arctan2((c + b) / 2.0, (a - d) / 2.0)
-    a2 = np.arctan2((c - b) / 2.0, (a + d) / 2.0)
+    e, f, gg, h = _conformal_split(g)
+    a1 = np.arctan2(gg, f)
+    a2 = np.arctan2(h, e)
     return canon_line((a2 + a1) / 2.0), canon_line((a1 - a2) / 2.0)
 
 
-def top_singular(g) -> np.ndarray:
-    """Largest singular value (the spectral norm).  Defined for any 2x2
-    matrix, singular ones included, so no invertibility check."""
+def svd2(g) -> Svd2:
+    """Singular values and singular lines of invertible 2x2 matrices.
+
+    Closed form via the rotation-diagonal-rotation normal form: with g split
+    into conformal and anticonformal parts of norms q, r, top_singular is
+    s1 = q + r and singular_lines are atan2 angles; q^2 - r^2 = det makes
+    s2 = |det|/s1, free of the cancellation |q - r| hits when q and r are
+    huge and within one ulp.  Array-generic over stacked inputs.  Raises
+    NotInvertible on (any) singular input.
+    """
     g = np.asarray(g, dtype=float)
-    a = g[..., 0, 0]
-    b = g[..., 0, 1]
-    c = g[..., 1, 0]
-    d = g[..., 1, 1]
-    q = np.hypot((a + d) / 2.0, (c - b) / 2.0)
-    r = np.hypot((a - d) / 2.0, (c + b) / 2.0)
-    return q + r
+    s1 = top_singular(g)
+    absdet = np.abs(det2(g))
+    if np.any(absdet <= DET_FLOOR) or not np.all(np.isfinite(s1)):
+        raise NotInvertible("svd2 of a singular matrix")
+    left, right = singular_lines(g)
+    return Svd2(s1, absdet / s1, left, right)
 
 
 def log_norm_max(g) -> np.ndarray:
@@ -332,39 +308,28 @@ def transfer_cost_bounded(x: SplittingPair, y: SplittingPair) -> float:
     )
 
 
-def _lifts(x: SplittingPair) -> list[UnitVectorPair]:
-    u1, u2 = canonical_lift(x)
-    return [
-        UnitVectorPair(float(canon_vector(u1 + i * math.pi)),
-                       float(canon_vector(u2 + j * math.pi)))
-        for i in (0, 1)
-        for j in (0, 1)
-    ]
-
-
-def transfer_cost_general(
-    x: SplittingPair,
-    y: SplittingPair,
-    psi1: float,
-    psi2: float,
-    gauge: Callable[[np.ndarray], float] | None = None,
-) -> float:
-    """Worst-lift cost of moving the splitting x (with gains psi1, psi2) to y.
-
-    Maximizes ``gauge(M)`` over the 16 unit-vector lift pairs, where M is the
-    pair-to-pair map composed with the eigen-matrix of x.  ``gauge`` defaults
-    to log_norm_max and must dominate it on every evaluated matrix, else
-    InvalidGauge is raised.
+def transfer_cost_general(theta, theta_prime, psi1: float, psi2: float) -> np.ndarray:
+    """Worst-lift cost of moving a splitting x of gap theta, with log-gains
+    psi1, psi2, to a splitting y of gap theta_prime: the largest log_norm_max
+    of interp_matrix(xt, yt) @ eigen_matrix(x, psi1, psi2) over the 16 pairs
+    of unit-vector lifts xt, yt.  Only the gaps matter: rotating x or y alone
+    multiplies that matrix by a rotation, an isometry, and in the lift frames
+    U, V it is V diag(+-e^psi1, +-e^psi2) U^-1, where an overall sign keeps
+    norms, leaving two sign patterns.  Array-generic in the gap angles (each
+    in (0, pi/2]), like interp_singular_values.
     """
-    psi = eigen_matrix(x, psi1, psi2)
-    if gauge is None:
-        gauge = lambda m: float(log_norm_max(m))  # noqa: E731
-    best = -math.inf
-    for xt in _lifts(x):
-        for yt in _lifts(y):
-            m = interp_matrix(xt, yt) @ psi
-            val = float(gauge(m))
-            if val < float(log_norm_max(m)) - GAUGE_SLACK:
-                raise InvalidGauge("gauge fell below log_norm_max on a lift")
-            best = max(best, val)
+    theta = np.asarray(theta, dtype=float)
+    theta_prime = np.asarray(theta_prime, dtype=float)
+    u = _unit_columns(np.zeros_like(theta), theta)
+    v = _unit_columns(np.zeros_like(theta_prime), theta_prime)
+    u_inv = inv2(u)
+    log_det = np.log(np.sin(theta_prime)) - np.log(np.sin(theta)) + psi1 + psi2
+    best = None
+    for sign in (1.0, -1.0):
+        d = np.array([[math.exp(psi1), 0.0], [0.0, sign * math.exp(psi2)]])
+        m = v @ (d @ u_inv)
+        log_s1 = np.log(top_singular(m))
+        # log ||m^-1|| = log s1 - log |det m|, stable even when s2 underflows
+        val = np.maximum(log_s1, log_s1 - log_det)
+        best = val if best is None else np.maximum(best, val)
     return best

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# tower masses, and flexible's mixture weights and chain masses, sum to 1 this tightly
 MASS_TOL = 1e-12
 
 # Constructors accept inputs whose mass is off by at most this much and
@@ -43,6 +44,16 @@ class BadHeightForLabels(ValueError):
 
 class NeedStrictDecrease(ValueError):
     """The target sequence must be strictly decreasing; refine_weights fixes this."""
+
+
+class ContractViolation(RuntimeError):
+    """A construction broke one of its own runtime contracts (a bug, not bad input)."""
+
+
+def ensure(ok, message: str) -> None:
+    """Raise ContractViolation(message) unless ok; unlike assert, kept under python -O."""
+    if not ok:
+        raise ContractViolation(message)
 
 
 @dataclass(frozen=True)
@@ -193,14 +204,14 @@ def label_of(state: SkyscraperState) -> int:
 
 
 def trajectory_labels(heights, levels) -> np.ndarray:
-    """Labels along a trajectory, with the one-step Lipschitz property asserted."""
+    """Labels along a trajectory, with the one-step Lipschitz property checked."""
     h = np.asarray(heights, dtype=np.int64)
     i = np.asarray(levels, dtype=np.int64)
     if not np.all(_labelable(h)):
         bad = int(h[~_labelable(h)][0])
         raise BadHeightForLabels(f"height {bad}: {_LABEL_HEIGHTS_DOC}")
     lab = np.minimum(i, h - 1 - i)
-    assert np.all(np.abs(np.diff(lab)) <= 1), "label moved by more than 1 in one step"
+    ensure(np.all(np.abs(np.diff(lab)) <= 1), "label moved by more than 1 in one step")
     return lab
 
 

@@ -42,6 +42,12 @@ class _Check(NamedTuple):
 _CHECKS: list[_Check] = []
 
 
+def _expect(ok, message: str = "") -> None:
+    """The checks' assert, kept under python -O: fail the running check unless ok."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check(name: str, fast: bool = True):
     def deco(fn):
         _CHECKS.append(_Check(name, fast, fn))
@@ -95,18 +101,18 @@ def _svd_reconstructs():
     rng = np.random.default_rng(FAST_SEED)
     g = _random_invertible(rng, 400)
     sv = gl2.svd2(g)
-    assert np.all(sv.s1 >= sv.s2) and np.all(sv.s2 > 0)
+    _expect(np.all(sv.s1 >= sv.s2) and np.all(sv.s2 > 0))
     prod_err = np.abs(sv.s1 * sv.s2 - np.abs(gl2.det2(g)))
-    assert float(prod_err.max()) < 1e-9, "s1*s2 must equal |det|"
+    _expect(float(prod_err.max()) < 1e-9, "s1*s2 must equal |det|")
     vr = gl2._unit_columns(sv.right, sv.right + math.pi / 2.0)
     img = g @ vr
     n1 = np.linalg.norm(img[..., 0], axis=-1)
     n2 = np.linalg.norm(img[..., 1], axis=-1)
-    assert float(np.abs(n1 - sv.s1).max()) < 1e-9, "right line must attain s1"
-    assert float(np.abs(n2 - sv.s2).max()) < 1e-9, "co-line must attain s2"
+    _expect(float(np.abs(n1 - sv.s1).max()) < 1e-9, "right line must attain s1")
+    _expect(float(np.abs(n2 - sv.s2).max()) < 1e-9, "co-line must attain s2")
     img_angle = np.arctan2(img[..., 1, 0], img[..., 0, 0])
     miss = gl2.line_angle(img_angle, sv.left)
-    assert float(miss.max()) < 1e-9, "image of the right line must be the left line"
+    _expect(float(miss.max()) < 1e-9, "image of the right line must be the left line")
 
 
 @_check("gl2.angle_drift_parallelogram")
@@ -116,7 +122,7 @@ def _parallelogram():
     a1 = rng.uniform(0.0, math.pi, len(g))
     a2 = rng.uniform(0.0, math.pi, len(g))
     lhs, rhs = gl2.angle_drift_gap(g, a1, a2)
-    assert float((rhs - lhs).min()) >= -1e-9, "one-step drift bound violated"
+    _expect(float((rhs - lhs).min()) >= -1e-9, "one-step drift bound violated")
 
 
 @_check("gl2.interp_values_match_svd")
@@ -129,8 +135,8 @@ def _interp_match():
         y = gl2.splitting(a2, gl2.canon_line(a2 + t2))
         pair = gl2.interp_singular_values(gl2.gap_angle(x), gl2.gap_angle(y))
         sv = gl2.svd2(gl2.interp_matrix(gl2.canonical_lift(x), gl2.canonical_lift(y)))
-        assert abs(max(pair) - sv.s1) < 1e-10
-        assert abs(min(pair) - sv.s2) < 1e-10
+        _expect(abs(max(pair) - sv.s1) < 1e-10)
+        _expect(abs(min(pair) - sv.s2) < 1e-10)
 
 
 @_check("gl2.bounded_cost_is_pair_map_norm")
@@ -143,24 +149,35 @@ def _bounded_cost_norm():
         y = gl2.splitting(a2, gl2.canon_line(a2 + t2))
         got = gl2.transfer_cost_bounded(x, y)
         m = gl2.interp_matrix(gl2.canonical_lift(x), gl2.canonical_lift(y))
-        assert abs(got - float(gl2.log_norm_max(m))) < 1e-10
-        assert abs(got - gl2.transfer_cost_bounded(y, x)) < 1e-10, "must be symmetric"
+        _expect(abs(got - float(gl2.log_norm_max(m))) < 1e-10)
+        _expect(abs(got - gl2.transfer_cost_bounded(y, x)) < 1e-10, "must be symmetric")
+
+
+def _lift_cost(x, y, psi1: float, psi2: float) -> float:
+    """Reference travel cost by enumeration: the largest log_norm_max of
+    interp_matrix(xt, yt) @ eigen_matrix(x, psi1, psi2) over the 16 pairs of
+    unit-vector lifts xt of the splitting x and yt of y."""
+    psi = gl2.eigen_matrix(x, psi1, psi2)
+    flips = [np.array([i, j]) * math.pi for i in (0, 1) for j in (0, 1)]
+    xs = [gl2.canonical_lift(x) + f for f in flips]
+    ys = [gl2.canonical_lift(y) + f for f in flips]
+    return max(float(gl2.log_norm_max(gl2.interp_matrix(xt, yt) @ psi)) for xt in xs for yt in ys)
 
 
 @_check("gl2.general_cost_rotation_invariant")
 def _general_cost_invariant():
+    # the library sees only the gap angles, the oracle the whole splittings
+    # at random line angles, so agreement is also rotation invariance
     rng = np.random.default_rng(FAST_SEED + 4)
     for _ in range(100):
-        a1, a2, shift = rng.uniform(0.0, math.pi, 3)
+        a1, a2 = rng.uniform(0.0, math.pi, 2)
         t1, t2 = rng.uniform(0.1, math.pi / 2, 2)
-        r2, r1 = np.sort(rng.uniform(-1.0, 1.0, 2))
+        r2, r1 = np.sort(rng.uniform(-1.0, 1.0, 2)).tolist()
         x = gl2.splitting(a1, gl2.canon_line(a1 + t1))
         y = gl2.splitting(a2, gl2.canon_line(a2 + t2))
-        xs = gl2.splitting(gl2.canon_line(a1 + shift), gl2.canon_line(a1 + t1 + shift))
-        ys = gl2.splitting(gl2.canon_line(a2 + shift), gl2.canon_line(a2 + t2 + shift))
-        c0 = gl2.transfer_cost_general(x, y, float(r1), float(r2))
-        c1 = gl2.transfer_cost_general(xs, ys, float(r1), float(r2))
-        assert abs(c0 - c1) < 1e-9, "cost must not depend on a common rotation"
+        got = gl2.transfer_cost_general(gl2.gap_angle(x), gl2.gap_angle(y), r1, r2)
+        want = _lift_cost(x, y, r1, r2)
+        _expect(abs(float(got) - want) < 1e-9, "cost must match the lift enumeration")
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +196,21 @@ def _scalar_moments():
     for law in laws:
         draws = np.asarray(law.sample(rng, 200000), dtype=float)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - law.mean()) < 5.0 * max(se, 1e-12), law.kind
+        _expect(abs(draws.mean() - law.mean()) < 5.0 * max(se, 1e-12), law.kind)
 
 
 @_check("cocycle.scaled_product_matches_direct")
 def _scaled_product():
     rng = np.random.default_rng(FAST_SEED + 6)
     mats = _random_invertible(rng, 80)[:30]
-    assert len(mats) == 30
+    _expect(len(mats) == 30)
     w = cocycle.OrbitWindow(offset=-10, matrices=mats)
     scaled = cocycle.cocycle_product_scaled(w, -5, 20)
     direct = np.eye(2)
     for i in range(-5, 15):
         direct = w.matrix_at(i) @ direct
     got = scaled.mat * math.exp(scaled.log_scale)
-    assert float(np.abs(got - direct).max()) < 1e-9 * float(np.abs(direct).max())
+    _expect(float(np.abs(got - direct).max()) < 1e-9 * float(np.abs(direct).max()))
 
 
 @_check("cocycle.windows_deterministic_in_seed")
@@ -203,7 +220,7 @@ def _window_determinism():
     )
     w1 = cocycle.sample_onestep(nu, 200, seed=FAST_SEED)
     w2 = cocycle.sample_onestep(nu, 200, seed=FAST_SEED)
-    assert np.array_equal(w1.matrices, w2.matrices)
+    _expect(np.array_equal(w1.matrices, w2.matrices))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +232,8 @@ def _diag_exponents():
     nu = cocycle.atoms_distribution([(((2.0, 0.0), (0.0, 0.5)), 1.0)])
     w = cocycle.sample_onestep(nu, 2000, seed=FAST_SEED)
     lam = estimation.lyapunov_estimates(w)
-    assert abs(lam.top - math.log(2.0)) < 1e-12
-    assert abs(lam.bottom + math.log(2.0)) < 1e-12
+    _expect(abs(lam.top - math.log(2.0)) < 1e-12)
+    _expect(abs(lam.bottom + math.log(2.0)) < 1e-12)
 
 
 @_check("estimation.triangular_directions_converge")
@@ -227,9 +244,9 @@ def _triangular_directions():
     w = cocycle.sample_onestep(nu, 200, seed=FAST_SEED)
     x_const = 1.0 / (1.0 - math.exp(-1.0))
     e1 = estimation.estimate_E1_backward(w, 60)
-    assert float(gl2.line_angle(e1, math.atan2(1.0, x_const))) < 1e-6
+    _expect(float(gl2.line_angle(e1, math.atan2(1.0, x_const))) < 1e-6)
     e2 = estimation.estimate_E2_forward(w, 60)
-    assert float(gl2.line_angle(e2, 0.0)) < 1e-6, "contracting line must be the first axis"
+    _expect(float(gl2.line_angle(e2, 0.0)) < 1e-6, "contracting line must be the first axis")
 
 
 @_check("estimation.batch_pool_is_order_free")
@@ -241,7 +258,7 @@ def _pool_order_free():
     m0, s0, n0 = estimation.pool_mean_se(means, ses, ns)
     perm = rng.permutation(12)
     m1, s1, n1 = estimation.pool_mean_se(means[perm], ses[perm], ns[perm])
-    assert abs(m0 - m1) < 1e-12 and abs(s0 - s1) < 1e-12 and n0 == n1
+    _expect(abs(m0 - m1) < 1e-12 and abs(s0 - s1) < 1e-12 and n0 == n1)
 
 
 @_check("estimation.tail_verdicts_on_samples", fast=False)
@@ -249,13 +266,13 @@ def _tail_verdicts():
     grow = estimation.build_counterexample_cocycle()
     v = estimation.triangular_gap_neglog_samples(grow, 200000, seed=FAST_SEED)
     rep = estimation.angle_tail_report_neglog(v, (4.0, 8.0, 16.0, 32.0, 64.0))
-    assert rep.verdict == "growing", f"heavy-tail control read as {rep.verdict}"
+    _expect(rep.verdict == "growing", f"heavy-tail control read as {rep.verdict}")
     calm = cocycle.rotgain_distribution(
         scalars.uniform(0.0, math.pi), scalars.constant(1.0)
     )
     s = estimation.oseledets_angle_samples(calm, 30000, 300, seed=FAST_SEED)
     rep2 = estimation.angle_tail_report(s, (4.0, 8.0, 16.0, 32.0, 64.0))
-    assert rep2.verdict == "converging", f"light-tail control read as {rep2.verdict}"
+    _expect(rep2.verdict == "converging", f"light-tail control read as {rep2.verdict}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +289,9 @@ def _kac_normalizes():
         tower = skyscraper.TowerVector(dict(zip((int(k) for k in ks), p)))
         base = skyscraper.kac_base_measures(tower)
         total = math.fsum(k * m for k, m in base.items())
-        assert abs(total - 1.0) <= 1e-12
+        _expect(abs(total - 1.0) <= 1e-12)
         for k, m in base.items():
-            assert abs(m * k - tower.entries[k]) <= 1e-12
+            _expect(abs(m * k - tower.entries[k]) <= 1e-12)
 
 
 @_check("skyscraper.labels_move_one_floor_at_a_time")
@@ -283,12 +300,12 @@ def _labels_lipschitz():
     tower = skyscraper.bounded_tower_vector(p)
     heights, levels = skyscraper.renewal_trajectory(tower, 100000, seed=FAST_SEED)
     labels = skyscraper.trajectory_labels(heights, levels)
-    assert int(np.abs(np.diff(labels)).max()) <= 1
+    _expect(int(np.abs(np.diff(labels)).max()) <= 1)
     want = skyscraper.label_measures(p)
     for lab, mass in want.items():
         freq = float((labels == lab).mean())
         se = math.sqrt(mass * (1.0 - mass) / labels.size)
-        assert abs(freq - mass) < 6.0 * se + 1e-6, f"label {lab} occupancy off"
+        _expect(abs(freq - mass) < 6.0 * se + 1e-6, f"label {lab} occupancy off")
 
 
 @_check("skyscraper.bounded_vectors_step_down")
@@ -297,12 +314,12 @@ def _bounded_vectors():
     for _ in range(20):
         q = rng.dirichlet(np.ones(rng.integers(1, 8)))
         values, owners = skyscraper.refine_weights(q)
-        assert np.all(np.diff(values) < 0.0)
+        _expect(np.all(np.diff(values) < 0.0))
         d = np.diff(owners)
-        assert np.all((d == 0) | (d == 1)) and owners[0] == 0
+        _expect(np.all((d == 0) | (d == 1)) and owners[0] == 0)
         tower = skyscraper.bounded_tower_vector(values)
         ks = sorted(tower.entries)
-        assert ks[0] == 1 and all(k % 2 == 0 for k in ks[1:])
+        _expect(ks[0] == 1 and all(k % 2 == 0 for k in ks[1:]))
 
 
 @_check("skyscraper.lowcost_heights_certify_budget")
@@ -312,27 +329,27 @@ def _lowcost_heights():
         caps = np.sort(rng.uniform(0.0, 4.0, rng.integers(2, 7)))
         eps = float(rng.uniform(0.05, 0.5))
         ks = skyscraper.lowcost_heights(caps, eps)
-        assert all(2.0 * c / k < eps for c, k in zip(caps, ks))
-        assert all(b > a for a, b in zip(ks, ks[1:]))
-        assert math.gcd(*ks) == 1
+        _expect(all(2.0 * c / k < eps for c, k in zip(caps, ks)))
+        _expect(all(b > a for a, b in zip(ks, ks[1:])))
+        _expect(math.gcd(*ks) == 1)
 
 
 # ---------------------------------------------------------------------------
 # prescribed-splitting constructions
 
 
-def _brute_force_fits(cells, b):
+def _min_cut_value(cells) -> float:
+    """Largest, over the bipartitions of the cells, of the smallest
+    log-sin-gap interval gap between the two sides, by exhaustion (-inf for
+    one cell).  A mixture of these cells fits budget b iff this is below b."""
     n = len(cells)
-    iv = [(c.u_lo, c.u_hi) for c in cells]
-    for mask in range(1, 2 ** (n - 1)):
+    gap = [[flexible._interval_gap(a.u_lo, a.u_hi, b.u_lo, b.u_hi) for b in cells] for a in cells]
+    best = -math.inf
+    for mask in range(1, 2 ** (n - 1)):  # cell 0 stays on side a
         side_b = [i for i in range(1, n) if (mask >> (i - 1)) & 1]
         side_a = [i for i in range(n) if i not in side_b]
-        best = min(
-            flexible._interval_gap(*iv[i], *iv[j]) for i in side_a for j in side_b
-        )
-        if not best < b:
-            return False
-    return True
+        best = max(best, min(gap[i][j] for i in side_a for j in side_b))
+    return best
 
 
 @_check("flexible.budget_check_matches_bipartition_search")
@@ -346,8 +363,9 @@ def _budget_vs_brute():
             hi = float(rng.uniform(lo, min(lo + 0.4, math.pi / 2)))
             cells.append(flexible.uniform_cell(0.1, 0.3, lo, hi))
         eta = flexible.EtaSpec(pieces=tuple(zip(rng.dirichlet(np.ones(n)), cells)))
+        cut = _min_cut_value(cells)
         for b in (0.05, 0.3, 1.0):
-            assert flexible.budget_fit_check(eta, b).fits == _brute_force_fits(cells, b)
+            _expect(flexible.budget_fit_check(eta, b).fits == (cut < b))
 
 
 _FOUR_CELL = flexible.EtaSpec(
@@ -367,14 +385,14 @@ def _chain_contracts():
     chain = flexible.march_chain(pieces, b)
     spans = [(c.cell.u_lo, c.cell.u_hi) for c in chain]
     for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
-        assert max(hi1, hi2) - min(lo1, lo2) < b
-    assert abs(math.fsum(c.mass for c in chain) - 1.0) <= 1e-12
+        _expect(max(hi1, hi2) - min(lo1, lo2) < b)
+    _expect(abs(math.fsum(c.mass for c in chain) - 1.0) <= 1e-12)
     per = {}
     for c in chain:
-        assert c.mass > 0.0
+        _expect(c.mass > 0.0)
         per[c.piece] = per.get(c.piece, 0.0) + c.mass
     for n, piece in enumerate(pieces):
-        assert abs(per[n] - piece.weight) <= 1e-12
+        _expect(abs(per[n] - piece.weight) <= 1e-12)
 
 
 def _bounded_run(steps, tv_tol, exp_tol):
@@ -383,13 +401,13 @@ def _bounded_run(steps, tv_tol, exp_tol):
         _FOUR_CELL, 0.5, -0.5, "bounded", steps, seed=FAST_SEED, budget=b
     )
     costs = flexible.step_costs(w, "bounded", 0.5, -0.5)
-    assert float(costs.max()) < b, "per-step budget is a hard bound"
-    assert int(np.abs(np.diff(w.labels)).max()) <= 1
+    _expect(float(costs.max()) < b, "per-step budget is a hard bound")
+    _expect(int(np.abs(np.diff(w.labels)).max()) <= 1)
     rep = flexible.verify_flexible(w, _FOUR_CELL, 0.5, -0.5, mode="bounded")
-    assert abs(rep.lambda_hat[0] - 0.5) < exp_tol, f"top exponent {rep.lambda_hat[0]}"
-    assert abs(rep.lambda_hat[1] + 0.5) < exp_tol, f"bottom exponent {rep.lambda_hat[1]}"
-    assert rep.tv_distance < tv_tol, f"tv distance {rep.tv_distance}"
-    assert rep.agreement_fraction >= 0.99
+    _expect(abs(rep.lambda_hat[0] - 0.5) < exp_tol, f"top exponent {rep.lambda_hat[0]}")
+    _expect(abs(rep.lambda_hat[1] + 0.5) < exp_tol, f"bottom exponent {rep.lambda_hat[1]}")
+    _expect(rep.tv_distance < tv_tol, f"tv distance {rep.tv_distance}")
+    _expect(rep.agreement_fraction >= 0.99)
 
 
 @_check("flexible.bounded_steps_stay_in_budget")
@@ -411,7 +429,7 @@ def _prescribed_invariance():
         for j in (0, 1):
             img = gl2.projective_action(w.matrices, w.prescribed_f[:, j])
             miss = gl2.line_angle(img[:-1], w.prescribed_f[1:, j])
-            assert float(miss.max()) < 1e-9, f"{mode} line {j} not carried"
+            _expect(float(miss.max()) < 1e-9, f"{mode} line {j} not carried")
 
 
 def _lowcost_run(steps, eps):
@@ -422,7 +440,7 @@ def _lowcost_run(steps, eps):
     blocks = np.array_split(costs, 40)
     means = np.array([blk.mean() for blk in blocks])
     se = means.std(ddof=1) / math.sqrt(len(means))
-    assert means.mean() < eps + 3.0 * se, f"mean cost {means.mean()} vs epsilon {eps}"
+    _expect(means.mean() < eps + 3.0 * se, f"mean cost {means.mean()} vs epsilon {eps}")
 
 
 @_check("flexible.lowcost_mean_under_epsilon")
@@ -442,8 +460,8 @@ def _atom_exact():
         eta, 1.0, -1.0, "bounded", 12000, seed=FAST_SEED, budget=0.3
     )
     rep = flexible.verify_flexible(w, eta, 1.0, -1.0, mode="bounded")
-    assert rep.tv_distance == 0.0 and rep.ks_theta == 0.0
-    assert rep.max_cost == 0.0 and rep.agreement_fraction == 1.0
+    _expect(rep.tv_distance == 0.0 and rep.ks_theta == 0.0)
+    _expect(rep.max_cost == 0.0 and rep.agreement_fraction == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +492,11 @@ def _cli_deterministic():
                         "--trials", "400", "--seed", "7", "--out", str(out),
                     ]
                 )
-            assert code == 0
+            _expect(code == 0)
             outs.append((out / "onestep_report.json").read_bytes())
-        assert outs[0] == outs[1], "same config and seed must give identical bytes"
+        _expect(outs[0] == outs[1], "same config and seed must give identical bytes")
         obj = json.loads(outs[0])
-        assert obj["config"]["seed"] == "7" and obj["seed"] == "7"
+        _expect(obj["config"]["seed"] == "7" and obj["seed"] == "7")
 
 
 @_check("cli.infeasible_budget_exits_two")
@@ -507,5 +525,5 @@ def _cli_infeasible():
                     "--budget", "0.5", "--steps", "2000", "--out", tmp,
                 ]
             )
-        assert code == 2
-        assert "witness" in err.getvalue()
+        _expect(code == 2)
+        _expect("witness" in err.getvalue())

@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from oseledets import flexible as fx
-from oseledets import gl2, scalars, skyscraper
+from oseledets import gl2, scalars, skyscraper, verify
 from oseledets.cocycle import (
     rotgain_distribution,
     sample_onestep,
@@ -264,26 +264,6 @@ def test_criterion_10_lowcost_construction_at_scale():
     assert time.perf_counter() - t0 < 300.0
 
 
-def _min_cut_value(cells):
-    """Max over bipartitions of the min crossing u-gap, by exhaustion."""
-    n = len(cells)
-    gaps = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gaps[i, j] = fx._interval_gap(
-                    cells[i].u_lo, cells[i].u_hi, cells[j].u_lo, cells[j].u_hi
-                )
-    best = -math.inf
-    for mask in range(1, 2 ** (n - 1)):
-        side = np.zeros(n, dtype=bool)
-        for i in range(1, n):
-            if (mask >> (i - 1)) & 1:
-                side[i] = True
-        best = max(best, float(gaps[~side][:, side].min()))
-    return best
-
-
 def test_criterion_11_budget_checker_vs_exhaustive_bipartitions():
     t0 = time.perf_counter()
     rng = np.random.default_rng(19)
@@ -307,7 +287,7 @@ def test_criterion_11_budget_checker_vs_exhaustive_bipartitions():
     )
     for eta in specs:
         cells = [cell for _, cell in eta.pieces]
-        cut = _min_cut_value(cells)
+        cut = verify._min_cut_value(cells)
         grid = [0.05, 0.2, 0.5, 1.0, 2.0, cut + 1e-9]
         if cut > 1e-9:
             grid.append(cut - 1e-9)

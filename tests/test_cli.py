@@ -188,6 +188,25 @@ def test_onestep_signed_law_with_underflowing_angles_exits_zero(tmp_path, capsys
                zip(obj["angle_tail"]["truncated_means"], cli.DEFAULT_THRESHOLDS))
 
 
+def test_onestep_short_products_of_huge_gains_exit_zero(tmp_path, capsys):
+    # depth-8 direction products of log-gains near 100 overflow a float
+    # unless every pair product is renormalized
+    nu = MatrixDistribution.from_obj({
+        "kind": "rotgain",
+        "angle": {"kind": "uniform", "lo": "0.0", "hi": repr(math.pi)},
+        "log_gain": {"kind": "uniform", "lo": "90.0", "hi": "110.0"},
+    })
+    spec = write_spec(tmp_path, "nu.json", nu)
+    code = cli.main(
+        ["onestep", "--spec", spec, "--steps", "2000", "--trials", "400",
+         "--seed", "1", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    obj = json.loads((tmp_path / "onestep_report.json").read_text())
+    assert 90.0 < float(obj["lambda_hat"]["top"]) < 110.0
+
+
 def test_onestep_env_seed(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "nu.json", DIAG)
     monkeypatch.setenv("OSL_DEFAULT_SEED", "42")
@@ -277,6 +296,20 @@ def test_semantic_usage_errors_exit_sixtyfour(tmp_path, capsys):
     for argv in cases:
         assert cli.main(argv) == 64, argv
         assert "usage error" in capsys.readouterr().err
+
+
+def test_flexible_window_too_short_for_directions_exits_sixtyfour(tmp_path, capsys):
+    # rates 0.01,-0.01 give direction depth 10000, so 20010 steps at least
+    spec = write_spec(tmp_path, "eta.json", TWO_CELL)
+    base = ["flexible", "--spec", spec, "--mode", "lowcost", "--epsilon", "0.4",
+            "--out", str(tmp_path)]
+    assert cli.main(base + ["--rates", "0.01,-0.01", "--steps", "20000"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "20010" in err and err.count("\n") == 1
+    assert cli.main(base + ["--rates", "1e-320,0", "--steps", "20000"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and err.count("\n") == 1
+    assert not (tmp_path / "flexible_report.json").exists()
 
 
 def test_malformed_specs_exit_sixtyfour(tmp_path, capsys):

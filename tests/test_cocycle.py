@@ -17,7 +17,7 @@ from oseledets.cocycle import (
     OrbitWindow,
     WindowExhausted,
     atoms_distribution,
-    cocycle_product,
+    cocycle_product_scaled,
     moment,
     product_scaled,
     rotgain_distribution,
@@ -30,6 +30,12 @@ RNG = np.random.default_rng(7)
 
 def plain_product(mats):
     return reduce(lambda acc, m: m @ acc, mats, np.eye(2))
+
+
+def cocycle_product(window, from_time, n):
+    # the scaled product as a plain matrix (desk-scale n; may overflow otherwise)
+    m, log_scale = cocycle_product_scaled(window, from_time, n)
+    return math.exp(log_scale) * m
 
 
 def random_window(n, seed=0, offset=None):
@@ -107,11 +113,13 @@ def test_log_norm_subadditivity():
         assert lw <= l1 + l2 + 1e-9
 
 
-def test_tree_and_sequential_products_agree():
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 257])
+def test_tree_and_sequential_products_agree(n):
     rng = np.random.default_rng(11)
     mats = rng.uniform(-3, 3, size=(300, 2, 2))
-    mats = mats[np.abs(gl2.det2(mats)) > 1e-2][:257]
-    tree = product_scaled(mats)  # length > 64 takes the tree path
+    mats = mats[np.abs(gl2.det2(mats)) > 1e-2][:n]
+    assert len(mats) == n
+    tree = product_scaled(mats)
     seq_mat, seq_scale = np.eye(2), 0.0
     for m in mats:
         seq_mat = m @ seq_mat
@@ -127,6 +135,12 @@ def test_tree_and_sequential_products_agree():
     if np.sign(a.flat[np.argmax(np.abs(a))]) != np.sign(b.flat[np.argmax(np.abs(b))]):
         b = -b
     np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_single_degenerate_factor_is_not_invertible(bad):
+    with pytest.raises(gl2.NotInvertible):
+        product_scaled(np.full((1, 2, 2), bad))
 
 
 def test_window_exhausted():

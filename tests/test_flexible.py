@@ -1,20 +1,24 @@
 """Tests for the prescribed-splitting construction.
 
-Oracles: budget feasibility against exhaustive bipartition search; chain
-contracts re-checked from interval endpoints; travel costs against the
-16-lift reference; exponents and directions against the values the
+Oracles: budget feasibility against the exhaustive bipartition search of
+verify.py; chain contracts re-checked from interval endpoints; travel costs
+against its 16-lift enumeration; exponents and directions against the values the
 construction prescribes by design.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
 from oseledets import flexible as fx
-from oseledets import gl2, skyscraper
+from oseledets import gl2, skyscraper, verify
 from oseledets.cocycle import OrbitWindow
 from oseledets.estimation import NoData
 from oseledets.flexible import (
@@ -168,23 +172,6 @@ def test_budget_two_atom_threshold():
     assert not res.fits and res.witness == ((0,), (1,))
 
 
-def brute_force_fits(cells, b):
-    """Exhaustive bipartition oracle: fits iff every split has a crossing
-    pair of cells whose u-interval gap is below b."""
-    n = len(cells)
-    iv = [(c.u_lo, c.u_hi) for c in cells]
-    for mask in range(1, 2 ** (n - 1)):
-        side_b = [i for i in range(1, n) if (mask >> (i - 1)) & 1]
-        side_a = [i for i in range(n) if i not in side_b]
-        best = math.inf
-        for i in side_a:
-            for j in side_b:
-                best = min(best, fx._interval_gap(*iv[i], *iv[j]))
-        if not best < b:
-            return False
-    return True
-
-
 def test_budget_checker_matches_brute_force():
     rng = np.random.default_rng(7)
     for trial in range(12):
@@ -195,9 +182,10 @@ def test_budget_checker_matches_brute_force():
             hi = float(rng.uniform(lo, min(lo + 0.4, math.pi / 2)))
             cells.append(uniform_cell(0.1, 0.3, lo, hi))
         eta = EtaSpec(pieces=tuple(zip(weights, cells)))
+        cut = verify._min_cut_value(cells)
         for b in (0.05, 0.2, 0.7, 2.0):
             got = budget_fit_check(eta, b)
-            assert got.fits == brute_force_fits(cells, b)
+            assert got.fits == (cut < b)
             if not got.fits:
                 # every crossing pair of the witness really is out of budget
                 a_side, b_side = got.witness
@@ -352,12 +340,22 @@ def test_psi_monte_carlo_average():
     assert np.concatenate(vals2).mean() == pytest.approx(-0.3, abs=1e-12)
 
 
+def assemble_F(f_now, f_next, psi_pair):
+    """One step at a time: the eigen-matrix of f_now with log-eigenvalues
+    psi(f_now), then the unit-frame map from f_now's canonical lift to
+    f_next's (simulate_flexible builds the same matrices batched)."""
+    p1, p2 = psi_pair.at(f_now[0], gl2.gap_angle(f_now))
+    psi_mat = gl2.eigen_matrix(f_now, float(p1), float(p2))
+    phi = gl2.interp_matrix(gl2.canonical_lift(f_now), gl2.canonical_lift(f_next))
+    return phi @ psi_mat
+
+
 def test_psi_zero_rates_gives_zero_gains():
     psi = build_psi_pair(TWO_CELL, 0.0, 0.0)
     p1, p2 = psi.at(0.5, 0.5)
     assert p1 == 0.0 and p2 == 0.0
     f = gl2.splitting(0.5, 1.0)
-    np.testing.assert_allclose(fx.assemble_F(f, f, psi), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(assemble_F(f, f, psi), np.eye(2), atol=1e-12)
 
 
 def test_psi_rejects_reversed_rates():
@@ -373,7 +371,7 @@ def test_assemble_F_covariance_and_restricted_norm():
         t1, t2 = rng.uniform(0.25, math.pi / 2, 2)
         f_now = gl2.splitting(a1, gl2.canon_line(a1 + t1))
         f_next = gl2.splitting(a2, gl2.canon_line(a2 + t2))
-        m = fx.assemble_F(f_now, f_next, psi)
+        m = assemble_F(f_now, f_next, psi)
         assert float(gl2.line_angle(gl2.projective_action(m, f_now.x1), f_next.x1)) < 1e-10
         assert float(gl2.line_angle(gl2.projective_action(m, f_now.x2), f_next.x2)) < 1e-10
         # the restriction to x1 gains exactly e^psi1
@@ -391,8 +389,8 @@ def test_general_cost_matches_lift_enumeration():
         r2, r1 = np.sort(rng.uniform(-1.5, 1.5, 2))
         x = gl2.splitting(a1, gl2.canon_line(a1 + th))
         y = gl2.splitting(a2, gl2.canon_line(a2 + thp))
-        ref = gl2.transfer_cost_general(x, y, float(r1), float(r2))
-        got = float(fx._general_cost_from_gaps(th, thp, float(r1), float(r2)))
+        ref = verify._lift_cost(x, y, float(r1), float(r2))
+        got = float(gl2.transfer_cost_general(th, thp, float(r1), float(r2)))
         assert got == pytest.approx(ref, abs=1e-10)
 
 
@@ -405,8 +403,8 @@ def test_piece_cost_caps_dominate_and_grow():
         for i in range(n + 1):
             ti = rng.uniform(pieces[i].cell.theta_lo, pieces[i].cell.theta_hi, 200)
             tn = rng.uniform(pieces[n].cell.theta_lo, pieces[n].cell.theta_hi, 200)
-            assert float(fx._general_cost_from_gaps(ti, tn, 0.5, -0.5).max()) <= caps[n]
-            assert float(fx._general_cost_from_gaps(tn, ti, 0.5, -0.5).max()) <= caps[n]
+            assert float(gl2.transfer_cost_general(ti, tn, 0.5, -0.5).max()) <= caps[n]
+            assert float(gl2.transfer_cost_general(tn, ti, 0.5, -0.5).max()) <= caps[n]
 
 
 def test_piece_cost_caps_exact_for_atoms():
@@ -415,8 +413,8 @@ def test_piece_cost_caps_exact_for_atoms():
     caps = piece_cost_caps(pieces, 0.5, -0.5)
     assert caps[0] == 0.0  # a single atom travels only to itself
     expect = max(
-        float(fx._general_cost_from_gaps(0.4, 1.2, 0.5, -0.5)),
-        float(fx._general_cost_from_gaps(1.2, 0.4, 0.5, -0.5)),
+        float(gl2.transfer_cost_general(0.4, 1.2, 0.5, -0.5)),
+        float(gl2.transfer_cost_general(1.2, 0.4, 0.5, -0.5)),
     )
     assert caps[1] == expect
 
@@ -434,7 +432,7 @@ def test_simulate_batched_matches_assemble_F():
         f_now = gl2.splitting(x1[i], x2[i])
         f_next = gl2.splitting(x1[i + 1], x2[i + 1])
         np.testing.assert_allclose(
-            w.matrices[i], fx.assemble_F(f_now, f_next, psi), atol=1e-12
+            w.matrices[i], assemble_F(f_now, f_next, psi), atol=1e-12
         )
 
 
@@ -461,6 +459,29 @@ def test_simulate_bounded_prescribed_lines_are_carried():
         img = gl2.projective_action(w.matrices, w.prescribed_f[:, j])
         miss = gl2.line_angle(img[:-1], w.prescribed_f[1:, j])
         assert float(miss.max()) < 1e-9
+
+
+def test_broken_carry_is_a_contract_violation_under_python_optimize():
+    # -O strips assert statements; the runtime contracts must still raise
+    code = textwrap.dedent("""
+        from oseledets import flexible, gl2, skyscraper
+        from oseledets.verify import _FOUR_CELL
+
+        real = gl2.projective_action
+        gl2.projective_action = lambda g, alpha: real(g, alpha) + 0.1
+        try:
+            flexible.simulate_flexible(
+                _FOUR_CELL, 0.5, -0.5, "bounded", 500, seed=1, budget=0.5
+            )
+        except skyscraper.ContractViolation as err:
+            print(err)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "prescribed line not carried"
 
 
 def test_simulate_parallelogram_inequality_along_orbit():

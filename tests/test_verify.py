@@ -6,6 +6,10 @@ corrupted svd2 must surface as a failure naming the broken invariant
 """
 
 import io
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -48,6 +52,34 @@ def test_corrupted_svd2_is_a_named_failure(monkeypatch):
     assert any(r.name.startswith("gl2.svd") for r in bad)
     for r in bad:
         assert r.message  # the failure explains itself
+
+
+def test_battery_survives_python_optimize():
+    # -O strips assert statements: the healthy battery must still pass and
+    # the corrupted svd2 above must still fail a gl2.svd* check
+    code = textwrap.dedent("""
+        import io
+        from oseledets import gl2, verify
+
+        healthy = verify.run_suite("fast", out=io.StringIO())
+        print(sum(not r.ok for r in healthy))
+        real = gl2.svd2
+
+        def corrupted(g):
+            sv = real(g)
+            return sv._replace(left=gl2.canon_line(sv.left + 0.4))
+
+        gl2.svd2 = corrupted
+        print(" ".join(r.name for r in verify.run_suite("fast", out=io.StringIO()) if not r.ok))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    healthy_failures, corrupted_failures = proc.stdout.splitlines()
+    assert healthy_failures == "0"
+    assert any(name.startswith("gl2.svd") for name in corrupted_failures.split())
 
 
 def test_results_report_timing_and_messages():
