@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,7 @@ import numpy as np
 from . import estimation, flexible, gl2, verify
 from .cocycle import MatrixDistribution, sample_onestep
 from .flexible import EtaSpec
+from .scalars import BadTerm, float_str
 
 DEFAULT_THRESHOLDS = (4.0, 8.0, 16.0, 32.0)
 SAMPLE_CHUNKS = 8  # fixed, so reports do not depend on --jobs
@@ -75,11 +77,10 @@ class RunConfig:
             raise _UsageError("seed must be a 64-bit nonnegative integer")
         if self.jobs < 1:
             raise _UsageError("jobs must be >= 1")
-        ts = self.thresholds
-        if len(ts) == 0 or any(t <= 0 for t in ts) or any(
-            b <= a for a, b in zip(ts, ts[1:])
-        ):
-            raise _UsageError("thresholds must be positive and strictly increasing")
+        try:
+            estimation.check_thresholds(self.thresholds)
+        except BadTerm as err:
+            raise _UsageError(str(err)) from None
 
     def to_obj(self) -> dict:
         # plumbing (the output directory, --jobs) stays out of the report:
@@ -91,14 +92,14 @@ class RunConfig:
             obj["steps"] = self.steps
         if self.command == "onestep":
             obj["trials"] = self.trials
-            obj["thresholds"] = [repr(t) for t in self.thresholds]
+            obj["thresholds"] = [float_str(t) for t in self.thresholds]
         if self.command == "flexible":
             obj["mode"] = self.mode
-            obj["rates"] = [repr(self.rates[0]), repr(self.rates[1])]
+            obj["rates"] = [float_str(r) for r in self.rates]
             if self.budget is not None:
-                obj["budget"] = repr(self.budget)
+                obj["budget"] = float_str(self.budget)
             if self.epsilon is not None:
-                obj["epsilon"] = repr(self.epsilon)
+                obj["epsilon"] = float_str(self.epsilon)
         if self.command == "verify":
             obj["suite"] = self.suite
         return obj
@@ -186,12 +187,12 @@ def cmd_onestep(config: RunConfig) -> int:
     obj = {
         "config": config.to_obj(),
         "seed": str(config.seed),
-        "lambda_hat": {"top": repr(lam.top), "bottom": repr(lam.bottom)},
+        "lambda_hat": {"top": float_str(lam.top), "bottom": float_str(lam.bottom)},
         "directions": {
             "depth": depth,
-            "expanding_line": repr(e1),
-            "contracting_line": repr(e2),
-            "gap_angle": repr(theta),
+            "expanding_line": float_str(e1),
+            "contracting_line": float_str(e2),
+            "gap_angle": float_str(theta),
         },
         "angle_tail": tail.to_obj(),
     }
@@ -215,6 +216,11 @@ def cmd_flexible(config: RunConfig) -> int:
     except (ValueError, KeyError, TypeError) as err:
         raise _UsageError(f"malformed mixture spec: {err}") from err
     r1, r2 = config.rates
+    if r1 - r2 > (limit := flexible.max_rate_gap(eta)):
+        raise _UsageError(
+            f"rates r1 - r2 = {r1 - r2:.4g} exceed {limit:.4g}, the most at which this "
+            f"mixture's smallest gap angle keeps lines carried within {flexible.COVARIANCE_TOL:g}"
+        )
     try:
         window = flexible.simulate_flexible(
             eta, r1, r2, config.mode, config.steps, config.seed,
@@ -329,6 +335,8 @@ def _config_from_args(args) -> RunConfig:
         rates = tuple(args.rates)
         if len(rates) != 2:
             raise _UsageError("rates must be exactly r1,r2")
+        if not all(map(math.isfinite, rates)):
+            raise _UsageError("rates must be finite")
         if not rates[0] > rates[1]:
             raise _UsageError("rates must satisfy r1 > r2")
         try:
@@ -340,10 +348,11 @@ def _config_from_args(args) -> RunConfig:
                 f"steps must be >= {min_steps} for direction estimates at rates "
                 f"{rates[0]!r},{rates[1]!r}"
             )
-        if args.mode == "bounded" and args.budget is None:
-            raise _UsageError("bounded mode needs --budget")
-        if args.mode == "lowcost" and args.epsilon is None:
-            raise _UsageError("lowcost mode needs --epsilon")
+        # written as "not > 0" so that nan fails too
+        if args.mode == "bounded" and not (args.budget is not None and args.budget > 0):
+            raise _UsageError("bounded mode needs a positive --budget")
+        if args.mode == "lowcost" and not (args.epsilon is not None and args.epsilon > 0):
+            raise _UsageError("lowcost mode needs a positive --epsilon")
         return RunConfig(
             command="flexible", spec=args.spec, steps=args.steps, seed=seed,
             out=args.out, mode=args.mode, epsilon=args.epsilon,

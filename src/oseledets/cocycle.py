@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gl2
-from .scalars import ScalarDist, Unsupported
+from .scalars import ScalarDist, Unsupported, float_str
 
 # projective draws divide a factor by a positive scalar once an entry would
 # pass e^LOG_ENTRY_CAP, so a sum of two entry products stays finite
@@ -147,8 +147,8 @@ class MatrixDistribution:
                 "kind": "atoms",
                 "atoms": [
                     {
-                        "m": [[repr(float(v)) for v in row] for row in m],
-                        "w": repr(float(w)),
+                        "m": [[float_str(v) for v in row] for row in m],
+                        "w": float_str(w),
                     }
                     for m, w in zip(self.matrices, self.weights)
                 ],

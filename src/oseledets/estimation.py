@@ -15,7 +15,6 @@ horizon-doubling stabilization verdict.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .cocycle import (
     cocycle_product_scaled,
     triangular_distribution,
 )
-from .scalars import BadTerm, ScalarDist, Unsupported, constant, dyadic
+from .scalars import BadTerm, ScalarDist, Unsupported, constant, dyadic, float_str
 
 # row chunk for the big vectorized Monte Carlo loops; fixed so a given seed
 # always produces the same stream layout
@@ -357,21 +356,27 @@ class AngleTailReport:
 
     def to_obj(self) -> dict:
         return {
-            "thresholds": [repr(t) for t in self.thresholds],
-            "truncated_means": [repr(v) for v in self.truncated_means],
-            "stderrs": [repr(v) for v in self.stderrs],
+            "thresholds": [float_str(t) for t in self.thresholds],
+            "truncated_means": [float_str(v) for v in self.truncated_means],
+            "stderrs": [float_str(v) for v in self.stderrs],
             "sample_count": self.sample_count,
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True)
-
     def to_csv(self) -> str:
         lines = ["threshold,truncated_mean,stderr"]
-        for t, v, s in zip(self.thresholds, self.truncated_means, self.stderrs):
-            lines.append(f"{t!r},{v!r},{s!r}")
+        for row in zip(self.thresholds, self.truncated_means, self.stderrs):
+            lines.append(",".join(map(float_str, row)))
         return "\n".join(lines) + "\n"
+
+
+def check_thresholds(thresholds) -> tuple[float, ...]:
+    """The thresholds as floats; BadTerm unless they are finite, positive and
+    strictly increasing (nan fails every comparison, so it fails here too)."""
+    ts = tuple(float(t) for t in thresholds)
+    if not (ts and 0 < ts[0] and ts[-1] < math.inf and all(a < b for a, b in zip(ts, ts[1:]))):
+        raise BadTerm("thresholds must be finite, positive and strictly increasing")
+    return ts
 
 
 def angle_tail_report_neglog(neglog_samples, thresholds) -> AngleTailReport:
@@ -385,9 +390,7 @@ def angle_tail_report_neglog(neglog_samples, thresholds) -> AngleTailReport:
         raise NoData("no angle samples")
     if not np.all(v >= 0):  # nan fails too
         raise BadTerm("-log sin values must be nonnegative")
-    ts = [float(t) for t in thresholds]
-    if len(ts) == 0 or any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise BadTerm("thresholds must be positive and strictly increasing")
+    ts = check_thresholds(thresholds)
     means, errs = [], []
     for t in ts:
         clipped = np.minimum(v, t)
@@ -400,7 +403,7 @@ def angle_tail_report_neglog(neglog_samples, thresholds) -> AngleTailReport:
         verdict = "growing" if grown else "converging"
     else:
         verdict = "converging"
-    return AngleTailReport(tuple(ts), tuple(means), tuple(errs), int(v.size), verdict)
+    return AngleTailReport(ts, tuple(means), tuple(errs), int(v.size), verdict)
 
 
 def angle_tail_report(samples, thresholds) -> AngleTailReport:
@@ -668,27 +671,3 @@ def negative_drift_supremum(
     fv, fs = float(full.mean()), float(full.std(ddof=1) / math.sqrt(trials))
     stabilized = abs(fv - hv) <= 3.0 * math.hypot(fs, hs)
     return DriftReport(fv, fs, hv, hs, stabilized, c, horizon, trials)
-
-
-# ---------------------------------------------------------------------------
-# merging concurrent replicas
-
-
-def pool_mean_se(means, stderrs, counts) -> tuple[float, float, int]:
-    """Combine per-batch (mean, stderr, n) into pooled (mean, stderr, n).
-
-    Associative and order-independent up to floating roundoff: batch
-    standard errors are unwound into within-batch sum of squares, shifted
-    by the between-batch spread, and repacked.
-    """
-    ms = np.asarray(means, dtype=float)
-    ss = np.asarray(stderrs, dtype=float)
-    ns = np.asarray(counts, dtype=float)
-    if not (ms.size == ss.size == ns.size) or ms.size == 0 or np.any(ns < 2):
-        raise ValueError("need parallel lists with batch sizes >= 2")
-    total = ns.sum()
-    mean = float(np.dot(ns, ms) / total)
-    within = np.dot(ss**2 * ns, ns - 1.0)
-    between = np.dot(ns, (ms - mean) ** 2)
-    var = (within + between) / (total - 1.0)
-    return mean, float(math.sqrt(var / total)), int(total)

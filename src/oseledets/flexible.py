@@ -43,6 +43,7 @@ from .estimation import (
     estimate_E2_forward,
     lyapunov_estimates,
 )
+from .scalars import float_str, float_strs
 from .skyscraper import ensure
 
 # a declarative tail is expanded until its remaining mass drops below this
@@ -154,8 +155,8 @@ class Cell:
 
     def to_obj(self) -> dict:
         return {
-            "alpha": [repr(self.alpha_lo), repr(self.alpha_hi)],
-            "theta": [repr(self.theta_lo), repr(self.theta_hi)],
+            "alpha": [float_str(self.alpha_lo), float_str(self.alpha_hi)],
+            "theta": [float_str(self.theta_lo), float_str(self.theta_hi)],
         }
 
     @classmethod
@@ -224,9 +225,9 @@ class TailRule:
 
     def to_obj(self) -> dict:
         return {
-            "first_weight": repr(self.first_weight),
-            "weight_ratio": repr(self.weight_ratio),
-            "theta_ratio": repr(self.theta_ratio),
+            "first_weight": float_str(self.first_weight),
+            "weight_ratio": float_str(self.weight_ratio),
+            "theta_ratio": float_str(self.theta_ratio),
             "cell": self.cell.to_obj(),
         }
 
@@ -264,13 +265,11 @@ class EtaSpec:
             total += self.tail_rule.total_mass
         if abs(total - 1.0) > skyscraper.MASS_TOL:
             raise BadEtaSpec(f"mixture mass {total!r} is not 1")
-        if total <= 0.0:
-            raise BadEtaSpec("mixture needs positive mass")
 
     def to_obj(self) -> dict:
         obj = {
             "pieces": [
-                {"weight": repr(w), "cell": cell.to_obj()} for w, cell in self.pieces
+                {"weight": float_str(w), "cell": cell.to_obj()} for w, cell in self.pieces
             ]
         }
         if self.tail_rule is not None:
@@ -294,16 +293,14 @@ class EtaSpec:
 
 
 class Piece(NamedTuple):
-    """One mixture component plus the cumulative union of cell closures up
-    to and including it (compactum = cells 0..n)."""
+    """One mixture component."""
 
     weight: float
     cell: Cell
-    compactum: tuple
 
 
 def decompose_eta(eta: EtaSpec) -> list[Piece]:
-    """Flatten the mixture into ordered pieces with cumulative compacta.
+    """Flatten the mixture into ordered pieces.
 
     The declarative tail is expanded (truncated at a certified residual
     below 1e-12, folded into its last piece); zero-mass pieces are dropped
@@ -312,20 +309,13 @@ def decompose_eta(eta: EtaSpec) -> list[Piece]:
     flat: list[tuple[float, Cell]] = list(eta.pieces)
     if eta.tail_rule is not None:
         flat.extend(eta.tail_rule.expand())
-    kept: list[tuple[float, Cell]] = []
+    kept: list[Piece] = []
     for idx, (w, cell) in enumerate(flat):
         if w <= 0.0:
             warnings.warn(f"dropping zero-mass mixture piece {idx}")
             continue
-        kept.append((w, cell))
-    if not kept:
-        raise BadEtaSpec("mixture has no positive-mass piece")
-    out: list[Piece] = []
-    cells: list[Cell] = []
-    for w, cell in kept:
-        cells.append(cell)
-        out.append(Piece(w, cell, tuple(cells)))
-    return out
+        kept.append(Piece(w, cell))
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -628,24 +618,6 @@ class PsiPair:
         return self.c1 * b, self.c2 * b
 
 
-def build_psi_pair(eta: EtaSpec, r1: float, r2: float) -> PsiPair:
-    """Continuous bounded-support log-gains with exact mixture averages
-    (r1, r2); needs r1 >= r2."""
-    if not r1 >= r2:
-        raise ValueError("need r1 >= r2")
-    return _psi_from_pieces(decompose_eta(eta), r1, r2)
-
-
-def _psi_from_pieces(pieces: list[Piece], r1: float, r2: float) -> PsiPair:
-    # beta is 1 on every cell, so the integral is the total weight
-    integral = math.fsum(p.weight for p in pieces)
-    return PsiPair(
-        c1=float(r1) / integral,
-        c2=float(r2) / integral,
-        cells=tuple(p.cell for p in pieces),
-    )
-
-
 # ---------------------------------------------------------------------------
 # travel costs
 
@@ -745,7 +717,8 @@ def simulate_flexible(
     labels own adjacent chain elements, so every per-step gap-ratio cost is
     below the budget (asserted, hard).  mode "lowcost" (keyword epsilon):
     park piece n on a tower of height k_n chosen so the certified cap C_n
-    satisfies 2 C_n / k_n < epsilon, and hold f constant up each tower;
+    satisfies 2 C_n / k_n < epsilon (a lone piece that needs k > 1 takes
+    heights k and k + 1, for gcd 1), and hold f constant up each tower;
     travel is paid only at tower changes, so the mean step cost is below
     epsilon (statistical).
 
@@ -758,7 +731,9 @@ def simulate_flexible(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     pieces = decompose_eta(eta)
-    psi = _psi_from_pieces(pieces, r1, r2)
+    # beta is 1 on every cell, so the mixture integral of beta is the total weight
+    integral = math.fsum(p.weight for p in pieces)
+    psi = PsiPair(float(r1) / integral, float(r2) / integral, tuple(p.cell for p in pieces))
     rng = np.random.default_rng(seed)
 
     if mode == "bounded":
@@ -784,12 +759,18 @@ def simulate_flexible(
         if epsilon is None or not epsilon > 0.0:
             raise ValueError("lowcost mode needs a positive epsilon")
         caps = piece_cost_caps(pieces, r1, r2)
+        weights = [p.weight for p in pieces]
+        if len(pieces) == 1:
+            # a lone tower has gcd 1 only at height 1; past that the piece
+            # takes the coprime heights k and k + 1, half its weight on each
+            caps = np.repeat(caps, 2)
         ks = skyscraper.lowcost_heights(caps, epsilon)
-        pi = skyscraper.TowerVector(
-            {k: p.weight for k, p in zip(ks, pieces)}
-        )
+        if len(weights) == 1 and ks[0] > 1:
+            weights = [weights[0] / 2.0] * 2
+        pi = skyscraper.TowerVector(dict(zip(ks, weights)))
         heights, levels = skyscraper.renewal_trajectory(pi, steps + 1, rng)
         piece_idx = np.searchsorted(np.asarray(ks), heights)
+        np.minimum(piece_idx, len(pieces) - 1, out=piece_idx)  # a split lone piece reads 0
         # segments of constant f: from each tower base to the next
         seg = np.cumsum(levels == 0)
         seg_piece = np.empty(int(seg[-1]) + 1, dtype=np.int64)
@@ -888,21 +869,18 @@ class ConstructionReport:
 
     def to_obj(self) -> dict:
         return {
-            "lambda_hat": [repr(float(v)) for v in self.lambda_hat],
-            "tv_distance": repr(float(self.tv_distance)),
-            "ks_theta": repr(float(self.ks_theta)),
-            "max_cost": repr(float(self.max_cost)),
-            "mean_cost": repr(float(self.mean_cost)),
-            "agreement_fraction": repr(float(self.agreement_fraction)),
+            "lambda_hat": [float_str(v) for v in self.lambda_hat],
+            "tv_distance": float_str(self.tv_distance),
+            "ks_theta": float_str(self.ks_theta),
+            "max_cost": float_str(self.max_cost),
+            "mean_cost": float_str(self.mean_cost),
+            "agreement_fraction": float_str(self.agreement_fraction),
             "steps": int(self.steps),
             "offset": int(self.offset),
             "mode": self.mode,
-            "rates": [repr(float(v)) for v in self.rates],
+            "rates": [float_str(v) for v in self.rates],
             "seed": None if self.seed is None else int(self.seed),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """One row per stored transition: absolute step, its travel cost,
@@ -910,19 +888,11 @@ class ConstructionReport:
         parts = ["step,cost,label,theta\n"]
         for lo in range(0, len(self.step_cost), CSV_ROWS):
             part = slice(lo, lo + CSV_ROWS)
-            cost, theta = _float_reprs(self.step_cost[part]), _float_reprs(self.step_theta[part])
+            cost, theta = float_strs(self.step_cost[part]), float_strs(self.step_theta[part])
             steps = range(self.offset + lo, self.offset + lo + len(cost))
             rows = zip(steps, cost, self.step_label[part].tolist(), theta)
             parts.append("".join(f"{s},{c},{k},{t}\n" for s, c, k, t in rows))
         return "".join(parts)
-
-
-def _float_reprs(values: np.ndarray) -> list:
-    """repr of each float of a nonempty array, once per run of equal bits (-0.0 != 0.0)."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    starts = np.concatenate([[True], bits[1:] != bits[:-1]])
-    reprs = np.array([repr(x) for x in bits[starts].view(float).tolist()], dtype=object)
-    return reprs[np.cumsum(starts) - 1].tolist()
 
 
 def _theta_marginal_cdf(pieces: list[Piece], ts: np.ndarray, strict: bool) -> np.ndarray:
@@ -932,7 +902,7 @@ def _theta_marginal_cdf(pieces: list[Piece], ts: np.ndarray, strict: bool) -> np
     from stored line angles, which can land one ulp off the atom.
     """
     total = np.zeros_like(ts, dtype=float)
-    for w, cell, _ in pieces:
+    for w, cell in pieces:
         t0, t1 = cell.theta_lo, cell.theta_hi
         if t1 == t0:
             total += w * ((ts > t0 + 1e-12) if strict else (ts >= t0 - 1e-12))
@@ -945,6 +915,15 @@ def direction_depth(r1: float, r2: float) -> int:
     """Depth of verify_flexible's direction estimates, ceil(20 / (r1 - r2)) * 10;
     the window needs at least 2 * depth + 10 steps."""
     return math.ceil(20.0 / (r1 - r2)) * 10
+
+
+def max_rate_gap(eta: EtaSpec) -> float:
+    """Largest r1 - r2 whose lines simulate_flexible carries within
+    COVARIANCE_TOL: carrying a line errs by about e^(r1 - r2) 2^-52 / sin t
+    rad at the mixture's smallest gap angle t, so the bound is
+    log(COVARIANCE_TOL sin(t) 2^52), 14.1 at t = 0.3."""
+    theta_min = min(p.cell.theta_lo for p in decompose_eta(eta))
+    return math.log(COVARIANCE_TOL * math.sin(theta_min) * 2.0**52)
 
 
 def verify_flexible(

@@ -60,11 +60,6 @@ def canon_vector(alpha):
     return np.mod(alpha, 2.0 * math.pi)
 
 
-def mat2(a11: float, a12: float, a21: float, a22: float) -> np.ndarray:
-    """Build a 2x2 float matrix from entries (row-major)."""
-    return np.array([[a11, a12], [a21, a22]], dtype=float)
-
-
 def rotation(angle):
     """Rotation matrix (or stack of them) for the given angle(s)."""
     angle = np.asarray(angle, dtype=float)

@@ -11,19 +11,33 @@ run is bit-reproducible given its seed.  Supported kinds:
 - ``affine``: shift + scale * base for another law (scale != 0), e.g. a
   heavy tail pushed to the negative axis
 
-Numeric JSON fields are written as decimal strings (shortest round-trip
-repr) so that save/load is bit-exact.
+Every float that reaches a spec, report or CSV is written by ``float_str``
+(or ``float_strs`` for a column) as its shortest round-trip decimal string,
+so save/load is bit-exact.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _LN4 = math.log(4.0)
+
+
+def float_str(x) -> str:
+    """x as its shortest round-trip decimal string: float(float_str(x)) == x."""
+    return repr(float(x))
+
+
+def float_strs(values) -> list[str]:
+    """float_str of each float of a nonempty 1d array, formatted once per run of
+    bitwise-equal values (-0.0 and 0.0 differ) and with no Python call per value."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    starts = np.concatenate([[True], bits[1:] != bits[:-1]])
+    strs = np.array(list(map(repr, bits[starts].view(float).tolist())), dtype=object)
+    return strs[np.cumsum(starts) - 1].tolist()
 
 
 class BadTerm(ValueError):
@@ -156,24 +170,21 @@ class ScalarDist:
         if self.kind == "atoms":
             return {
                 "kind": "atoms",
-                "values": [repr(float(v)) for v in self.values],
-                "weights": [repr(float(w)) for w in self.weights],
+                "values": [float_str(v) for v in self.values],
+                "weights": [float_str(w) for w in self.weights],
             }
         if self.kind == "uniform":
-            return {"kind": "uniform", "lo": repr(float(self.lo)), "hi": repr(float(self.hi))}
+            return {"kind": "uniform", "lo": float_str(self.lo), "hi": float_str(self.hi)}
         if self.kind == "exponential":
-            return {"kind": "exponential", "rate": repr(float(self.rate))}
+            return {"kind": "exponential", "rate": float_str(self.rate)}
         if self.kind == "affine":
             return {
                 "kind": "affine",
                 "base": self.base.to_obj(),
-                "scale": repr(float(self.scale)),
-                "shift": repr(float(self.shift)),
+                "scale": float_str(self.scale),
+                "shift": float_str(self.shift),
             }
         return {"kind": "dyadic"}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True)
 
     @staticmethod
     def from_obj(obj: dict) -> "ScalarDist":
@@ -198,10 +209,6 @@ class ScalarDist:
         if kind == "dyadic":
             return ScalarDist(kind="dyadic")
         raise Unsupported(f"unknown scalar law kind {kind!r}")
-
-    @staticmethod
-    def from_json(text: str) -> "ScalarDist":
-        return ScalarDist.from_obj(json.loads(text))
 
 
 def atoms(pairs) -> ScalarDist:

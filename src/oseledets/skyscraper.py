@@ -81,36 +81,6 @@ class TowerVector:
             raise BadTowerVector(f"support {sorted(clean)} has gcd > 1")
         object.__setattr__(self, "entries", dict(sorted(clean.items())))
 
-    def support(self) -> list[int]:
-        return list(self.entries)
-
-    def mass(self, k: int) -> float:
-        return self.entries.get(int(k), 0.0)
-
-    def mean_height(self) -> float:
-        return math.fsum(k * w for k, w in self.entries.items())
-
-    def to_obj(self) -> dict:
-        return {"heights": {str(k): repr(float(w)) for k, w in self.entries.items()}}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "TowerVector":
-        return cls({int(k): float(w) for k, w in obj["heights"].items()})
-
-
-@dataclass(frozen=True)
-class SkyscraperState:
-    """Position in the skyscraper: tower height and level above the base."""
-
-    height: int
-    level: int
-
-    def __post_init__(self):
-        if self.height < 1 or not (0 <= self.level < self.height):
-            raise BadTowerVector(
-                f"level {self.level} outside [0, {self.height})"
-            )
-
 
 def kac_base_measures(pi: TowerVector) -> dict[int, float]:
     """Mass of each tower's base cell: mass(k) / k.
@@ -121,54 +91,26 @@ def kac_base_measures(pi: TowerVector) -> dict[int, float]:
     return {k: w / k for k, w in pi.entries.items()}
 
 
-def _support_arrays(pi: TowerVector) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.array(pi.support(), dtype=np.int64)
-    ws = np.array([pi.entries[int(k)] for k in ks], dtype=float)
-    return ks, ws / ws.sum()
-
-
-def _return_law(pi: TowerVector) -> tuple[np.ndarray, np.ndarray]:
-    # height of the next tower entered from a base cell
-    ks, ws = _support_arrays(pi)
-    q = ws / ks
-    return ks, q / q.sum()
-
-
-def renewal_start_stationary(pi: TowerVector, seed=0) -> SkyscraperState:
-    """Stationary draw: height with probability mass(k), level uniform below it."""
-    rng = np.random.default_rng(seed)
-    ks, ws = _support_arrays(pi)
-    k = int(rng.choice(ks, p=ws))
-    return SkyscraperState(k, int(rng.integers(0, k)))
-
-
-def renewal_step(state: SkyscraperState, pi: TowerVector, rng) -> SkyscraperState:
-    """One step up the tower, or into a fresh tower from the top.
-
-    The fresh height is drawn proportional to mass(k)/k, the base-cell law,
-    which is exactly what preserves the stationary law of
-    renewal_start_stationary.
-    """
-    if state.level + 1 < state.height:
-        return SkyscraperState(state.height, state.level + 1)
-    ks, q = _return_law(pi)
-    return SkyscraperState(int(rng.choice(ks, p=q)), 0)
-
-
 def renewal_trajectory(pi: TowerVector, steps: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stationary trajectory: (heights, levels), each of length steps.
 
-    Equivalent in law to renewal_start_stationary followed by repeated
-    renewal_step; whole towers are drawn at once and unrolled with repeat /
-    arange, so a million steps cost a handful of array operations.
+    The start is stationary: height k with probability mass(k), level
+    uniform below it.  Each step climbs one level; from the top it enters a
+    fresh tower whose height is drawn proportional to mass(k)/k, the
+    base-cell law, which preserves the stationary law.  Whole towers are
+    drawn at once and unrolled with repeat / arange, so a million steps cost
+    a handful of array operations.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rng = np.random.default_rng(seed)
-    ks, ws = _support_arrays(pi)
+    ks = np.array(list(pi.entries), dtype=np.int64)
+    ws = np.array(list(pi.entries.values()))
+    ws = ws / ws.sum()
     k0 = int(rng.choice(ks, p=ws))
     i0 = int(rng.integers(0, k0))
-    _, q = _return_law(pi)
+    q = ws / ks  # height of the next tower entered from a base cell
+    q = q / q.sum()
     mean_return = float(ks @ q)
     hs = [np.full(k0 - i0, k0, dtype=np.int64)]
     ls = [np.arange(i0, k0, dtype=np.int64)]
@@ -183,45 +125,23 @@ def renewal_trajectory(pi: TowerVector, steps: int, seed=0) -> tuple[np.ndarray,
     return np.concatenate(hs)[:steps], np.concatenate(ls)[:steps]
 
 
-_LABEL_HEIGHTS_DOC = "heights must be 1 or even and >= 4"
-
-
-def _labelable(heights) -> np.ndarray:
-    h = np.asarray(heights)
-    return (h == 1) | ((h >= 4) & (h % 2 == 0))
-
-
-def label_of(state: SkyscraperState) -> int:
-    """Distance to the nearer end of the tower: min(level, height-1-level).
+def trajectory_labels(heights, levels) -> np.ndarray:
+    """Labels along a trajectory: the distance to the nearer end of the
+    tower, min(level, height - 1 - level).
 
     Defined for height 1 and even heights >= 4; there each label below the
     midpoint appears exactly twice per tower, and consecutive labels along
-    any trajectory differ by at most 1.
+    any trajectory differ by at most 1 (checked).
     """
-    if not _labelable(state.height):
-        raise BadHeightForLabels(f"height {state.height}: {_LABEL_HEIGHTS_DOC}")
-    return min(state.level, state.height - 1 - state.level)
-
-
-def trajectory_labels(heights, levels) -> np.ndarray:
-    """Labels along a trajectory, with the one-step Lipschitz property checked."""
     h = np.asarray(heights, dtype=np.int64)
     i = np.asarray(levels, dtype=np.int64)
-    if not np.all(_labelable(h)):
-        bad = int(h[~_labelable(h)][0])
-        raise BadHeightForLabels(f"height {bad}: {_LABEL_HEIGHTS_DOC}")
+    labelable = (h == 1) | ((h >= 4) & (h % 2 == 0))
+    if not np.all(labelable):
+        bad = int(h[~labelable][0])
+        raise BadHeightForLabels(f"height {bad}: heights must be 1 or even and >= 4")
     lab = np.minimum(i, h - 1 - i)
     ensure(np.all(np.abs(np.diff(lab)) <= 1), "label moved by more than 1 in one step")
     return lab
-
-
-def trajectory_csv(heights, levels) -> str:
-    """CSV dump of a labeled trajectory: step,height,level,label."""
-    lab = trajectory_labels(heights, levels)
-    lines = ["step,height,level,label"]
-    for t, (h, i, l) in enumerate(zip(heights, levels, lab)):
-        lines.append(f"{t},{h},{i},{l}")
-    return "\n".join(lines) + "\n"
 
 
 def _check_p(p) -> np.ndarray:
@@ -339,11 +259,3 @@ def lowcost_heights(costs, epsilon: float) -> list[int]:
         while math.gcd(*heights) != 1:
             heights[-1] += 1
     return heights
-
-
-def p_to_obj(p) -> dict:
-    return {"p": [repr(float(x)) for x in np.asarray(p, dtype=float)]}
-
-
-def p_from_obj(obj) -> np.ndarray:
-    return np.array([float(x) for x in obj["p"]], dtype=float)

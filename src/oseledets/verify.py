@@ -56,21 +56,21 @@ def _check(name: str, fast: bool = True):
     return deco
 
 
-def suite_names(suite: str = "fast") -> list[str]:
+def _suite(suite: str) -> list[_Check]:
     if suite not in ("fast", "all"):
         raise ValueError("suite must be 'fast' or 'all'")
-    return [c.name for c in _CHECKS if c.fast or suite == "all"]
+    return [c for c in _CHECKS if c.fast or suite == "all"]
+
+
+def suite_names(suite: str = "fast") -> list[str]:
+    return [c.name for c in _suite(suite)]
 
 
 def run_suite(suite: str = "fast", out=None) -> list[CheckResult]:
     """Run the battery; print one pass/fail line per check; return results."""
-    if suite not in ("fast", "all"):
-        raise ValueError("suite must be 'fast' or 'all'")
     stream = sys.stdout if out is None else out
     results = []
-    for check in _CHECKS:
-        if not check.fast and suite != "all":
-            continue
+    for check in _suite(suite):
         t0 = time.perf_counter()
         try:
             check.fn()
@@ -247,18 +247,6 @@ def _triangular_directions():
     _expect(float(gl2.line_angle(e1, math.atan2(1.0, x_const))) < 1e-6)
     e2 = estimation.estimate_E2_forward(w, 60)
     _expect(float(gl2.line_angle(e2, 0.0)) < 1e-6, "contracting line must be the first axis")
-
-
-@_check("estimation.batch_pool_is_order_free")
-def _pool_order_free():
-    rng = np.random.default_rng(FAST_SEED + 7)
-    means = rng.normal(size=12)
-    ses = rng.uniform(0.1, 0.5, 12)
-    ns = rng.integers(5, 50, 12)
-    m0, s0, n0 = estimation.pool_mean_se(means, ses, ns)
-    perm = rng.permutation(12)
-    m1, s1, n1 = estimation.pool_mean_se(means[perm], ses[perm], ns[perm])
-    _expect(abs(m0 - m1) < 1e-12 and abs(s0 - s1) < 1e-12 and n0 == n1)
 
 
 @_check("estimation.tail_verdicts_on_samples", fast=False)

@@ -312,6 +312,71 @@ def test_flexible_window_too_short_for_directions_exits_sixtyfour(tmp_path, caps
     assert not (tmp_path / "flexible_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["onestep", "--spec", "NU", "--thresholds", "nan"],
+        ["onestep", "--spec", "NU", "--thresholds", "4,nan,16"],
+        ["flexible", "--spec", "ETA", "--mode", "bounded", "--budget", "-1"],
+        ["flexible", "--spec", "ETA", "--mode", "bounded", "--budget", "nan"],
+        ["flexible", "--spec", "ETA", "--mode", "lowcost", "--epsilon", "0"],
+        ["flexible", "--spec", "ETA", "--mode", "lowcost", "--epsilon", "nan"],
+        ["flexible", "--spec", "ETA", "--mode", "lowcost", "--epsilon", "0.1", "--rates", "inf,0"],
+        ["flexible", "--spec", "ETA", "--mode", "bounded", "--budget", "0.5", "--rates", "0.5,-inf"],
+    ],
+)
+def test_bad_numbers_exit_sixtyfour(argv, tmp_path, capsys):
+    specs = {"NU": write_spec(tmp_path, "nu.json", DIAG), "ETA": write_spec(tmp_path, "eta.json", TWO_CELL)}
+    argv = [specs.get(a, a) for a in argv] + ["--steps", "2000", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+# smallest gap angle 0.3, where the rate gap limit log(1e-9 sin(0.3) 2^52) is 14.10
+NARROW = EtaSpec(
+    pieces=(
+        (0.6, uniform_cell(0.1, 0.8, 0.3, 0.5)),
+        (0.4, uniform_cell(1.0, 1.7, 0.6, 0.9)),
+    )
+)
+
+
+@pytest.mark.parametrize("mode", [["bounded", "--budget", "0.5"], ["lowcost", "--epsilon", "0.1"]])
+def test_flexible_rate_gap_limit(mode, tmp_path, capsys):
+    spec = write_spec(tmp_path, "eta.json", NARROW)
+    base = ["flexible", "--spec", spec, "--mode", *mode, "--steps", "2000", "--seed", "1"]
+    assert cli.main(base + ["--rates", "14,0", "--out", str(tmp_path / "ok")]) == 0
+    for rates in ("15,0", "10,-10", "800,0"):
+        assert cli.main(base + ["--rates", rates, "--out", str(tmp_path / "bad")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "14.1" in err and err.count("\n") == 1
+    assert not (tmp_path / "bad").exists()
+
+
+def test_flexible_rate_gap_limit_at_tiny_gap_angles(tmp_path, capsys):
+    # default rates (gap 1): the limit passes 1 between theta_lo = 1e-7 and 1e-6
+    for theta_lo, code in ((1e-6, 0), (1e-7, 64)):
+        eta = EtaSpec(pieces=((0.6, uniform_cell(0.1, 0.8, theta_lo, 0.5)), NARROW.pieces[1]))
+        spec = write_spec(tmp_path, "eta.json", eta)
+        argv = ["flexible", "--spec", spec, "--mode", "lowcost", "--epsilon", "0.1",
+                "--steps", "2000", "--out", str(tmp_path)]
+        assert cli.main(argv) == code
+
+
+def test_flexible_lowcost_one_piece_builds(tmp_path, capsys):
+    # a lone tower needs height 1 for gcd 1; this cell needs more, so the
+    # piece takes two coprime heights
+    eta = EtaSpec(pieces=((1.0, uniform_cell(0.1, 0.8, 0.3, 0.5)),))
+    spec = write_spec(tmp_path, "eta.json", eta)
+    code = cli.main(["flexible", "--spec", spec, "--mode", "lowcost", "--epsilon", "0.1",
+                     "--steps", "20000", "--seed", "1", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "flexible_report.json").read_text())["report"]
+    assert float(report["mean_cost"]) < 0.1
+
+
 def test_malformed_specs_exit_sixtyfour(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -30,7 +30,6 @@ from oseledets.estimation import (
     lyapunov_estimates,
     negative_drift_supremum,
     oseledets_angle_samples,
-    pool_mean_se,
     sample_sup_values,
     suggested_depth,
     triangular_gap_neglog_samples,
@@ -40,6 +39,11 @@ from oseledets.estimation import (
 from oseledets.scalars import BadTerm, Unsupported
 
 X_CONST = 1.0 / (1.0 - math.exp(-1))  # series value for a = 1/e, b = 1
+
+
+def mat2(a11, a12, a21, a22):
+    """A 2x2 float matrix from its entries, row-major."""
+    return np.array([[a11, a12], [a21, a22]], dtype=float)
 
 
 def constant_window(mat, half_width, seed=0):
@@ -52,7 +56,7 @@ def constant_window(mat, half_width, seed=0):
 
 
 def test_lyapunov_diagonal_exact():
-    w = constant_window(gl2.mat2(2, 0, 0, 0.5), 1500)
+    w = constant_window(mat2(2, 0, 0, 0.5), 1500)
     lam = lyapunov_estimates(w)
     assert lam.top == pytest.approx(math.log(2.0), abs=1e-12)
     assert lam.bottom == pytest.approx(-math.log(2.0), abs=1e-12)
@@ -92,7 +96,7 @@ def test_lyapunov_ordering_and_warning():
 
 
 def test_directions_diagonal_exact():
-    w = constant_window(gl2.mat2(2, 0, 0, 0.5), 80)
+    w = constant_window(mat2(2, 0, 0, 0.5), 80)
     assert estimate_E2_forward(w, 60) == pytest.approx(math.pi / 2, abs=1e-12)
     assert estimate_E1_backward(w, 60) == pytest.approx(0.0, abs=1e-12)
 
@@ -184,7 +188,7 @@ def test_series_needs_more_samples():
 
 
 def test_angle_samples_diagonal():
-    nu = cocycle.atoms_distribution([(gl2.mat2(2, 0, 0, 0.5), 1.0)])
+    nu = cocycle.atoms_distribution([(mat2(2, 0, 0, 0.5), 1.0)])
     th = oseledets_angle_samples(nu, trials=50, depth=20, seed=0)
     np.testing.assert_allclose(th, math.pi / 2, atol=1e-12)
 
@@ -220,7 +224,7 @@ def _stack_angle_samples(nu, trials, depth, seed):
 KERNEL_LAWS = {
     "rotgain": cocycle.rotgain_distribution(scalars.uniform(0, math.pi), scalars.constant(1.0)),
     "diagonal_atoms": cocycle.atoms_distribution(
-        [(gl2.mat2(2, 0, 0, 0.5), 0.5), (gl2.mat2(1.5, 0, 0, 0.25), 0.5)]
+        [(mat2(2, 0, 0, 0.5), 0.5), (mat2(1.5, 0, 0, 0.25), 0.5)]
     ),
     "signed_triangular": cocycle.triangular_distribution(
         scalars.atoms([(-0.5, 0.3), (0.5, 0.7)]), scalars.uniform(-1.0, 2.0)
@@ -271,7 +275,7 @@ def _count_steps(monkeypatch):
 BOUNDED_LAWS = {
     "rotgain": KERNEL_LAWS["rotgain"],
     "shear_atoms": cocycle.atoms_distribution(
-        [(gl2.mat2(1, 1, 0, 1), 0.5), (gl2.mat2(1, 0, 1, 1), 0.5)]
+        [(mat2(1, 1, 0, 1), 0.5), (mat2(1, 0, 1, 1), 0.5)]
     ),
     "negative_a_triangular": cocycle.triangular_distribution(
         scalars.uniform(-0.6, -0.2), scalars.uniform(-1.0, 2.0)
@@ -312,7 +316,7 @@ def test_unsettled_laws_run_to_the_cap(monkeypatch, nu):
 
 def test_settled_readings_compare_right_lines():
     def reading(t):  # diag(2, 1/2) R(-t) has its s1 right line at angle t
-        prod = gl2.mat2(2, 0, 0, 0.5) @ gl2.rotation(-np.asarray(t))
+        prod = mat2(2, 0, 0, 0.5) @ gl2.rotation(-np.asarray(t))
         return est._doubled_right_angles(prod.transpose(1, 2, 0))
 
     base = np.array([0.3, 1.2, 2.9])
@@ -555,6 +559,9 @@ def test_report_errors():
         angle_tail_report([2.0], [1.0, 2.0])  # angle beyond pi/2
     with pytest.raises(BadTerm):
         angle_tail_report_neglog([-0.1], [1.0, 2.0])
+    for bad in ([], [math.nan], [1.0, math.nan], [1.0, math.nan, 4.0], [0.0, 1.0], [1.0, math.inf]):
+        with pytest.raises(BadTerm):
+            angle_tail_report_neglog([0.5], bad)
 
 
 def test_report_serialization():
@@ -750,26 +757,3 @@ def test_drift_misconfiguration():
         negative_drift_supremum(phi, drift_c=2.0, horizon=100, trials=10)
     with pytest.raises(NonNegativeDrift):
         negative_drift_supremum(scalars.constant(-1.0), horizon=100, trials=10)
-
-
-# ---------------------------------------------------------------------------
-# pooling
-
-
-def test_pool_mean_se_matches_flat_computation():
-    rng = np.random.default_rng(2)
-    batches = [rng.normal(size=n) for n in (50, 200, 125)]
-    means = [b.mean() for b in batches]
-    ses = [b.std(ddof=1) / math.sqrt(b.size) for b in batches]
-    counts = [b.size for b in batches]
-    mean, se, n = pool_mean_se(means, ses, counts)
-    flat = np.concatenate(batches)
-    assert n == flat.size
-    assert mean == pytest.approx(flat.mean(), abs=1e-12)
-    assert se == pytest.approx(flat.std(ddof=1) / math.sqrt(flat.size), abs=1e-12)
-
-
-def test_pool_mean_se_order_independent():
-    mean1, se1, _ = pool_mean_se([1.0, 2.0], [0.1, 0.2], [100, 50])
-    mean2, se2, _ = pool_mean_se([2.0, 1.0], [0.2, 0.1], [50, 100])
-    assert mean1 == pytest.approx(mean2) and se1 == pytest.approx(se2)

@@ -29,8 +29,8 @@ from oseledets.flexible import (
     TailRule,
     UnboundedGap,
     atom_cell,
+    PsiPair,
     budget_fit_check,
-    build_psi_pair,
     decompose_eta,
     march_chain,
     piece_cost_caps,
@@ -133,13 +133,12 @@ def test_tail_rule_truncates_at_certified_residual():
 def test_decompose_orders_and_accumulates():
     pieces = decompose_eta(TWO_CELL)
     assert [p.weight for p in pieces] == [0.6, 0.4]
-    assert pieces[0].compactum == (pieces[0].cell,)
-    assert pieces[1].compactum == (pieces[0].cell, pieces[1].cell)
+    assert [p.cell for p in pieces] == [cell for _, cell in TWO_CELL.pieces]
 
 
 def test_decompose_single_cell():
     pieces = decompose_eta(ATOM)
-    assert len(pieces) == 1 and pieces[0].compactum == (pieces[0].cell,)
+    assert len(pieces) == 1 and pieces[0].cell == ATOM.pieces[0][1]
 
 
 def test_decompose_drops_zero_mass_with_warning():
@@ -305,6 +304,16 @@ def test_march_rejects_bad_args():
 # log-gains
 
 
+def build_psi_pair(eta, r1, r2):
+    """The log-gains simulate_flexible prescribes, built on their own: beta is
+    1 on every cell, so c_j = r_j / (total weight) gives mixture averages r_j."""
+    if not r1 >= r2:
+        raise ValueError("need r1 >= r2")
+    pieces = decompose_eta(eta)
+    total = math.fsum(p.weight for p in pieces)
+    return PsiPair(r1 / total, r2 / total, tuple(p.cell for p in pieces))
+
+
 def test_psi_is_exactly_r_on_cells():
     psi = build_psi_pair(TWO_CELL, 0.5, -0.25)
     rng = np.random.default_rng(1)
@@ -361,6 +370,8 @@ def test_psi_zero_rates_gives_zero_gains():
 def test_psi_rejects_reversed_rates():
     with pytest.raises(ValueError):
         build_psi_pair(TWO_CELL, -0.5, 0.5)
+    with pytest.raises(ValueError):
+        simulate_flexible(TWO_CELL, -0.5, 0.5, "lowcost", 100, epsilon=0.3)
 
 
 def test_assemble_F_covariance_and_restricted_norm():
@@ -523,6 +534,20 @@ def test_simulate_lowcost_tower_structure():
         assert np.all(piece.cell.contains(x1[mask], theta[mask]))
 
 
+def test_simulate_lowcost_one_piece_takes_two_coprime_towers():
+    # one tower would need height 1 for gcd 1; this cell's cap needs more
+    eta = EtaSpec(pieces=((1.0, uniform_cell(0.1, 0.8, 0.3, 0.5)),))
+    eps = 0.1
+    (cap,) = piece_cost_caps(decompose_eta(eta), 0.5, -0.5)
+    k = int(2.0 * cap / eps) + 1
+    assert k > 1
+    w = simulate_flexible(eta, 0.5, -0.5, "lowcost", 40000, seed=21, epsilon=eps)
+    assert np.all(w.labels == 0)
+    runs = np.diff(np.flatnonzero(np.diff(w.prescribed_f[:, 0]) != 0.0))
+    assert set(runs.tolist()) == {k, k + 1}
+    assert step_costs(w, "lowcost", 0.5, -0.5).mean() < eps
+
+
 def test_simulate_lowcost_mean_cost_contract():
     eps = 0.25
     w = simulate_flexible(TWO_CELL, 0.5, -0.5, "lowcost", 60000, seed=13, epsilon=eps)
@@ -623,7 +648,7 @@ def test_step_costs_modes():
 def test_report_serialization_and_csv():
     w = simulate_flexible(TWO_CELL, 0.5, -0.5, "bounded", 2000, seed=20, budget=0.6)
     rep = verify_flexible(w, TWO_CELL, 0.5, -0.5, mode="bounded")
-    obj = json.loads(rep.to_json())
+    obj = json.loads(json.dumps(rep.to_obj(), indent=2, sort_keys=True))
     assert float(obj["lambda_hat"][0]) == rep.lambda_hat[0]
     assert float(obj["tv_distance"]) == rep.tv_distance
     assert obj["mode"] == "bounded" and obj["steps"] == 2000

@@ -20,6 +20,11 @@ from oseledets.gl2 import (
     UnitVectorPair,
 )
 
+def mat2(a11, a12, a21, a22):
+    """A 2x2 float matrix from its entries, row-major."""
+    return np.array([[a11, a12], [a21, a22]], dtype=float)
+
+
 RNG = np.random.default_rng(20260816)
 
 
@@ -40,7 +45,7 @@ def random_invertible(n, rng=RNG, lo=-5.0, hi=5.0, det_floor=1e-6):
 
 
 def test_svd2_diagonal_fixture():
-    s1, s2, left, right = gl2.svd2(gl2.mat2(2, 0, 0, 0.5))
+    s1, s2, left, right = gl2.svd2(mat2(2, 0, 0, 0.5))
     assert s1 == pytest.approx(2.0, abs=1e-15)
     assert s2 == pytest.approx(0.5, abs=1e-15)
     assert gl2.line_angle(left, 0.0) < 1e-12
@@ -86,9 +91,9 @@ def test_svd2_maps_right_line_to_left_line():
 
 def test_svd2_rejects_singular():
     with pytest.raises(NotInvertible):
-        gl2.svd2(gl2.mat2(1, 2, 2, 4))
+        gl2.svd2(mat2(1, 2, 2, 4))
     with pytest.raises(NotInvertible):
-        gl2.inv2(gl2.mat2(0, 0, 0, 0))
+        gl2.inv2(mat2(0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +119,7 @@ def test_line_angle_basics():
 
 def test_projective_action_fixture():
     # diag(2, 1/2) sends the diagonal line to slope 1/4
-    g = gl2.mat2(2, 0, 0, 0.5)
+    g = mat2(2, 0, 0, 0.5)
     got = gl2.projective_action(g, math.pi / 4)
     assert got == pytest.approx(0.24497866312686414, abs=1e-12)
 
@@ -136,7 +141,7 @@ def test_projective_action_respects_scaling_and_inverse():
 
 
 def test_angle_drift_gap_fixture():
-    g = gl2.mat2(2, 0, 0, 0.5)
+    g = mat2(2, 0, 0, 0.5)
     lhs, rhs = gl2.angle_drift_gap(g, math.pi / 4, 3 * math.pi / 4)
     # image lines at +/- atan(1/4); gap sine 8/17, from projective_action
     assert lhs == pytest.approx(math.log(17.0 / 8.0), abs=1e-12)

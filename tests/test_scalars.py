@@ -1,7 +1,10 @@
 """Tests for scalar laws: inverse CDFs, exact moments, and error cases."""
 
+import ast
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,7 +126,9 @@ def test_affine_negated_heavy_tail():
     se = math.sqrt(p * (1 - p) / x.size)
     assert (x == 1.0).mean() == pytest.approx(p, abs=4 * se)
     assert (x == 0.0).mean() == pytest.approx(0.75 / 4, abs=4 * se)
-    assert scalars.ScalarDist.from_json(d.to_json()).to_json() == d.to_json()
+    text = json.dumps(d.to_obj(), sort_keys=True)
+    back = scalars.ScalarDist.from_obj(json.loads(text))
+    assert json.dumps(back.to_obj(), sort_keys=True) == text
 
 
 def test_affine_bad_terms():
@@ -171,3 +176,34 @@ def test_point_mass_icdf_skips_lookup_exactly():
     d = scalars.constant(math.exp(-1))
     u = np.random.default_rng(2).random((3, 7))
     np.testing.assert_array_equal(d.icdf(u), np.full((3, 7), math.exp(-1)))
+
+
+# ---------------------------------------------------------------------------
+# the float format
+
+
+def test_float_strs_match_float_str():
+    values = np.array([0.0, -0.0, -0.0, 0.0, np.nan, 5e-324, 1e16, 1e16, 0.1, 0.1, 2.0 / 3.0])
+    assert scalars.float_strs(values) == [scalars.float_str(v) for v in values]
+    assert [float(t) for t in scalars.float_strs(values[5:])] == values[5:].tolist()
+    assert scalars.float_str(np.float64(0.5)) == "0.5"  # not "np.float64(0.5)"
+
+
+def test_float_format_lives_in_one_helper():
+    # every float reaches a spec, report or CSV through scalars.float_str or
+    # float_strs, so repr is named nowhere else in the package
+    found = []
+    for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helpers = [
+            range(fn.lineno, fn.end_lineno + 1)
+            for fn in tree.body
+            if path.name == "scalars.py"
+            and isinstance(fn, ast.FunctionDef)
+            and fn.name in ("float_str", "float_strs")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "repr":
+                if not any(node.lineno in lines for lines in helpers):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"repr outside the float helper at {found}"

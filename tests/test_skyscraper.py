@@ -2,10 +2,12 @@
 
 Oracles: base-cell masses and label occupancies have closed forms
 (mass/height; telescoping sums), so simulation statistics are checked
-against exact values with batch-means error bars.
+against exact values with batch-means error bars; the vectorized
+trajectory and labels are checked against a one-step-at-a-time chain.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,24 +18,55 @@ from oseledets.skyscraper import (
     BadHeightForLabels,
     BadTowerVector,
     NeedStrictDecrease,
-    SkyscraperState,
     TowerVector,
     bounded_tower_vector,
     kac_base_measures,
     label_measures,
-    label_of,
     lowcost_heights,
-    p_from_obj,
-    p_to_obj,
     refine_weights,
-    renewal_start_stationary,
-    renewal_step,
     renewal_trajectory,
-    trajectory_csv,
     trajectory_labels,
 )
 
 GEOM_P = 0.5 ** np.arange(1, 42)  # residual 2^-42 folds away
+
+
+@dataclass(frozen=True)
+class SkyscraperState:
+    """Position in the skyscraper: tower height and level above the base."""
+
+    height: int
+    level: int
+
+    def __post_init__(self):
+        if self.height < 1 or not (0 <= self.level < self.height):
+            raise BadTowerVector(f"level {self.level} outside [0, {self.height})")
+
+
+def renewal_start_stationary(pi: TowerVector, seed=0) -> SkyscraperState:
+    """Stationary draw: height with probability mass(k), level uniform below it."""
+    rng = np.random.default_rng(seed)
+    ks = np.array(list(pi.entries))
+    k = int(rng.choice(ks, p=[pi.entries[k] for k in ks]))
+    return SkyscraperState(k, int(rng.integers(0, k)))
+
+
+def renewal_step(state: SkyscraperState, pi: TowerVector, rng) -> SkyscraperState:
+    """One step up the tower, or from the top into a fresh tower whose height
+    is drawn proportional to mass(k)/k, the base-cell law."""
+    if state.level + 1 < state.height:
+        return SkyscraperState(state.height, state.level + 1)
+    base = kac_base_measures(pi)
+    ks = np.array(list(base))
+    q = np.array(list(base.values()))
+    return SkyscraperState(int(rng.choice(ks, p=q / q.sum())), 0)
+
+
+def label_of(state: SkyscraperState) -> int:
+    """Distance to the nearer end of the tower, for height 1 and even heights >= 4."""
+    if not (state.height == 1 or (state.height >= 4 and state.height % 2 == 0)):
+        raise BadHeightForLabels(f"height {state.height}")
+    return min(state.level, state.height - 1 - state.level)
 
 
 def batch_freq(flags, blocks=50):
@@ -75,9 +108,7 @@ def test_tower_vector_validation():
     with pytest.raises(BadTowerVector):
         TowerVector({})
     tv = TowerVector({1: 0.5, 3: 0.0, 2: 0.5})
-    assert tv.support() == [1, 2]
-    assert tv.mass(3) == 0.0
-    assert tv.mean_height() == 1.5
+    assert list(tv.entries) == [1, 2]
 
 
 def test_state_validation():
@@ -85,14 +116,6 @@ def test_state_validation():
         SkyscraperState(3, 3)
     with pytest.raises(BadTowerVector):
         SkyscraperState(3, -1)
-
-
-def test_tower_vector_json_roundtrip():
-    tv = bounded_tower_vector(GEOM_P)
-    again = TowerVector.from_obj(tv.to_obj())
-    assert again.entries == tv.entries
-    p = p_from_obj(p_to_obj(GEOM_P))
-    np.testing.assert_array_equal(p, GEOM_P)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +185,25 @@ def test_trajectory_deterministic():
     assert not np.array_equal(a[0], c[0]) or not np.array_equal(a[1], c[1])
 
 
+def test_trajectory_matches_one_step_chain():
+    # the vectorized trajectory and the one-step chain have the same law of
+    # (height, level) pairs two steps apart
+    pi = TowerVector({1: 0.25, 4: 0.25, 6: 0.5})
+    rng = np.random.default_rng(11)
+    chain = []
+    for c in range(1500):
+        st = renewal_start_stationary(pi, seed=20_000 + c)
+        end = renewal_step(renewal_step(st, pi, rng), pi, rng)
+        chain.append((st.height, st.level, end.height, end.level))
+    traj = []
+    for c in range(1500):
+        h, l = renewal_trajectory(pi, 3, seed=30_000 + c)
+        traj.append((int(h[0]), int(l[0]), int(h[2]), int(l[2])))
+    keys = sorted(set(chain) | set(traj))
+    table = [[chain.count(k) for k in keys], [traj.count(k) for k in keys]]
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
 def test_trajectory_occupancy_matches_kac():
     # every level of tower k carries mass(k)/k in the stationary law
     pi = TowerVector({1: 0.25, 4: 0.25, 6: 0.1875, 8: 0.3125})
@@ -176,6 +218,9 @@ def test_trajectory_occupancy_matches_kac():
 
 
 def test_label_fixtures():
+    for k in (1, 4, 6, 8):
+        want = [label_of(SkyscraperState(k, i)) for i in range(k)]
+        assert trajectory_labels([k] * k, range(k)).tolist() == want
     assert label_of(SkyscraperState(6, 2)) == 2
     assert label_of(SkyscraperState(4, 3)) == 0
     assert label_of(SkyscraperState(1, 0)) == 0
@@ -187,6 +232,8 @@ def test_label_height_domain():
     for bad in (2, 3, 5, 7):
         with pytest.raises(BadHeightForLabels):
             label_of(SkyscraperState(bad, 0))
+        with pytest.raises(BadHeightForLabels):
+            trajectory_labels([bad], [0])
     with pytest.raises(BadHeightForLabels):
         trajectory_labels([4, 3], [0, 0])
 
@@ -208,31 +255,25 @@ def test_label_occupancy_matches_p():
         assert abs(mean - GEOM_P[n]) < 3 * max(se, 1e-4)
 
 
-def test_trajectory_csv_format():
-    h, l = renewal_trajectory(TowerVector({1: 1.0}), 3, seed=0)
-    text = trajectory_csv(h, l)
-    assert text.splitlines() == ["step,height,level,label", "0,1,0,0", "1,1,0,0", "2,1,0,0"]
-
-
 # ---------------------------------------------------------------------------
 # bounded-mode tower masses
 
 
 def test_bounded_tower_vector_geometric_half():
     tv = bounded_tower_vector(GEOM_P)
-    assert tv.mass(1) == pytest.approx(0.25, abs=1e-12)
-    assert tv.mass(4) == pytest.approx(0.25, abs=1e-12)
-    assert tv.mass(6) == pytest.approx(0.1875, abs=1e-12)
-    assert tv.mass(8) == pytest.approx(0.125, abs=1e-12)
-    assert tv.mass(2) == 0.0
+    assert tv.entries.get(1, 0.0) == pytest.approx(0.25, abs=1e-12)
+    assert tv.entries.get(4, 0.0) == pytest.approx(0.25, abs=1e-12)
+    assert tv.entries.get(6, 0.0) == pytest.approx(0.1875, abs=1e-12)
+    assert tv.entries.get(8, 0.0) == pytest.approx(0.125, abs=1e-12)
+    assert tv.entries.get(2, 0.0) == 0.0
     assert math.fsum(tv.entries.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bounded_tower_vector_geometric_third():
     p = (2 / 3) * (1 / 3) ** np.arange(0, 26)
     tv = bounded_tower_vector(p)
-    assert tv.mass(1) == pytest.approx(4 / 9, abs=1e-12)
-    assert tv.mass(4) == pytest.approx(8 / 27, abs=1e-12)
+    assert tv.entries.get(1, 0.0) == pytest.approx(4 / 9, abs=1e-12)
+    assert tv.entries.get(4, 0.0) == pytest.approx(8 / 27, abs=1e-12)
 
 
 def test_bounded_tower_vector_rejects_bad_p():
