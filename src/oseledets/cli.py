@@ -26,13 +26,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import estimation, flexible, gl2, verify
+from . import estimation, flexible, gl2
 from .cocycle import MatrixDistribution, sample_onestep
 from .flexible import EtaSpec
 from .scalars import BadTerm, float_str
@@ -158,6 +157,8 @@ def _angle_tail(nu: MatrixDistribution, config: RunConfig):
         (nu.to_json(), n, depth, int(s), neglog) for n, s in zip(sizes, child)
     ]
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # lazy: ~11 ms of import
+
         with ProcessPoolExecutor(max_workers=min(config.jobs, chunks)) as pool:
             parts = list(pool.map(_angle_chunk, work))
     else:
@@ -259,6 +260,8 @@ def cmd_flexible(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    from . import verify  # lazy: only this command runs the battery
+
     results = verify.run_suite(config.suite)
     return 0 if all(r.ok for r in results) else 1
 

@@ -129,10 +129,12 @@ class MatrixDistribution:
             out[0, 1] = braw
             return out
         ang = self.angle.icdf(u[:, 0])
-        out[0, 0], out[0, 1] = np.cos(ang), -np.sin(ang)
-        out[1, 0], out[1, 1] = -out[0, 1], out[0, 0]
+        np.cos(ang, out=out[0, 0])
+        np.sin(ang, out=out[1, 0])
+        out[0, 1], out[1, 1] = -out[1, 0], out[0, 0]
         t = self.log_gain.icdf(u[:, 1])
-        out *= np.exp([t, -t])  # columns scale by e^t and e^-t
+        out[:, 0] *= np.exp(t)  # columns scale by e^t and e^-t
+        out[:, 1] *= np.exp(-t)
         return out
 
     def sample_matrices(self, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -36,8 +36,11 @@ from .scalars import BadTerm, ScalarDist, Unsupported, constant, dyadic, float_s
 # always produces the same stream layout
 CHUNK = 2048
 
-# steps x trials per block of product-sampler draws; samples do not depend on it
-BLOCK_ELEMENTS = 1 << 16
+# elements per block of draws (steps x trials in the product sampler, rows x
+# depth in the log-domain one); samples do not depend on them.  Block arrays stay
+# in cache and below malloc's 128 KiB mmap threshold, so blocks reuse memory
+BLOCK_ELEMENTS = 1 << 12
+NEGLOG_BLOCK_ELEMENTS = 1 << 13
 
 # a product sampler of bounded condition checks its lines every STOP_EVERY
 # steps and stops once none moved by STOP_TOL radians since the last check
@@ -312,22 +315,25 @@ def triangular_gap_neglog_samples(
         raise Unsupported("log-domain series needs a triangular law with nonnegative a and b")
     (rng,) = _spawn_rngs(seed, 1)
     point = nu.a.kind == "atoms" and len(nu.a.values) == 1
-    if point:  # log a prefix sums, shared by every row
-        prefix = np.cumsum(np.log(np.full(depth - 1, float(nu.a.values[0]))))
+    if point:  # log a prefix sums, one row shared by every trial
+        row = np.cumsum(np.log(np.full(depth, nu.a.values[0])))
+        prefix = np.broadcast_to(row, (CHUNK, depth))
+    block_rows = max(1, NEGLOG_BLOCK_ELEMENTS // depth)
     out = np.empty(trials)
-    done = 0
-    while done < trials:
+    for done in range(0, trials, CHUNK):
         m = min(CHUNK, trials - done)
         if point:
             rng.bit_generator.advance(m * depth)
-        else:
-            la = np.log(np.asarray(nu.a.sample(rng, m * depth), dtype=float))
-            prefix = np.cumsum(la.reshape(m, depth)[:, :-1], axis=1)
-        braw = np.asarray(nu.b.sample(rng, m * depth), dtype=float).reshape(m, depth)
-        terms = braw if nu.log_scale_b else np.log(braw)
-        terms[:, 1:] += prefix
-        out[done : done + m] = 0.5 * np.logaddexp(0.0, 2.0 * _logsumexp_rows(terms))
-        done += m
+        else:  # all of the chunk's a come before its b
+            la = np.log(np.asarray(nu.a.sample(rng, m * depth), dtype=float)).reshape(m, depth)
+            prefix = np.cumsum(la, axis=1, out=la)
+        for r in range(0, m, block_rows):
+            n = min(block_rows, m - r)
+            terms = np.asarray(nu.b.sample(rng, n * depth), dtype=float).reshape(n, depth)
+            if not nu.log_scale_b:
+                np.log(terms, out=terms)
+            terms[:, 1:] += prefix[r : r + n, :-1]
+            out[done + r : done + r + n] = 0.5 * np.logaddexp(0.0, 2.0 * _logsumexp_rows(terms))
     return out
 
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_LN4 = math.log(4.0)
-
 
 def float_str(x) -> str:
     """x as its shortest round-trip decimal string: float(float_str(x)) == x."""
@@ -102,10 +100,10 @@ class ScalarDist:
             # mirroring on the 53-bit grid keeps it in [0, 1) and exact
             v = u if self.scale > 0 else (1.0 - 2.0**-53) - u
             return self.shift + self.scale * self.base.icdf(v)
-        # dyadic: smallest k with 1 - 4^-(k+1) >= u, value 2^k
-        k = np.ceil(-np.log1p(-u) / _LN4 - 1.0)
-        k = np.maximum(k, 0.0)
-        return np.exp2(k)
+        # dyadic: smallest k with 1 - 4^-(k+1) >= u, value 2^k.  For 1 - u (exact)
+        # in [2^(E-1023), 2^(E-1022)), E its exponent field, that k is (1022 - E) >> 1
+        k = np.maximum((1022 - ((1.0 - u).view(np.int64) >> 52)) >> 1, 0)
+        return ((k + 1023) << 52).view(float)  # 2^k from its exponent bits
 
     def sample(self, rng: np.random.Generator, n: int | None = None):
         """Draw via the inverse CDF; consumes one uniform per sample."""

@@ -62,10 +62,6 @@ def _suite(suite: str) -> list[_Check]:
     return [c for c in _CHECKS if c.fast or suite == "all"]
 
 
-def suite_names(suite: str = "fast") -> list[str]:
-    return [c.name for c in _suite(suite)]
-
-
 def run_suite(suite: str = "fast", out=None) -> list[CheckResult]:
     """Run the battery; print one pass/fail line per check; return results."""
     stream = sys.stdout if out is None else out

@@ -136,6 +136,16 @@ def test_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_import_defers_process_pool_and_battery():
+    # both load only for the run that needs them: --jobs > 1 and `osl verify`
+    code = (
+        "import sys, oseledets.cli; "
+        "sys.exit(any(m in sys.modules for m in ('concurrent.futures.process', 'oseledets.verify')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_module_run_prints_no_runpy_warning():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(

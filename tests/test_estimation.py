@@ -236,7 +236,7 @@ KERNEL_LAWS = {
 @pytest.mark.parametrize(
     "trials, depth, block_elements",
     [
-        (300, 40, est.BLOCK_ELEMENTS),  # one block covers every step
+        (300, 40, 1 << 16),  # one block covers every step
         (300, 23, 300 * 5),  # depth not a multiple of the 5-step block
         (300, 12, 100),  # budget below the trial count: one step per block
     ],
@@ -247,6 +247,41 @@ def test_angle_kernel_matches_stack_oracle(monkeypatch, law, trials, depth, bloc
     got = oseledets_angle_samples(nu, trials, depth, seed=21)
     want = _stack_angle_samples(nu, trials, depth, seed=21)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("law", sorted(KERNEL_LAWS))
+def test_angle_samples_do_not_depend_on_block(monkeypatch, law):
+    # blocks only group the step-major draws: any block size gives the same bits
+    want = oseledets_angle_samples(KERNEL_LAWS[law], 300, 40, seed=5)
+    for block_elements in (1, 300 * 3, 1 << 16):
+        monkeypatch.setattr(est, "BLOCK_ELEMENTS", block_elements)
+        got = oseledets_angle_samples(KERNEL_LAWS[law], 300, 40, seed=5)
+        np.testing.assert_array_equal(got, want)
+
+
+def _rotgain_block_oracle(nu, rng, steps, n):
+    """Rotgain draws as first written: both columns scaled at once through a
+    stacked (2, steps, n) array of e^t and e^-t."""
+    u = rng.random((steps, 2, n))
+    out = np.empty((2, 2, steps, n))
+    ang = nu.angle.icdf(u[:, 0])
+    out[0, 0], out[0, 1] = np.cos(ang), -np.sin(ang)
+    out[1, 0], out[1, 1] = -out[0, 1], out[0, 0]
+    t = nu.log_gain.icdf(u[:, 1])
+    out *= np.exp([t, -t])
+    return out
+
+
+@pytest.mark.parametrize(
+    "log_gain", [scalars.constant(1.0), scalars.uniform(-2.0, 0.5)], ids=["atom", "signed"]
+)
+@pytest.mark.parametrize("steps, n", [(1, 1), (1, 300), (7, 1), (7, 300)])
+def test_rotgain_block_matches_stacked_oracle(log_gain, steps, n):
+    nu = cocycle.rotgain_distribution(scalars.uniform(0, 2 * math.pi), log_gain)
+    want = _rotgain_block_oracle(nu, np.random.default_rng(6), steps, n)
+    for projective in (False, True):
+        got = nu.sample_block(np.random.default_rng(6), steps, n, projective=projective)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_sample_block_steps_match_sample_matrices():
@@ -408,6 +443,54 @@ def test_neglog_point_mass_matches_drawn_prefix():
     v_point = triangular_gap_neglog_samples(point, trials=3000, depth=64, seed=8)
     v_drawn = triangular_gap_neglog_samples(drawn, trials=3000, depth=64, seed=8)
     np.testing.assert_array_equal(v_point, v_drawn)
+
+
+@np.errstate(divide="ignore")
+def _chunk_neglog_samples(nu, trials, depth, seed):
+    """The log-domain sampler with each CHUNK of rows drawn and reduced whole:
+    per chunk all a (or an advance for a point mass), then all b."""
+    (rng,) = est._spawn_rngs(seed, 1)
+    point = nu.a.kind == "atoms" and len(nu.a.values) == 1
+    if point:
+        prefix = np.cumsum(np.log(np.full(depth - 1, float(nu.a.values[0]))))
+    out = np.empty(trials)
+    done = 0
+    while done < trials:
+        m = min(est.CHUNK, trials - done)
+        if point:
+            rng.bit_generator.advance(m * depth)
+        else:
+            la = np.log(np.asarray(nu.a.sample(rng, m * depth), dtype=float))
+            prefix = np.cumsum(la.reshape(m, depth)[:, :-1], axis=1)
+        braw = np.asarray(nu.b.sample(rng, m * depth), dtype=float).reshape(m, depth)
+        terms = braw if nu.log_scale_b else np.log(braw)
+        terms[:, 1:] += prefix
+        out[done : done + m] = 0.5 * np.logaddexp(0.0, 2.0 * est._logsumexp_rows(terms))
+        done += m
+    return out
+
+
+NEGLOG_DEPTH = 512
+NEGLOG_ROWS = est.NEGLOG_BLOCK_ELEMENTS // NEGLOG_DEPTH
+
+
+@pytest.mark.parametrize(
+    "a", [scalars.constant(math.exp(-1)), scalars.uniform(0.0, 0.5)], ids=["point", "uniform"]
+)
+@pytest.mark.parametrize(
+    "b, log_b",
+    [(scalars.dyadic(), True), (scalars.exponential(1.0), False)],
+    ids=["log_b", "b"],
+)
+@pytest.mark.parametrize(
+    "trials", [1, NEGLOG_ROWS - 1, NEGLOG_ROWS + 1, est.CHUNK + 3]
+)
+def test_neglog_row_blocks_match_chunk_oracle(a, b, log_b, trials):
+    assert NEGLOG_ROWS > 2  # the trial counts straddle a row block
+    nu = cocycle.triangular_distribution(a, b, log_scale_b=log_b)
+    got = triangular_gap_neglog_samples(nu, trials, depth=NEGLOG_DEPTH, seed=12)
+    want = _chunk_neglog_samples(nu, trials, NEGLOG_DEPTH, seed=12)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_logsumexp_rows_matches_scipy():

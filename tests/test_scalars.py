@@ -37,6 +37,36 @@ def test_dyadic_icdf_breakpoints():
     np.testing.assert_array_equal(got, [1.0, 1.0, 2.0, 2.0, 4.0])
 
 
+def _dyadic_log1p_icdf(u):
+    """The dyadic inverse CDF in floating point: k = ceil(-log1p(-u) / ln 4 - 1)."""
+    k = np.ceil(-np.log1p(-np.asarray(u, dtype=float)) / math.log(4.0) - 1.0)
+    return np.exp2(np.maximum(k, 0.0))
+
+
+def _dyadic_threshold_grid():
+    """Every multiple of 2^-53 in [0, 1) within 2^16 grid steps of a
+    threshold 1 - 4^-(k+1), k = 0..26, plus both ends of [0, 1)."""
+    steps = np.arange(-(1 << 16), (1 << 16) + 1)
+    idx = [(1 << 53) - (1 << 53) // 4 ** (k + 1) + steps for k in range(27)]
+    idx = np.concatenate(idx + [np.array([0, (1 << 53) - 1])])
+    return idx[(idx >= 0) & (idx < 1 << 53)] * 2.0**-53
+
+
+def test_dyadic_icdf_bits_match_log1p_formula():
+    d = scalars.dyadic()
+    grid = _dyadic_threshold_grid()
+    draws = np.random.default_rng(13).random(10**6)
+    for u in (grid, draws):
+        np.testing.assert_array_equal(d.icdf(u), _dyadic_log1p_icdf(u))
+    assert d.icdf(0.0) == 1.0 and d.icdf(1.0 - 2.0**-53) == 2.0**26
+    zero_d = d.icdf(0.9)
+    assert np.ndim(zero_d) == 0 and zero_d == _dyadic_log1p_icdf(0.9) == 2.0
+    mirrored = scalars.affine(d, -1.0, 0.0)
+    np.testing.assert_array_equal(
+        mirrored.icdf(grid), -_dyadic_log1p_icdf((1.0 - 2.0**-53) - grid)
+    )
+
+
 def test_dyadic_sample_frequencies():
     d = scalars.dyadic()
     rng = np.random.default_rng(2026)

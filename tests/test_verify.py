@@ -17,13 +17,13 @@ from oseledets import gl2, verify
 
 
 def test_suite_names_and_membership():
-    fast = verify.suite_names("fast")
-    full = verify.suite_names("all")
+    fast = [c.name for c in verify._suite("fast")]
+    full = [c.name for c in verify._suite("all")]
     assert set(fast) < set(full)
     assert len(fast) == len(set(fast))  # names are unique
     assert all("." in name for name in full)  # module-qualified
     with pytest.raises(ValueError):
-        verify.suite_names("bogus")
+        verify._suite("bogus")
     with pytest.raises(ValueError):
         verify.run_suite("bogus")
 
