@@ -217,11 +217,8 @@ def cmd_flexible(config: RunConfig) -> int:
     except (ValueError, KeyError, TypeError) as err:
         raise _UsageError(f"malformed mixture spec: {err}") from err
     r1, r2 = config.rates
-    if r1 - r2 > (limit := flexible.max_rate_gap(eta)):
-        raise _UsageError(
-            f"rates r1 - r2 = {r1 - r2:.4g} exceed {limit:.4g}, the most at which this "
-            f"mixture's smallest gap angle keeps lines carried within {flexible.COVARIANCE_TOL:g}"
-        )
+    if (why := flexible.rate_limit_error(eta, r1, r2)) is not None:
+        raise _UsageError(why)
     try:
         window = flexible.simulate_flexible(
             eta, r1, r2, config.mode, config.steps, config.seed,

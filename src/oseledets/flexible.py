@@ -15,9 +15,10 @@ estimator in the package can be checked against ground truth.
 
 Two scheduling regimes control how expensive the splitting's moves are:
 
-* bounded: the mixture rectangles are sliced and chained (march_chain) so
-  that the symmetric gap-ratio cost |log sin(theta'/2) - log sin(theta/2)|
-  of every single step stays below a hard budget b.  Feasible exactly when
+* bounded: the mixture rectangles are cut into gap-angle bands and
+  chained in one sweep down the gap angle (march_chain) so that the
+  symmetric gap-ratio cost |log sin(theta'/2) - log sin(theta/2)| of every
+  single step stays below a hard budget b.  Feasible exactly when
   the mixture has no budget-splitting gap (budget_fit_check).
 * lowcost: each mixture piece is parked on its own tall tower; moves
   between pieces may be expensive, but tower heights grow with the
@@ -49,9 +50,9 @@ from .skyscraper import ensure
 # a declarative tail is expanded until its remaining mass drops below this
 TAIL_RESIDUAL = 1e-12
 
-# chain slices keep their log-sin-gap span at or below this fraction of the
-# budget, so consecutive sub-cells of one slice fit the budget outright and
-# connectors only have to absorb the crossing gaps
+# march_chain cuts the log-sin-gap axis into intervals no wider than this
+# fraction of the budget, so two chain entries in one interval, or in two
+# touching intervals, fit the budget outright
 SLICE_SPAN_FRACTION = 0.45
 
 # hard per-step tolerance: the cocycle must carry each prescribed line to
@@ -326,46 +327,29 @@ def _interval_gap(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
     return max(lo1 - hi2, lo2 - hi1, 0.0)
 
 
-def _graph_adjacency(intervals, b: float) -> list[list[int]]:
-    # edge when the gap-ratio cost between the u-intervals can dip below b
-    n = len(intervals)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        lo1, hi1 = intervals[i]
-        for j in range(i + 1, n):
-            if _interval_gap(lo1, hi1, *intervals[j]) < b:
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+def _holes(spans) -> list[tuple[float, float]]:
+    """The gaps (lo, hi) between u-intervals that no interval covers, from
+    the bottom up."""
+    ends = sorted(spans)
+    holes, reach = [], ends[0][1]
+    for lo, hi in ends[1:]:
+        if lo > reach:
+            holes.append((reach, lo))
+        reach = max(reach, hi)
+    return holes
 
 
-def _components(adj: list[list[int]]) -> list[list[int]]:
-    seen = [False] * len(adj)
-    comps: list[list[int]] = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp, queue = [start], [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _separation(intervals, b: float) -> tuple | None:
-    """None when the graph "interval gap below b" is connected, else the
-    witness bipartition: (first component, all other indices), each sorted."""
-    comps = _components(_graph_adjacency(intervals, b))
-    if len(comps) == 1:
+def _separation(spans, b: float) -> tuple | None:
+    """None when the graph "interval gap below b" is connected, that is when
+    no hole of width b or more splits the u-intervals; else the witness
+    bipartition (interval 0's component, all other indices), each sorted."""
+    wide = [(lo, hi) for lo, hi in _holes(spans) if hi - lo >= b]
+    if not wide:
         return None
-    rest = sorted(i for comp in comps[1:] for i in comp)
-    return tuple(comps[0]), tuple(rest)
+    floor = max((hi for lo, hi in wide if hi <= spans[0][0]), default=-math.inf)
+    ceil = min((lo for lo, hi in wide if lo >= spans[0][1]), default=math.inf)
+    first = [i for i, (lo, hi) in enumerate(spans) if floor <= lo and hi <= ceil]
+    return tuple(first), tuple(i for i in range(len(spans)) if i not in first)
 
 
 class BudgetFit(NamedTuple):
@@ -402,79 +386,32 @@ class SubCell(NamedTuple):
     piece: int
 
 
-class _Slice(NamedTuple):
-    piece: int
-    alpha_lo: float
-    alpha_hi: float
-    theta_lo: float
-    theta_hi: float
-    mass: float
-
-
-def _dfs_walk(adj: list[list[int]]) -> list[int]:
-    """Depth-first closed tour from node 0; consecutive entries are always
-    graph edges (tree edges, each crossed down once and up once)."""
-    walk = [0]
-    visited = {0}
-    stack: list[tuple[int, object]] = [(0, iter(adj[0]))]
-    while stack:
-        v, nbrs = stack[-1]
-        nxt = None
-        for w in nbrs:
-            if w not in visited:
-                nxt = w
-                break
-        if nxt is None:
-            stack.pop()
-            if stack:
-                walk.append(stack[-1][0])
-        else:
-            visited.add(nxt)
-            walk.append(nxt)
-            stack.append((nxt, iter(adj[nxt])))
-    return walk
-
-
-def _connector(u_here: tuple, u_other: tuple, b: float) -> tuple[str, float]:
-    """Connector placement for a crossing: which end of this slice's
-    u-interval faces the other slice, and how wide the connector may be."""
-    best = None
-    for side, p in (("lo", u_here[0]), ("hi", u_here[1])):
-        for q in u_other:
-            d = abs(p - q)
-            if best is None or d < best[1]:
-                best = (side, d)
-    side, d = best
-    width = u_here[1] - u_here[0]
-    # /8 leaves room for two stacked connectors on each side of the crossing
-    delta = min((b - d) / 8.0, width / 4.0)
-    return side, delta
-
-
 def march_chain(pieces: list[Piece], b: float) -> list[SubCell]:
     """Chain the mixture into sub-rectangles with every consecutive pair's
     worst-case gap-ratio cost strictly below b.
 
-    Cells are sliced in theta until each slice's log-sin-gap span is at
-    most SLICE_SPAN_FRACTION * b; the slice graph (edge = interval gap
-    below b) is toured depth-first; every visit claims its own alpha strip
-    of the slice, carved into an entry connector, a bulk, and an exit
-    connector hugging the crossing anchors.  Consecutive entries then
-    either share a slice (span already within budget) or are connectors
-    whose combined span stays below b by construction; both facts are
-    re-checked exactly before returning.
+    One sweep down the log-sin-gap axis u.  The axis is cut at both u ends
+    of every piece, at (b - d) / 4 inside each side of every hole of width
+    d that no piece covers, and evenly in between until no interval is
+    wider than SLICE_SPAN_FRACTION * b.  Walking from the largest gap angle
+    down, each cut point and then the interval below it emit the band of
+    every piece covering them, in piece order; a piece with a single gap
+    angle sits on its point.  Consecutive entries then share an interval,
+    lie in two touching intervals (span at most 0.9 b), or face each other
+    across a hole of width d < b from intervals at most (b - d) / 4 wide
+    (span below d + (b - d) / 2); both contracts are re-checked exactly
+    before returning.  Walking down keeps the masses mostly decreasing, so
+    skyscraper.refine_weights barely splits them.
 
     Masses follow the uniform law, so the chain is a partition of the
-    mixture (per-piece totals preserved; rectangles overlap only when a
-    degenerate alpha edge makes strips coincide) and sums to 1.
+    mixture (per-piece totals preserved) and sums to 1.
     """
     if not pieces:
         raise ValueError("need at least one piece")
     if not b > 0.0:
         raise ValueError("budget must be positive")
-    cells = [p.cell for p in pieces]
-    weights = [p.weight for p in pieces]
-    witness = _separation([(c.u_lo, c.u_hi) for c in cells], b)
+    spans = [(p.cell.u_lo, p.cell.u_hi) for p in pieces]
+    witness = _separation(spans, b)
     if witness is not None:
         raise UnboundedGap(
             f"mixture does not fit budget {b!r}: pieces {witness[0]} are "
@@ -482,105 +419,40 @@ def march_chain(pieces: list[Piece], b: float) -> list[SubCell]:
             witness,
         )
 
-    slices: list[_Slice] = []
-    for n, cell in enumerate(cells):
-        span = cell.u_hi - cell.u_lo
-        m = max(1, math.ceil(span / (SLICE_SPAN_FRACTION * b)))
-        cuts_u = cell.u_lo + span * np.arange(1, m) / m
-        bounds = np.concatenate(
-            [[cell.theta_lo], _theta_of_u(cuts_u), [cell.theta_hi]]
-        )
-        t_width = cell.theta_hi - cell.theta_lo
-        for j in range(m):
-            t0, t1 = float(bounds[j]), float(bounds[j + 1])
-            frac = (t1 - t0) / t_width if t_width > 0.0 else 1.0
-            slices.append(
-                _Slice(n, cell.alpha_lo, cell.alpha_hi, t0, t1, weights[n] * frac)
-            )
+    cuts = {u for span in spans for u in span}
+    for lo, hi in _holes(spans):  # each narrower than b, since the mixture fits
+        pad = (b - (hi - lo)) / 4.0
+        cuts.update((lo - pad, hi + pad))
+    coarse = sorted(cuts)
+    for lo, hi in zip(coarse, coarse[1:]):
+        m = math.ceil((hi - lo) / (SLICE_SPAN_FRACTION * b))
+        cuts.update((lo + (hi - lo) * np.arange(1, m) / m).tolist())
+    edges = np.array(sorted(cuts))
 
-    su = [(float(_u_of_theta(s.theta_lo)), float(_u_of_theta(s.theta_hi))) for s in slices]
-    walk = _dfs_walk(_graph_adjacency(su, b))
-    ensure(len(set(walk)) == len(slices), "slice graph lost connectivity")
-
-    # per-visit crossing connectors, then per-slice alpha strips
-    visits = []
-    for pos, v in enumerate(walk):
-        entry = _connector(su[v], su[walk[pos - 1]], b) if pos > 0 else None
-        exit_ = _connector(su[v], su[walk[pos + 1]], b) if pos + 1 < len(walk) else None
-        visits.append((v, entry, exit_))
-    counts = np.bincount(walk, minlength=len(slices))
-    strips: list[list[tuple[float, float, float]]] = []
-    for v, s in enumerate(slices):
-        m_v = int(counts[v])
-        if s.alpha_hi > s.alpha_lo:
-            edges = np.linspace(s.alpha_lo, s.alpha_hi, m_v + 1)
-            a_width = s.alpha_hi - s.alpha_lo
-            strips.append(
-                [
-                    (float(edges[j]), float(edges[j + 1]),
-                     s.mass * float(edges[j + 1] - edges[j]) / a_width)
-                    for j in range(m_v)
-                ]
-            )
-        else:
-            # degenerate alpha: the visits share the rectangle, split by mass
-            strips.append([(s.alpha_lo, s.alpha_hi, s.mass / m_v)] * m_v)
-
-    chain: list[SubCell] = []
-    seen = [0] * len(slices)
-    for v, entry, exit_ in visits:
-        s = slices[v]
-        a0, a1, strip_mass = strips[v][seen[v]]
-        seen[v] += 1
-        u_lo, u_hi = su[v]
-        width = u_hi - u_lo
-        if width <= 0.0 or (entry is None and exit_ is None):
-            bands = [(s.theta_lo, s.theta_hi, strip_mass)]
-        else:
-            lo_used = hi_used = 0.0
-            entry_seg = exit_seg = None
-            for seg_is_entry, conn in ((True, entry), (False, exit_)):
-                if conn is None:
-                    continue
-                side, delta = conn
-                ensure(delta > 0.0, "crossing connector has no width")
-                if side == "lo":
-                    seg = (u_lo + lo_used, u_lo + lo_used + delta)
-                    lo_used += delta
-                else:
-                    seg = (u_hi - hi_used - delta, u_hi - hi_used)
-                    hi_used += delta
-                if seg_is_entry:
-                    entry_seg = seg
-                else:
-                    exit_seg = seg
-            bulk_seg = (u_lo + lo_used, u_hi - hi_used)
-            # keep the slice's own theta endpoints exact so band widths
-            # telescope to the slice width
-            def to_theta(uv: float) -> float:
-                if uv <= u_lo:
-                    return s.theta_lo
-                if uv >= u_hi:
-                    return s.theta_hi
-                return float(_theta_of_u(uv))
-
-            t_width = s.theta_hi - s.theta_lo
-            bands = []
-            for seg in (entry_seg, bulk_seg, exit_seg):
-                if seg is None:
-                    continue
-                ta, tb = to_theta(seg[0]), to_theta(seg[1])
-                bands.append((ta, tb, strip_mass * (tb - ta) / t_width))
-        for ta, tb, mass in bands:
-            ensure(mass > 0.0, "chain band lost its mass to rounding")
-            chain.append(SubCell(Cell(a0, a1, ta, tb), mass, s.piece))
+    # sweep position 2i is the cut point edges[i], 2i + 1 the interval above it
+    entries = []
+    for n, (piece, span) in enumerate(zip(pieces, spans)):
+        cell = piece.cell
+        i, j = (int(k) for k in np.searchsorted(edges, span))
+        if i == j:
+            entries.append((2 * i, n, cell, piece.weight))
+            continue
+        theta = _theta_of_u(edges[i : j + 1])
+        theta[0], theta[-1] = cell.theta_lo, cell.theta_hi  # bands telescope exactly
+        mass = piece.weight * np.diff(theta) / (cell.theta_hi - cell.theta_lo)
+        for k in range(j - i):
+            ensure(mass[k] > 0.0, "chain band lost its mass to rounding")
+            band = Cell(cell.alpha_lo, cell.alpha_hi, float(theta[k]), float(theta[k + 1]))
+            entries.append((2 * (i + k) + 1, n, band, float(mass[k])))
+    entries.sort(key=lambda e: (-e[0], e[1]))
+    chain = [SubCell(cell, mass, n) for _, n, cell, mass in entries]
 
     # exact re-verification of the two contracts
-    spans = [(c.cell.u_lo, c.cell.u_hi) for c in chain]
-    for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
+    bands = [(c.cell.u_lo, c.cell.u_hi) for c in chain]
+    for (lo1, hi1), (lo2, hi2) in zip(bands, bands[1:]):
         ensure(max(hi1, hi2) - min(lo1, lo2) < b, "consecutive chain cells exceed the budget")
-    total = math.fsum(c.mass for c in chain)
-    ensure(abs(total - math.fsum(weights)) <= skyscraper.MASS_TOL, "chain masses drifted")
+    drift = math.fsum(c.mass for c in chain) - math.fsum(p.weight for p in pieces)
+    ensure(abs(drift) <= skyscraper.MASS_TOL, "chain masses drifted")
     return chain
 
 
@@ -691,6 +563,19 @@ def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float) -> np.ndarr
 # simulation
 
 
+def _draw_cells(cells: list[Cell], idx: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, theta) with entry i drawn from cells[idx[i]], one
+    cell.sample call per cell, in cell order."""
+    alpha = np.empty(idx.size)
+    theta = np.empty(idx.size)
+    for j, cell in enumerate(cells):
+        mask = idx == j
+        hits = int(mask.sum())
+        if hits:
+            alpha[mask], theta[mask] = cell.sample(rng, hits)
+    return alpha, theta
+
+
 def simulate_flexible(
     eta: EtaSpec,
     r1: float,
@@ -744,16 +629,7 @@ def simulate_flexible(
         pi = skyscraper.bounded_tower_vector(values)
         heights, levels = skyscraper.renewal_trajectory(pi, steps + 1, rng)
         labels_all = skyscraper.trajectory_labels(heights, levels)
-        cell_idx = owners[labels_all]
-        alpha = np.empty(steps + 1)
-        theta = np.empty(steps + 1)
-        for j, sub in enumerate(chain):
-            mask = cell_idx == j
-            hits = int(mask.sum())
-            if hits:
-                a, t = sub.cell.sample(rng, hits)
-                alpha[mask] = a
-                theta[mask] = t
+        alpha, theta = _draw_cells([c.cell for c in chain], owners[labels_all], rng)
         labels = labels_all[:steps]
     elif mode == "lowcost":
         if epsilon is None or not epsilon > 0.0:
@@ -773,17 +649,10 @@ def simulate_flexible(
         np.minimum(piece_idx, len(pieces) - 1, out=piece_idx)  # a split lone piece reads 0
         # segments of constant f: from each tower base to the next
         seg = np.cumsum(levels == 0)
+        seg -= seg[0]  # a walk that starts on a base has no empty segment 0
         seg_piece = np.empty(int(seg[-1]) + 1, dtype=np.int64)
         seg_piece[seg] = piece_idx  # constant within a segment
-        seg_alpha = np.empty(seg_piece.size)
-        seg_theta = np.empty(seg_piece.size)
-        for n, piece in enumerate(pieces):
-            mask = seg_piece == n
-            hits = int(mask.sum())
-            if hits:
-                a, t = piece.cell.sample(rng, hits)
-                seg_alpha[mask] = a
-                seg_theta[mask] = t
+        seg_alpha, seg_theta = _draw_cells([p.cell for p in pieces], seg_piece, rng)
         alpha = seg_alpha[seg]
         theta = seg_theta[seg]
         labels = piece_idx[:steps]
@@ -917,13 +786,31 @@ def direction_depth(r1: float, r2: float) -> int:
     return math.ceil(20.0 / (r1 - r2)) * 10
 
 
-def max_rate_gap(eta: EtaSpec) -> float:
-    """Largest r1 - r2 whose lines simulate_flexible carries within
-    COVARIANCE_TOL: carrying a line errs by about e^(r1 - r2) 2^-52 / sin t
-    rad at the mixture's smallest gap angle t, so the bound is
-    log(COVARIANCE_TOL sin(t) 2^52), 14.1 at t = 0.3."""
-    theta_min = min(p.cell.theta_lo for p in decompose_eta(eta))
-    return math.log(COVARIANCE_TOL * math.sin(theta_min) * 2.0**52)
+def rate_limit_error(eta: EtaSpec, r1: float, r2: float) -> str | None:
+    """Why simulate_flexible cannot build rates (r1, r2) on this mixture, or
+    None when it can.  At the mixture's smallest gap angle t:
+
+    * carrying a line errs by about e^(r1 - r2) 2^-52 / sin t rad, so
+      r1 - r2 must stay below log(COVARIANCE_TOL sin(t) 2^52), 14.1 at
+      t = 0.3;
+    * the entries of a factor or of its inverse reach about e^r / sin t for
+      r = max(r1, -r2), and a product of two must stay a finite float, so r
+      must stay below log(DBL_MAX) / 2 + log(sin t), 353.7 at t = 0.3.
+    """
+    sin_t = math.sin(min(p.cell.theta_lo for p in decompose_eta(eta)))
+    gap = math.log(COVARIANCE_TOL * sin_t * 2.0**52)
+    if r1 - r2 > gap:
+        return (
+            f"rates r1 - r2 = {r1 - r2:.4g} exceed {gap:.4g}, the most at which this "
+            f"mixture's smallest gap angle keeps lines carried within {COVARIANCE_TOL:g}"
+        )
+    size = 0.5 * math.log(np.finfo(float).max) + math.log(sin_t)
+    if max(r1, -r2) > size:
+        return (
+            f"rates max(r1, -r2) = {max(r1, -r2):.4g} exceed {size:.4g}, the most at which "
+            f"products of this mixture's factors stay within the float range"
+        )
+    return None
 
 
 def verify_flexible(

@@ -375,6 +375,23 @@ def test_flexible_rate_gap_limit_at_tiny_gap_angles(tmp_path, capsys):
         assert cli.main(argv) == code
 
 
+# at smallest gap angle 0.3 the magnitude limit log(DBL_MAX) / 2 + log sin(0.3) is 353.7
+@pytest.mark.parametrize("mode", [["bounded", "--budget", "0.5"], ["lowcost", "--epsilon", "0.1"]])
+@pytest.mark.parametrize(
+    "rates,code",
+    [("353,352", 0), ("-352,-353", 0), ("355,354", 64), ("800,799", 64), ("-375,-376", 64)],
+)
+def test_flexible_rate_magnitude_limit(mode, rates, code, tmp_path, capsys):
+    spec = write_spec(tmp_path, "eta.json", NARROW)
+    argv = ["flexible", "--spec", spec, "--mode", *mode, "--steps", "2000", "--seed", "1",
+            f"--rates={rates}", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == code
+    if code == 64:
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "353.7" in err and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+
 def test_flexible_lowcost_one_piece_builds(tmp_path, capsys):
     # a lone tower needs height 1 for gcd 1; this cell needs more, so the
     # piece takes two coprime heights

@@ -13,9 +13,12 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from oseledets import flexible as fx
 from oseledets import gl2, skyscraper, verify
@@ -300,6 +303,83 @@ def test_march_rejects_bad_args():
         march_chain(decompose_eta(ATOM), 0.0)
 
 
+# a wide cell down to gap angle 1e-6 beside a narrow one, 0.2 apart in u
+WIDE_TINY = EtaSpec(
+    pieces=(
+        (0.6, uniform_cell(0.1, 0.8, 1e-6, 0.5)),
+        (0.4, uniform_cell(1.0, 1.7, 0.6, 0.9)),
+    )
+)
+
+
+def refined_piece_count(masses):
+    """How many pieces skyscraper.refine_weights makes of these masses, by its
+    own arithmetic (int(w / prev) + 1 per mass, prev the last piece before)
+    but without allocating them."""
+    count, prev = 0, math.inf
+    for w in masses:
+        k = int(w / prev) + 1 if math.isfinite(prev) else 1
+        mean = w / k
+        prev = w if k == 1 else mean + min(prev - mean, mean) / k * ((k - 1) / 2.0 - (k - 1))
+        count += k
+    return count
+
+
+def test_march_wide_tiny_angle_chain_refines_to_few_labels():
+    b = 0.5
+    pieces = decompose_eta(WIDE_TINY)
+    chain = march_chain(pieces, b)
+    chain_contracts(chain, pieces, b)
+    masses = [c.mass for c in chain]
+    # counted first: a chain that refines into millions of labels fails here
+    # instead of exhausting memory in refine_weights
+    count = refined_piece_count(masses)
+    assert count < 1000
+    values, _ = skyscraper.refine_weights(masses)
+    assert len(values) == count
+    w = simulate_flexible(WIDE_TINY, 0.5, -0.5, "bounded", 20000, seed=3, budget=b)
+    assert np.all(step_costs(w, "bounded", 0.5, -0.5) < b)
+    for j in (0, 1):
+        img = gl2.projective_action(w.matrices, w.prescribed_f[:, j])
+        assert float(gl2.line_angle(img[:-1], w.prescribed_f[1:, j]).max()) < 1e-9
+
+
+@st.composite
+def mixtures_and_budgets(draw):
+    """1-5 cells with gap angles down to 1e-6, some of them gap-angle atoms
+    or of zero alpha width, and a budget below, at or above the min cut."""
+    cells = []
+    for _ in range(draw(st.integers(1, 5))):
+        t0 = math.exp(draw(st.floats(math.log(1e-6), math.log(math.pi / 2))))
+        t1 = t0 if draw(st.booleans()) else min(math.pi / 2, t0 * math.exp(draw(st.floats(0.0, 4.0))))
+        a0 = draw(st.floats(0.0, 3.0))
+        a1 = a0 if draw(st.booleans()) else draw(st.floats(a0, math.pi))
+        cells.append(uniform_cell(a0, a1, t0, t1))
+    ks = draw(st.lists(st.integers(1, 9), min_size=len(cells), max_size=len(cells)))
+    eta = EtaSpec(pieces=tuple((k / sum(ks), c) for k, c in zip(ks, cells)))
+    cut = verify._min_cut_value(cells)
+    scale = draw(st.one_of(st.floats(0.2, 0.99), st.just(1.0), st.floats(1.01, 3.0)))
+    # at least 0.02, so a 14-wide u-range cuts into some 1600 bands at most
+    return eta, max(cut * scale, 0.02), cut
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), database=None)
+@seed(20190)
+@given(mixtures_and_budgets())
+def test_march_chain_property(case):
+    eta, b, cut = case
+    pieces = decompose_eta(eta)
+    fit = budget_fit_check(eta, b)
+    assert fit.fits == (cut < b)
+    try:
+        chain = march_chain(pieces, b)
+    except UnboundedGap as err:
+        assert not fit.fits and err.witness == fit.witness
+        return
+    assert fit.fits
+    chain_contracts(chain, pieces, b)
+
+
 # ---------------------------------------------------------------------------
 # log-gains
 
@@ -511,6 +591,21 @@ def test_simulate_deterministic_in_seed():
     assert np.array_equal(a.prescribed_f, b.prescribed_f)
     assert np.array_equal(a.labels, b.labels)
     assert not np.array_equal(a.matrices, c.matrices)
+
+
+def test_lowcost_draws_do_not_read_uninitialised_memory(monkeypatch):
+    # seed 80's walk starts on a tower base, so no step falls in the segment
+    # before it; the draws must not depend on what that slot holds
+    pieces = decompose_eta(FOUR_CELL)
+    ks = skyscraper.lowcost_heights(piece_cost_caps(pieces, 0.5, -0.5), 0.1)
+    pi = skyscraper.TowerVector(dict(zip(ks, [p.weight for p in pieces])))
+    _, levels = skyscraper.renewal_trajectory(pi, 10, np.random.default_rng(80))
+    assert levels[0] == 0
+    windows = []
+    for fill in (0, 3):
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float, v=fill: np.full(shape, v, dtype))
+        windows.append(simulate_flexible(FOUR_CELL, 0.5, -0.5, "lowcost", 3000, seed=80, epsilon=0.1))
+    np.testing.assert_array_equal(windows[0].prescribed_f, windows[1].prescribed_f)
 
 
 def test_simulate_lowcost_tower_structure():
