@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,59 +48,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; everything a report needs to be rerun."""
-
-    command: str
-    spec: str | None = None
-    steps: int = 1
-    trials: int = 1
-    seed: int = 0
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-    out: str = "."
-    mode: str | None = None
-    epsilon: float | None = None
-    budget: float | None = None
-    rates: tuple[float, float] = (0.5, -0.5)
-    jobs: int = 1
-    suite: str | None = None
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise _UsageError("steps must be >= 1")
-        if self.trials < 1:
-            raise _UsageError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise _UsageError("seed must be a 64-bit nonnegative integer")
-        if self.jobs < 1:
-            raise _UsageError("jobs must be >= 1")
-        try:
-            estimation.check_thresholds(self.thresholds)
-        except BadTerm as err:
-            raise _UsageError(str(err)) from None
-
-    def to_obj(self) -> dict:
-        # plumbing (the output directory, --jobs) stays out of the report:
-        # same experiment -> same bytes anywhere
-        obj = {"command": self.command, "seed": str(self.seed)}
-        if self.spec is not None:
-            obj["spec"] = self.spec
-        if self.command in ("onestep", "flexible"):
-            obj["steps"] = self.steps
-        if self.command == "onestep":
-            obj["trials"] = self.trials
-            obj["thresholds"] = [float_str(t) for t in self.thresholds]
-        if self.command == "flexible":
-            obj["mode"] = self.mode
-            obj["rates"] = [float_str(r) for r in self.rates]
-            if self.budget is not None:
-                obj["budget"] = float_str(self.budget)
-            if self.epsilon is not None:
-                obj["epsilon"] = float_str(self.epsilon)
-        if self.command == "verify":
-            obj["suite"] = self.suite
-        return obj
+def _config(args) -> dict:
+    """The report's config block: every parsed option but the plumbing (the
+    output directory, --jobs), so the same experiment gives the same bytes anywhere."""
+    obj = {}
+    for key, value in vars(args).items():
+        if key in ("out", "jobs") or value is None:
+            continue
+        if isinstance(value, tuple):  # --thresholds, --rates
+            value = [float_str(v) for v in value]
+        elif isinstance(value, float):
+            value = float_str(value)
+        obj[key] = str(value) if key == "seed" else value
+    return obj
 
 
 def _write_report(out_dir: str, name: str, obj: dict) -> Path:
@@ -118,11 +77,14 @@ def _write_text(out_dir: str, name: str, text: str) -> Path:
     return path
 
 
-def _read_spec(path: str) -> str:
+def _load(path: str, parse, what: str):
+    """parse(text of the spec file); an unreadable or malformed one is a usage error."""
     try:
-        return Path(path).read_text()
+        return parse(Path(path).read_text())
     except OSError as err:
         raise _UsageError(f"cannot read spec {path}: {err}") from err
+    except (ValueError, KeyError, TypeError) as err:
+        raise _UsageError(f"malformed {what}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +99,8 @@ def _angle_chunk(args) -> np.ndarray:
     return estimation.oseledets_angle_samples(nu, n, depth, seed=seed)
 
 
-def _angle_tail(nu: MatrixDistribution, config: RunConfig):
-    """Tail report from config.trials stationary gap-angle samples.
+def _angle_tail(nu: MatrixDistribution, args):
+    """Tail report from args.trials stationary gap-angle samples.
 
     Triangular families with positively supported laws run in the log
     domain, which keeps heavy tails representable; everything else samples
@@ -146,48 +108,45 @@ def _angle_tail(nu: MatrixDistribution, config: RunConfig):
     chunks with derived seeds, so the result is byte-identical for any --jobs.
     """
     neglog = estimation.log_domain_supported(nu)
-    chunks = SAMPLE_CHUNKS if config.trials >= SAMPLE_CHUNKS else 1
+    chunks = SAMPLE_CHUNKS if args.trials >= SAMPLE_CHUNKS else 1
     sizes = [
-        config.trials // chunks + (1 if i < config.trials % chunks else 0)
+        args.trials // chunks + (1 if i < args.trials % chunks else 0)
         for i in range(chunks)
     ]
-    child = np.random.SeedSequence(config.seed).generate_state(chunks, dtype=np.uint64)
+    child = np.random.SeedSequence(args.seed).generate_state(chunks, dtype=np.uint64)
     depth = 512 if neglog else 256
     work = [
         (nu.to_json(), n, depth, int(s), neglog) for n, s in zip(sizes, child)
     ]
-    if config.jobs > 1:
+    if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: ~11 ms of import
 
-        with ProcessPoolExecutor(max_workers=min(config.jobs, chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, chunks)) as pool:
             parts = list(pool.map(_angle_chunk, work))
     else:
         parts = [_angle_chunk(w) for w in work]
     samples = np.concatenate(parts)
     if neglog:
-        return estimation.angle_tail_report_neglog(samples, config.thresholds)
-    return estimation.angle_tail_report(samples, config.thresholds)
+        return estimation.angle_tail_report_neglog(samples, args.thresholds)
+    return estimation.angle_tail_report(samples, args.thresholds)
 
 
-def cmd_onestep(config: RunConfig) -> int:
-    try:
-        nu = MatrixDistribution.from_json(_read_spec(config.spec))
-    except (ValueError, KeyError, TypeError) as err:
-        raise _UsageError(f"malformed matrix law spec: {err}") from err
-    window = sample_onestep(nu, config.steps, config.seed)
+def cmd_onestep(args) -> int:
+    nu = _load(args.spec, MatrixDistribution.from_json, "matrix law spec")
+    window = sample_onestep(nu, args.steps, args.seed)
     lam = estimation.lyapunov_estimates(window)
     gap = lam.top - lam.bottom
     if gap > 1e-3:
-        depth = min(config.steps, max(8, estimation.suggested_depth(gap, 1e-8)))
+        depth = min(args.steps, max(8, estimation.suggested_depth(gap, 1e-8)))
     else:
-        depth = min(config.steps, 256)
+        depth = min(args.steps, 256)
     e1 = estimation.estimate_E1_backward(window, depth)
     e2 = estimation.estimate_E2_forward(window, depth)
     theta = float(gl2.line_angle(e1, e2))
-    tail = _angle_tail(nu, config)
+    tail = _angle_tail(nu, args)
     obj = {
-        "config": config.to_obj(),
-        "seed": str(config.seed),
+        "config": _config(args),
+        "seed": str(args.seed),
         "lambda_hat": {"top": float_str(lam.top), "bottom": float_str(lam.bottom)},
         "directions": {
             "depth": depth,
@@ -197,8 +156,8 @@ def cmd_onestep(config: RunConfig) -> int:
         },
         "angle_tail": tail.to_obj(),
     }
-    report = _write_report(config.out, "onestep_report.json", obj)
-    csv = _write_text(config.out, "onestep_tail.csv", tail.to_csv())
+    report = _write_report(args.out, "onestep_report.json", obj)
+    csv = _write_text(args.out, "onestep_tail.csv", tail.to_csv())
     print(f"exponents ({lam.top!r}, {lam.bottom!r})")
     print(f"splitting gap angle {theta!r} at depth {depth}")
     print(f"angle-tail verdict {tail.verdict} ({tail.sample_count} samples)")
@@ -211,18 +170,15 @@ def cmd_onestep(config: RunConfig) -> int:
 # flexible
 
 
-def cmd_flexible(config: RunConfig) -> int:
-    try:
-        eta = EtaSpec.from_json(_read_spec(config.spec))
-    except (ValueError, KeyError, TypeError) as err:
-        raise _UsageError(f"malformed mixture spec: {err}") from err
-    r1, r2 = config.rates
+def cmd_flexible(args) -> int:
+    eta = _load(args.spec, EtaSpec.from_json, "mixture spec")
+    r1, r2 = args.rates
     if (why := flexible.rate_limit_error(eta, r1, r2)) is not None:
         raise _UsageError(why)
     try:
         window = flexible.simulate_flexible(
-            eta, r1, r2, config.mode, config.steps, config.seed,
-            budget=config.budget, epsilon=config.epsilon,
+            eta, r1, r2, args.mode, args.steps, args.seed,
+            budget=args.budget, epsilon=args.epsilon,
         )
     except flexible.UnboundedGap as err:
         print(f"infeasible: {err}", file=sys.stderr)
@@ -233,20 +189,20 @@ def cmd_flexible(config: RunConfig) -> int:
                 file=sys.stderr,
             )
         return 2
-    rep = flexible.verify_flexible(window, eta, r1, r2, mode=config.mode)
-    obj = {"config": config.to_obj(), "seed": str(config.seed), "report": rep.to_obj()}
-    report = _write_report(config.out, "flexible_report.json", obj)
-    csv = _write_text(config.out, "flexible_steps.csv", rep.to_csv())
+    rep = flexible.verify_flexible(window, eta, r1, r2, mode=args.mode)
+    obj = {"config": _config(args), "seed": str(args.seed), "report": rep.to_obj()}
+    report = _write_report(args.out, "flexible_report.json", obj)
+    csv = _write_text(args.out, "flexible_steps.csv", rep.to_csv())
     print(f"mode {rep.mode}  steps {rep.steps}  rates ({r1!r}, {r2!r})")
     print(f"exponents ({rep.lambda_hat[0]!r}, {rep.lambda_hat[1]!r})")
     print(
         f"tv distance {rep.tv_distance!r}  ks {rep.ks_theta!r}  "
         f"agreement {rep.agreement_fraction!r}"
     )
-    if config.mode == "lowcost":
-        print(f"mean step cost {rep.mean_cost!r} (epsilon {config.epsilon!r})")
+    if args.mode == "lowcost":
+        print(f"mean step cost {rep.mean_cost!r} (epsilon {args.epsilon!r})")
     else:
-        print(f"max step cost {rep.max_cost!r} (budget {config.budget!r})")
+        print(f"max step cost {rep.max_cost!r} (budget {args.budget!r})")
     print(f"wrote {report}")
     print(f"wrote {csv}")
     return 0
@@ -256,10 +212,10 @@ def cmd_flexible(config: RunConfig) -> int:
 # verify
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     from . import verify  # lazy: only this command runs the battery
 
-    results = verify.run_suite(config.suite)
+    results = verify.run_suite(args.suite)
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -274,16 +230,42 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         raise _UsageError(f"not a comma-separated float list: {text!r}") from err
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
+def _checked(parse, ok, message: str):
+    """An argparse type: parse the text, then a usage error unless ok(value)."""
+
+    def convert(text):
+        value = parse(text)
+        if not ok(value):
+            raise _UsageError(message)
         return value
-    env = os.environ.get("OSL_DEFAULT_SEED")
-    if env is None:
-        return 0
+
+    convert.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
+def _count(name: str):
+    return _checked(int, lambda n: n >= 1, f"{name} must be >= 1")
+
+
+_seed = _checked(int, lambda s: 0 <= s < 2**64, "seed must be a 64-bit nonnegative integer")
+
+
+def _thresholds(text: str) -> tuple[float, ...]:
     try:
-        return int(env)
-    except ValueError as err:
-        raise _UsageError(f"OSL_DEFAULT_SEED is not an integer: {env!r}") from err
+        return estimation.check_thresholds(_csv_floats(text))
+    except BadTerm as err:
+        raise _UsageError(str(err)) from None
+
+
+def _rates(text: str) -> tuple[float, float]:
+    rates = _csv_floats(text)
+    if len(rates) != 2:
+        raise _UsageError("rates must be exactly r1,r2")
+    if not all(map(math.isfinite, rates)):
+        raise _UsageError("rates must be finite")
+    if not rates[0] > rates[1]:
+        raise _UsageError("rates must satisfy r1 > r2")
+    return rates
 
 
 def _build_parser() -> _Parser:
@@ -292,29 +274,29 @@ def _build_parser() -> _Parser:
 
     one = sub.add_parser("onestep", help="i.i.d. window: exponents, directions, tails")
     one.add_argument("--spec", required=True, help="matrix law JSON")
-    one.add_argument("--steps", type=int, default=4096,
+    one.add_argument("--steps", type=_count("steps"), default=4096,
                      help="window half-width (spans [-steps, steps))")
-    one.add_argument("--trials", type=int, default=20000,
+    one.add_argument("--trials", type=_count("trials"), default=20000,
                      help="stationary angle samples for the tail report")
-    one.add_argument("--seed", type=int, default=None)
+    one.add_argument("--seed", type=_seed, default=None)
     one.add_argument("--out", default=".", help="report directory")
-    one.add_argument("--thresholds", type=_csv_floats,
+    one.add_argument("--thresholds", type=_thresholds,
                      default=DEFAULT_THRESHOLDS,
                      help="truncation thresholds, comma separated")
-    one.add_argument("--jobs", type=int, default=1,
+    one.add_argument("--jobs", type=_count("jobs"), default=1,
                      help="worker processes for angle sampling")
 
     flex = sub.add_parser("flexible", help="prescribed-splitting construction")
     flex.add_argument("--spec", required=True, help="mixture JSON")
     flex.add_argument("--mode", required=True, choices=("bounded", "lowcost"))
-    flex.add_argument("--steps", type=int, default=100000)
-    flex.add_argument("--seed", type=int, default=None)
+    flex.add_argument("--steps", type=_count("steps"), default=100000)
+    flex.add_argument("--seed", type=_seed, default=None)
     flex.add_argument("--out", default=".", help="report directory")
     flex.add_argument("--budget", type=float, default=None,
                       help="per-step cost bound b (bounded mode)")
     flex.add_argument("--epsilon", type=float, default=None,
                       help="mean cost bound (lowcost mode)")
-    flex.add_argument("--rates", type=_csv_floats, default=(0.5, -0.5),
+    flex.add_argument("--rates", type=_rates, default=(0.5, -0.5),
                       help="target exponents r1,r2 with r1 > r2")
 
     ver = sub.add_parser("verify", help="run the named invariant battery")
@@ -323,42 +305,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    seed = _resolve_seed(getattr(args, "seed", None))
-    if args.command == "onestep":
-        return RunConfig(
-            command="onestep", spec=args.spec, steps=args.steps,
-            trials=args.trials, seed=seed, thresholds=tuple(args.thresholds),
-            out=args.out, jobs=args.jobs,
-        )
-    if args.command == "flexible":
-        rates = tuple(args.rates)
-        if len(rates) != 2:
-            raise _UsageError("rates must be exactly r1,r2")
-        if not all(map(math.isfinite, rates)):
-            raise _UsageError("rates must be finite")
-        if not rates[0] > rates[1]:
-            raise _UsageError("rates must satisfy r1 > r2")
+def _parse(argv):
+    """The parsed arguments, after the checks that read two options or the
+    environment; each option's own check is its argparse type."""
+    args = _build_parser().parse_args(argv)
+    if args.command == "verify":
+        return args
+    if args.seed is None:
+        env = os.environ.get("OSL_DEFAULT_SEED", "0")
         try:
-            min_steps = 2 * flexible.direction_depth(*rates) + 10
+            args.seed = _seed(env)
+        except ValueError:
+            raise _UsageError(f"OSL_DEFAULT_SEED is not an integer: {env!r}") from None
+    if args.command == "flexible":
+        r1, r2 = args.rates
+        try:
+            min_steps = 2 * flexible.direction_depth(r1, r2) + 10
         except OverflowError:  # r1 - r2 so small that the depth is infinite
             raise _UsageError("rates r1,r2 are too close for direction estimates") from None
         if args.steps < min_steps:
             raise _UsageError(
-                f"steps must be >= {min_steps} for direction estimates at rates "
-                f"{rates[0]!r},{rates[1]!r}"
+                f"steps must be >= {min_steps} for direction estimates at rates {r1!r},{r2!r}"
             )
-        # written as "not > 0" so that nan fails too
-        if args.mode == "bounded" and not (args.budget is not None and args.budget > 0):
-            raise _UsageError("bounded mode needs a positive --budget")
-        if args.mode == "lowcost" and not (args.epsilon is not None and args.epsilon > 0):
-            raise _UsageError("lowcost mode needs a positive --epsilon")
-        return RunConfig(
-            command="flexible", spec=args.spec, steps=args.steps, seed=seed,
-            out=args.out, mode=args.mode, epsilon=args.epsilon,
-            budget=args.budget, rates=(float(rates[0]), float(rates[1])),
-        )
-    return RunConfig(command="verify", seed=seed, suite=args.suite)
+        flag = "budget" if args.mode == "bounded" else "epsilon"
+        bound = getattr(args, flag)
+        if not (bound is not None and bound > 0):  # "not > 0", so that nan fails too
+            raise _UsageError(f"{args.mode} mode needs a positive --{flag}")
+    return args
 
 
 _COMMANDS = {"onestep": cmd_onestep, "flexible": cmd_flexible, "verify": cmd_verify}
@@ -366,9 +339,8 @@ _COMMANDS = {"onestep": cmd_onestep, "flexible": cmd_flexible, "verify": cmd_ver
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        args = _parse(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 64

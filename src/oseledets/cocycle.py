@@ -27,6 +27,9 @@ from .scalars import ScalarDist, Unsupported, float_str
 # projective draws divide a factor by a positive scalar once an entry would
 # pass e^LOG_ENTRY_CAP, so a sum of two entry products stays finite
 LOG_ENTRY_CAP = 700.0
+# a product of two factors with entries up to this is finite: each of its
+# entries sums two products of at most DBL_MAX / 2
+_PAIR_SAFE = math.sqrt(np.finfo(float).max / 2)
 
 
 class WindowExhausted(IndexError):
@@ -296,9 +299,10 @@ def product_scaled(mats: np.ndarray) -> ScaledMat2:
 
     A pairwise tree at every length, bit-stable given the input: each pair
     product is renormalized at once (the periodic renormalization of
-    Benettin et al., Meccanica 15, 1980), so no entry passes twice the square
-    of the largest factor entry; a single factor is renormalized alone.  A
-    zero or non-finite factor or product raises NotInvertible.
+    Benettin et al., Meccanica 15, 1980), and so, before the first level, is
+    every factor with an entry past sqrt(DBL_MAX / 2), so no pair product
+    overflows; a single factor is renormalized alone.  A zero or non-finite
+    factor or product raises NotInvertible.
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[0]
@@ -307,6 +311,10 @@ def product_scaled(mats: np.ndarray) -> ScaledMat2:
     cur, scales = mats, np.zeros(n)
     if n == 1:
         cur, scales = _normalized(cur, scales)
+    elif mats.max() > _PAIR_SAFE or mats.min() < -_PAIR_SAFE:
+        big = np.abs(mats).reshape(n, 4).max(axis=1) > _PAIR_SAFE
+        cur = mats.copy()
+        cur[big], scales[big] = _normalized(mats[big], scales[big])
     while cur.shape[0] > 1:
         k = cur.shape[0]
         half = k // 2

@@ -15,6 +15,7 @@ horizon-doubling stabilization verdict.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -309,7 +310,9 @@ def triangular_gap_neglog_samples(
     invariant series, so -log sin(theta) = log sqrt(1 + X^2).  Everything
     runs in the log domain, which keeps tails like log b = 2^26
     representable where explicit matrices would overflow.  A zero a or b is
-    a -inf log term that drops out exactly; a point-mass a only advances the stream.
+    a -inf log term that drops out exactly.  Each chunk of CHUNK rows draws
+    all its a before its b; a point-mass a only advances the stream, and any
+    other a is read row block by row block from a copy of the stream.
     """
     if not log_domain_supported(nu):
         raise Unsupported("log-domain series needs a triangular law with nonnegative a and b")
@@ -322,17 +325,18 @@ def triangular_gap_neglog_samples(
     out = np.empty(trials)
     for done in range(0, trials, CHUNK):
         m = min(CHUNK, trials - done)
-        if point:
-            rng.bit_generator.advance(m * depth)
-        else:  # all of the chunk's a come before its b
-            la = np.log(np.asarray(nu.a.sample(rng, m * depth), dtype=float)).reshape(m, depth)
-            prefix = np.cumsum(la, axis=1, out=la)
+        if not point:
+            a_rng = copy.deepcopy(rng)
+        rng.bit_generator.advance(m * depth)
         for r in range(0, m, block_rows):
             n = min(block_rows, m - r)
+            if not point:
+                la = np.log(np.asarray(nu.a.sample(a_rng, n * depth), dtype=float)).reshape(n, depth)
+                prefix = np.cumsum(la, axis=1, out=la)
             terms = np.asarray(nu.b.sample(rng, n * depth), dtype=float).reshape(n, depth)
             if not nu.log_scale_b:
                 np.log(terms, out=terms)
-            terms[:, 1:] += prefix[r : r + n, :-1]
+            terms[:, 1:] += prefix[:n, :-1]
             out[done + r : done + r + n] = 0.5 * np.logaddexp(0.0, 2.0 * _logsumexp_rows(terms))
     return out
 

@@ -663,10 +663,11 @@ def simulate_flexible(
     # lift outright, no flip needed
     frames = gl2._unit_columns(alpha, alpha + theta)
     p1, p2 = psi.at(alpha[:-1], theta[:-1])
-    gains = np.zeros((steps, 2, 2))
-    gains[:, 0, 0] = np.exp(p1)
-    gains[:, 1, 1] = np.exp(p2)
-    mats = frames[1:] @ (gains @ gl2.inv2(frames[:-1]))
+    # F = frames[1:] diag(e^p1, e^p2) frames[:-1]^-1: the diagonal scales rows
+    mats = gl2.inv2(frames[:-1])
+    mats[:, 0] *= np.exp(p1)[:, None]
+    mats[:, 1] *= np.exp(p2)[:, None]
+    mats = frames[1:] @ mats
 
     # hard contracts: the cocycle carries each prescribed line to its
     # successor, and the bounded regime never exceeds its budget
@@ -858,13 +859,14 @@ def verify_flexible(
 
     lo = window.offset + depth
     hi = window.end - depth
-    times = np.unique(np.round(np.linspace(lo, hi, num=100)).astype(int))
+    # linspace is sorted, so dict keys dedupe it in order (np.unique imports numpy.ma)
+    times = dict.fromkeys(np.round(np.linspace(lo, hi, num=100)).astype(int).tolist())
     agree = 0
     for t in times:
-        shifted = OrbitWindow(offset=window.offset - int(t), matrices=window.matrices)
+        shifted = OrbitWindow(offset=window.offset - t, matrices=window.matrices)
         e1 = estimate_E1_backward(shifted, depth)
         e2 = estimate_E2_forward(shifted, depth)
-        slot = window.slot(int(t))
+        slot = window.slot(t)
         ok = (
             float(gl2.line_angle(e1, x1[slot])) < AGREEMENT_TOL
             and float(gl2.line_angle(e2, x2[slot])) < AGREEMENT_TOL

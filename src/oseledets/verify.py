@@ -506,7 +506,7 @@ def _cli_infeasible():
             code = cli.main(
                 [
                     "flexible", "--spec", str(spec), "--mode", "bounded",
-                    "--budget", "0.5", "--steps", "2000", "--out", tmp,
+                    "--budget", "0.5", "--steps", "2000", "--seed", "0", "--out", tmp,
                 ]
             )
         _expect(code == 2)

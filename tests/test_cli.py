@@ -198,13 +198,15 @@ def test_onestep_signed_law_with_underflowing_angles_exits_zero(tmp_path, capsys
                zip(obj["angle_tail"]["truncated_means"], cli.DEFAULT_THRESHOLDS))
 
 
-def test_onestep_short_products_of_huge_gains_exit_zero(tmp_path, capsys):
+@pytest.mark.parametrize("lo,hi", [(90.0, 110.0), (350.0, 360.0), (700.0, 705.0)])
+def test_onestep_short_products_of_huge_gains_exit_zero(lo, hi, tmp_path, capsys):
     # depth-8 direction products of log-gains near 100 overflow a float
-    # unless every pair product is renormalized
+    # unless every pair product is renormalized, and past about 354 unless
+    # each factor is renormalized before the first pair
     nu = MatrixDistribution.from_obj({
         "kind": "rotgain",
         "angle": {"kind": "uniform", "lo": "0.0", "hi": repr(math.pi)},
-        "log_gain": {"kind": "uniform", "lo": "90.0", "hi": "110.0"},
+        "log_gain": {"kind": "uniform", "lo": repr(lo), "hi": repr(hi)},
     })
     spec = write_spec(tmp_path, "nu.json", nu)
     code = cli.main(
@@ -214,7 +216,7 @@ def test_onestep_short_products_of_huge_gains_exit_zero(tmp_path, capsys):
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
     obj = json.loads((tmp_path / "onestep_report.json").read_text())
-    assert 90.0 < float(obj["lambda_hat"]["top"]) < 110.0
+    assert lo < float(obj["lambda_hat"]["top"]) < hi
 
 
 def test_onestep_env_seed(tmp_path, monkeypatch):
@@ -227,6 +229,19 @@ def test_onestep_env_seed(tmp_path, monkeypatch):
     assert code == 0
     obj = json.loads((tmp_path / "onestep_report.json").read_text())
     assert obj["seed"] == "42" and obj["config"]["seed"] == "42"
+
+
+def test_onestep_config_block_in_full(tmp_path):
+    spec = write_spec(tmp_path, "nu.json", DIAG)
+    argv = ["onestep", "--spec", spec, "--steps", "1100", "--trials", "40", "--seed", "11",
+            "--thresholds", "2,4.5,9", "--jobs", "2", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 0
+    config = json.loads((tmp_path / "r" / "onestep_report.json").read_text())["config"]
+    assert config == {
+        "command": "onestep", "spec": spec, "steps": 1100, "trials": 40, "seed": "11",
+        "thresholds": ["2.0", "4.5", "9.0"],
+    }
+    assert "out" not in config and "jobs" not in config
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +262,24 @@ def test_flexible_bounded_report(tmp_path, capsys):
     rows = (tmp_path / "flexible_steps.csv").read_text().splitlines()
     assert rows[0] == "step,cost,label,theta" and len(rows) == 4000
     assert "max step cost" in capsys.readouterr().out
+
+
+def test_flexible_config_block_in_full(tmp_path, monkeypatch):
+    # both bounds are recorded, whichever the mode reads; the seed comes
+    # from the environment and is written as a string
+    spec = write_spec(tmp_path, "eta.json", TWO_CELL)
+    monkeypatch.setenv("OSL_DEFAULT_SEED", "123")
+    argv = ["flexible", "--spec", spec, "--mode", "bounded", "--budget", "0.6",
+            "--epsilon", "0.25", "--rates=0.75,-0.25", "--steps", "4000",
+            "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 0
+    obj = json.loads((tmp_path / "r" / "flexible_report.json").read_text())
+    assert obj["seed"] == "123"
+    assert obj["config"] == {
+        "command": "flexible", "spec": spec, "mode": "bounded", "steps": 4000,
+        "seed": "123", "budget": "0.6", "epsilon": "0.25", "rates": ["0.75", "-0.25"],
+    }
+    assert "out" not in obj["config"] and "jobs" not in obj["config"]
 
 
 def test_flexible_lowcost_prints_mean_cost(tmp_path, capsys):

@@ -149,6 +149,16 @@ def test_single_degenerate_factor_is_not_invertible(bad):
         product_scaled(np.full((1, 2, 2), bad))
 
 
+def test_factors_past_pair_range_are_renormalized_first():
+    # a raw pair of entries near e^700 overflows; each is renormalized alone
+    big = np.diag([math.exp(700.0), math.exp(-700.0)])
+    prod = product_scaled(np.stack([big, 2.0 * np.eye(2), big]))
+    assert prod.log_scale == pytest.approx(1400.0 + math.log(2.0), rel=1e-15)
+    np.testing.assert_array_equal(prod.mat, np.diag([1.0, 0.0]))
+    with pytest.raises(gl2.NotInvertible):
+        product_scaled(np.stack([big, np.full((2, 2), np.inf), big]))
+
+
 def test_window_exhausted():
     w = random_window(10, seed=6, offset=-5)
     with pytest.raises(WindowExhausted):

@@ -493,6 +493,23 @@ def test_neglog_row_blocks_match_chunk_oracle(a, b, log_b, trials):
     np.testing.assert_array_equal(got, want)
 
 
+def test_neglog_drawn_a_stays_in_row_blocks():
+    # a chunk's a (2048 x 512 doubles, 8 MiB) is read one row block at a time
+    import tracemalloc
+
+    nu = cocycle.triangular_distribution(
+        scalars.uniform(0.0, 0.5), scalars.dyadic(), log_scale_b=True
+    )
+    tracemalloc.start()
+    try:
+        with np.errstate(divide="ignore"):
+            triangular_gap_neglog_samples(nu, est.CHUNK, depth=NEGLOG_DEPTH, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_logsumexp_rows_matches_scipy():
     from scipy.special import logsumexp
 
