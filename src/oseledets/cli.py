@@ -37,6 +37,7 @@ from .scalars import BadTerm, float_str
 
 DEFAULT_THRESHOLDS = (4.0, 8.0, 16.0, 32.0)
 SAMPLE_CHUNKS = 8  # fixed, so reports do not depend on --jobs
+WRITE_SLICE = 1 << 20  # characters per write of a text file
 
 
 class _UsageError(Exception):
@@ -71,9 +72,13 @@ def _write_report(out_dir: str, name: str, obj: dict) -> Path:
 
 
 def _write_text(out_dir: str, name: str, text: str) -> Path:
+    """Write text in WRITE_SLICE slices, so no encoded copy of a whole
+    multi-megabyte CSV sits beside the text."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as f:
+        for start in range(0, len(text), WRITE_SLICE):
+            f.write(text[start : start + WRITE_SLICE])
     return path
 
 

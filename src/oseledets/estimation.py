@@ -444,11 +444,10 @@ def weierstrass_bounds(a) -> tuple[float, float, float]:
     upper bound is returned unclipped.
     """
     arr = np.asarray(a, dtype=float)
-    if arr.size and (np.any(arr < 0) or np.any(arr > 1) or not np.all(np.isfinite(arr))):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # nan fails too
         raise BadTerm("terms must lie in [0, 1]")
     s = float(arr.sum())
-    value = float(1.0 - np.prod(1.0 - arr)) if arr.size else 0.0
-    return (s / (1.0 + s), value, s)
+    return (s / (1.0 + s), float(1.0 - np.prod(1.0 - arr)), s)
 
 
 def lag_discounted_sup(values, upper_bound: float) -> float:

@@ -249,17 +249,18 @@ def interp_singular_values(theta, theta_prime):
 
 
 def splitting(x1, x2) -> SplittingPair:
-    """Canonicalize two line angles into a SplittingPair; lines must differ."""
-    a1 = float(canon_line(x1))
-    a2 = float(canon_line(x2))
-    if line_angle(a1, a2) == 0.0:
+    """Canonicalize two line angles (or arrays of them, pair by pair) into a
+    SplittingPair; the lines of every pair must differ."""
+    a1 = canon_line(x1)
+    a2 = canon_line(x2)
+    if np.any(line_angle(a1, a2) == 0.0):
         raise DegenerateSplitting("splitting needs two distinct lines")
     return SplittingPair(a1, a2)
 
 
-def gap_angle(x: SplittingPair) -> float:
+def gap_angle(x: SplittingPair) -> np.ndarray:
     """Gap angle of a splitting, in (0, pi/2]."""
-    return float(line_angle(x[0], x[1]))
+    return line_angle(x[0], x[1])
 
 
 def canonical_lift(x: SplittingPair) -> UnitVectorPair:
@@ -269,13 +270,13 @@ def canonical_lift(x: SplittingPair) -> UnitVectorPair:
     second one's sign when the vector angle exceeds pi/2, so the vector
     angle of the result equals the gap angle of the splitting.
     """
-    a1 = float(canon_line(x[0]))
-    a2 = float(canon_line(x[1]))
-    if line_angle(a1, a2) == 0.0:
+    a1 = canon_line(x[0])
+    a2 = canon_line(x[1])
+    if np.any(line_angle(a1, a2) == 0.0):
         raise DegenerateSplitting("canonical lift of a degenerate splitting")
-    if vector_angle(a1, a2) > math.pi / 2.0:
-        a2 = float(canon_vector(a2 + math.pi))
-    return UnitVectorPair(a1, a2)
+    # adding 0 to an angle in [0, pi) leaves it exact under canon_vector
+    flip = vector_angle(a1, a2) > math.pi / 2.0
+    return UnitVectorPair(a1, canon_vector(a2 + math.pi * flip))
 
 
 def eigen_matrix(x: SplittingPair, log_eig1: float, log_eig2: float) -> np.ndarray:
@@ -290,17 +291,13 @@ def eigen_matrix(x: SplittingPair, log_eig1: float, log_eig2: float) -> np.ndarr
     return p @ d @ inv2(p)
 
 
-def transfer_cost_bounded(x: SplittingPair, y: SplittingPair) -> float:
+def transfer_cost_bounded(x: SplittingPair, y: SplittingPair) -> np.ndarray:
     """Symmetric travel cost: |log sin(theta'/2) - log sin(theta/2)|.
 
     theta and theta' are the gap angles of x and y.  Vanishes iff the gaps
     agree; equals log_norm_max of the canonical pair-to-pair map.
     """
-    theta = gap_angle(x)
-    theta_prime = gap_angle(y)
-    return abs(
-        math.log(math.sin(theta_prime / 2.0)) - math.log(math.sin(theta / 2.0))
-    )
+    return np.abs(np.log(np.sin(gap_angle(y) / 2.0)) - np.log(np.sin(gap_angle(x) / 2.0)))
 
 
 def transfer_cost_general(theta, theta_prime, psi1: float, psi2: float) -> np.ndarray:

@@ -292,6 +292,21 @@ def test_flexible_lowcost_prints_mean_cost(tmp_path, capsys):
     assert "mean step cost" in capsys.readouterr().out
 
 
+def test_text_is_written_in_slices(tmp_path):
+    # the whole text is never encoded at once: the peak stays near two slices
+    import tracemalloc
+
+    text = "0.1,2,3\n" * (6 * cli.WRITE_SLICE // 8 + 1)
+    tracemalloc.start()
+    try:
+        path = cli._write_text(str(tmp_path / "d"), "steps.csv", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == text
+    assert peak < 3 * cli.WRITE_SLICE
+
+
 def test_flexible_infeasible_exits_two(tmp_path, capsys):
     eta = EtaSpec(
         pieces=((0.5, atom_cell(0.3, 1.5)), (0.5, atom_cell(0.9, 0.01)))

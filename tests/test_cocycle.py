@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oseledets import cocycle, gl2, scalars
+from oseledets import gl2, scalars
 from oseledets.cocycle import (
     MatrixDistribution,
     OrbitWindow,
@@ -250,33 +250,6 @@ def test_moment_montecarlo_rotgain():
     est = moment(nu, 1, trials=200_000, seed=3)
     assert not est.exact
     assert est.value == pytest.approx(1.0, abs=4 * est.stderr)
-
-
-def test_moment_heavy_tail_second_moment_grows():
-    # log|b| = dyadic law: E[log_norm_max^2] is infinite, so the estimate
-    # keeps climbing as trials grow; the first moment is finite and matches
-    # an atom-by-atom oracle summed over the dyadic support
-    nu = triangular_distribution(
-        scalars.constant(math.exp(-1)), scalars.dyadic(), log_scale_b=True
-    )
-    small = moment(nu, 2, trials=300, seed=12)
-    big = moment(nu, 2, trials=300_000, seed=12)
-    assert big.value > 1.5 * small.value
-    first = moment(nu, 1, trials=100_000, seed=12)
-    oracle = 0.0
-    for k in range(60):
-        p = 0.75 * 4.0**-k
-        psi = 2.0**k
-        if psi <= 300:
-            s = np.linalg.svd(
-                [[math.exp(-1), math.exp(psi)], [0.0, 1.0]], compute_uv=False
-            )
-            v = max(math.log(s[0]), -math.log(s[1]))
-        else:
-            v = psi + 1.0  # ||g|| = |b| to machine precision; det = a
-        oracle += p * v
-    assert oracle == pytest.approx(2.554833305296073, abs=1e-12)
-    assert first.value == pytest.approx(oracle, abs=4 * first.stderr)
 
 
 # ---------------------------------------------------------------------------

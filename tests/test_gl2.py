@@ -254,6 +254,26 @@ def test_canonical_lift_vector_angle_equals_gap():
         assert gl2.line_angle(u2, x2) < 1e-12
 
 
+def test_splitting_helpers_take_arrays_pair_by_pair():
+    rng = np.random.default_rng(31)
+    a = rng.uniform(0, math.pi, (2, 300))
+    b = gl2.canon_line(a + rng.uniform(1e-3, math.pi / 2, (2, 300)))
+    x, y = gl2.splitting(a[0], b[0]), gl2.splitting(a[1], b[1])
+    lift_x = np.array(gl2.canonical_lift(x))
+    cost = gl2.transfer_cost_bounded(x, y)
+    for i in range(300):
+        xi = gl2.splitting(float(a[0, i]), float(b[0, i]))
+        yi = gl2.splitting(float(a[1, i]), float(b[1, i]))
+        assert tuple(lift_x[:, i]) == gl2.canonical_lift(xi)  # the same bits
+        assert gl2.gap_angle(x)[i] == gl2.gap_angle(xi)
+        # numpy may round a transcendental function differently on arrays
+        assert abs(cost[i] - gl2.transfer_cost_bounded(xi, yi)) <= 1e-14
+    with pytest.raises(DegenerateSplitting):
+        gl2.splitting([0.1, 0.2], [0.5, 0.2 + math.pi])  # the second pair is one line
+    with pytest.raises(DegenerateSplitting):
+        gl2.canonical_lift(SplittingPair(np.array([0.1, 0.2]), np.array([0.5, 0.2])))
+
+
 def test_eigen_matrix_fixture():
     m = gl2.eigen_matrix(SplittingPair(0.0, math.pi / 4), math.log(2.0), 0.0)
     np.testing.assert_allclose(m, [[2.0, -1.0], [0.0, 1.0]], atol=1e-14)

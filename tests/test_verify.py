@@ -5,11 +5,13 @@ corrupted svd2 must surface as a failure naming the broken invariant
 (negative control for the battery's sensitivity).
 """
 
+import ast
 import io
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,7 @@ def test_suite_names_and_membership():
     fast = [c.name for c in verify._suite("fast")]
     full = [c.name for c in verify._suite("all")]
     assert set(fast) < set(full)
-    assert len(fast) == len(set(fast))  # names are unique
+    assert len(full) == len(set(full))  # names are unique
     assert all("." in name for name in full)  # module-qualified
     with pytest.raises(ValueError):
         verify._suite("bogus")
@@ -28,14 +30,27 @@ def test_suite_names_and_membership():
         verify.run_suite("bogus")
 
 
-def test_fast_suite_passes():
+@pytest.fixture(scope="module")
+def fast_run():
+    # the healthy fast suite runs once; its results and printed report are shared
     out = io.StringIO()
     results = verify.run_suite("fast", out=out)
+    return results, out.getvalue()
+
+
+def test_fast_suite_passes(fast_run):
+    results, text = fast_run
     assert results and all(r.ok for r in results)
-    text = out.getvalue()
     assert f"{len(results)}/{len(results)} checks passed" in text
     for r in results:
-        assert f"PASS {r.name}" in text
+        assert f"PASS {r.name} ({r.seconds:.2f}s)" in text
+
+
+def test_results_report_timing_and_messages(fast_run):
+    results, _ = fast_run
+    for r in results:
+        assert r.seconds >= 0.0
+        assert r.message == ""
 
 
 def test_corrupted_svd2_is_a_named_failure(monkeypatch):
@@ -82,8 +97,13 @@ def test_battery_survives_python_optimize():
     assert any(name.startswith("gl2.svd") for name in corrupted_failures.split())
 
 
-def test_results_report_timing_and_messages():
-    results = verify.run_suite("fast", out=io.StringIO())
-    for r in results:
-        assert r.seconds >= 0.0
-        assert r.message == ""
+def test_src_has_no_assert_statements():
+    # python -O strips assert: the battery and the runtime contracts raise instead
+    src = Path(verify.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
