@@ -437,17 +437,20 @@ def angle_tail_report(samples, thresholds) -> AngleTailReport:
 # product bounds and the lag-discounted supremum
 
 
-def weierstrass_bounds(a) -> tuple[float, float, float]:
+def weierstrass_bounds(a):
     """(S/(1+S), 1 - prod(1 - a_n), S) for a_n in [0, 1], S = sum a_n.
 
-    The middle value is sandwiched: lower <= value <= min(upper, 1).  The
-    upper bound is returned unclipped.
+    Reduces over the last axis: a 1-D term list gives three floats, an
+    (m, n) array three length-m arrays, one triple per row.  The middle
+    value is sandwiched: lower <= value <= min(upper, 1).  The upper bound
+    is returned unclipped.
     """
     arr = np.asarray(a, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # nan fails too
         raise BadTerm("terms must lie in [0, 1]")
-    s = float(arr.sum())
-    return (s / (1.0 + s), float(1.0 - np.prod(1.0 - arr)), s)
+    s = arr.sum(axis=-1)
+    out = (s / (1.0 + s), 1.0 - np.prod(1.0 - arr, axis=-1), s)
+    return tuple(map(float, out)) if arr.ndim == 1 else out
 
 
 def lag_discounted_sup(values, upper_bound: float) -> float:

@@ -23,7 +23,6 @@ every check that depends on it.  They fail through ``_expect``, never
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import time
@@ -362,8 +361,10 @@ def _product_bounds():
     pool = rng.uniform(0.0, 1.0, int(lengths.sum()))
     pool[rng.random(pool.size) < 0.01] = 0.0
     pool[rng.random(pool.size) < 0.01] = 1.0
-    terms = np.split(pool, np.cumsum(lengths)[:-1])
-    lo, value, up = np.array([estimation.weierstrass_bounds(t) for t in terms]).T
+    # each row holds one term list, zero-padded to 8: zeros change neither S nor the product
+    terms = np.zeros((lengths.size, 8))
+    terms[np.arange(8) < lengths[:, None]] = pool
+    lo, value, up = estimation.weierstrass_bounds(terms)
     _expect(np.all(lo <= value + 1e-12), "S/(1+S) above 1 - prod(1 - a)")
     _expect(np.all(value <= np.minimum(up, 1.0) + 1e-12), "1 - prod(1 - a) above min(S, 1)")
 
@@ -388,35 +389,6 @@ def _drift_supremum():
 
 # ---------------------------------------------------------------------------
 # towers
-
-
-@_check("skyscraper.kac_masses_normalize")
-def _kac_normalizes():
-    rng = np.random.default_rng(FAST_SEED + 8)
-    for _ in range(20):
-        # height 1 keeps the support's gcd at 1 whatever else is drawn
-        ks = np.unique(np.concatenate([[1], rng.integers(2, 30, rng.integers(1, 6))]))
-        p = rng.dirichlet(np.ones(len(ks)))
-        tower = skyscraper.TowerVector(dict(zip((int(k) for k in ks), p)))
-        base = skyscraper.kac_base_measures(tower)
-        total = math.fsum(k * m for k, m in base.items())
-        _expect(abs(total - 1.0) <= 1e-12)
-        for k, m in base.items():
-            _expect(abs(m * k - tower.entries[k]) <= 1e-12)
-
-
-@_check("skyscraper.labels_move_one_floor_at_a_time")
-def _labels_lipschitz():
-    p = (0.75, 0.2, 0.05)
-    tower = skyscraper.bounded_tower_vector(p)
-    heights, levels = skyscraper.renewal_trajectory(tower, 100000, seed=FAST_SEED)
-    labels = skyscraper.trajectory_labels(heights, levels)
-    _expect(int(np.abs(np.diff(labels)).max()) <= 1)
-    want = skyscraper.label_measures(p)
-    for lab, mass in want.items():
-        freq = float((labels == lab).mean())
-        se = math.sqrt(mass * (1.0 - mass) / labels.size)
-        _expect(abs(freq - mass) < 6.0 * se + 1e-6, f"label {lab} occupancy off")
 
 
 @_check("skyscraper.bounded_vectors_step_down")
@@ -460,6 +432,8 @@ def _tower_occupancy():
     for tower in towers:
         base = skyscraper.kac_base_measures(tower)
         _expect(abs(math.fsum(k * m for k, m in base.items()) - 1.0) <= 1e-12, "Kac sum")
+        for k, m in base.items():
+            _expect(abs(k * m - tower.entries[k]) <= 1e-12, f"tower {k} base mass {m}")
     pi = towers[0]
     heights, _ = skyscraper.renewal_trajectory(pi, 1_000_000, seed=17)
     for k, mass in pi.entries.items():
@@ -476,6 +450,9 @@ def _label_occupancy():
     labels = skyscraper.trajectory_labels(heights, levels)
     _expect(np.array_equal(labels, np.minimum(levels, heights - 1 - levels)), "label table")
     p = (0.75, 0.2, 0.05)
+    want = skyscraper.label_measures(p)
+    _expect(list(want) == [0, 1, 2], f"labels {list(want)}")
+    _expect(all(abs(want[n] - mass) <= 1e-12 for n, mass in enumerate(p)), f"label law {want}")
     pi = skyscraper.bounded_tower_vector(p)
     _expect(sorted(pi.entries) == [1, 4, 6], f"heights {sorted(pi.entries)}")
     lab = skyscraper.trajectory_labels(*skyscraper.renewal_trajectory(pi, 1_000_000, seed=18))
@@ -569,18 +546,6 @@ def _chain_contracts():
         _expect(abs(per[n] - piece.weight) <= 1e-12)
 
 
-# seed and cost bound of each mode's million-step run
-_LONG_RUNS = {"bounded": (101, {"budget": 0.5}), "lowcost": (102, {"epsilon": 0.1})}
-
-
-@functools.lru_cache(maxsize=None)
-def _long_window(mode: str) -> cocycle.OrbitWindow:
-    """The million-step construction of _FOUR_CELL in mode, built on first
-    use and shared by criteria 03, 09 and 10."""
-    seed, bound = _LONG_RUNS[mode]
-    return flexible.simulate_flexible(_FOUR_CELL, 0.5, -0.5, mode, 1_000_000, seed=seed, **bound)
-
-
 def _expect_prescribed_law(w, mode: str, tv_tol: float) -> None:
     """Closed-loop verification of a _FOUR_CELL window at rates (0.5, -0.5)."""
     rep = flexible.verify_flexible(w, _FOUR_CELL, 0.5, -0.5, mode=mode)
@@ -588,6 +553,13 @@ def _expect_prescribed_law(w, mode: str, tv_tol: float) -> None:
     _expect(abs(rep.lambda_hat[1] + 0.5) < 0.05, f"bottom exponent {rep.lambda_hat[1]}")
     _expect(rep.tv_distance < tv_tol, f"tv distance {rep.tv_distance}")
     _expect(rep.agreement_fraction >= 0.99, f"agreement {rep.agreement_fraction}")
+
+
+def _expect_drift_bound(g, a1, a2) -> None:
+    """Criterion 03's one-step angle-drift bound at every step of an orbit."""
+    lhs, rhs = gl2.angle_drift_gap(g, a1, a2)
+    worst = float((rhs - lhs).min())
+    _expect(worst >= -1e-9, f"a step beats the drift bound by {-worst}")
 
 
 def _bounded_run(w, tv_tol):
@@ -608,7 +580,11 @@ def _bounded_run_fast():
 # criterion 09
 @_check("flexible.bounded_run_hits_long_tolerances", fast=False, budget_s=300.0)
 def _bounded_run_long():
-    _bounded_run(_long_window("bounded"), 0.02)
+    w = flexible.simulate_flexible(
+        _FOUR_CELL, 0.5, -0.5, "bounded", 1_000_000, seed=101, budget=0.5
+    )
+    _bounded_run(w, 0.02)
+    _expect_drift_bound(w.matrices, *w.prescribed_f.T)
 
 
 @_check("flexible.prescribed_lines_are_carried")
@@ -643,19 +619,17 @@ def _lowcost_run_fast():
 # criterion 10
 @_check("flexible.lowcost_run_hits_long_tolerances", fast=False, budget_s=300.0)
 def _lowcost_run_long():
-    w = _long_window("lowcost")
+    w = flexible.simulate_flexible(
+        _FOUR_CELL, 0.5, -0.5, "lowcost", 1_000_000, seed=102, epsilon=0.1
+    )
     _lowcost_mean_cost(w, 0.1, (40, 50))
     _expect_prescribed_law(w, "lowcost", 0.02)
+    _expect_drift_bound(w.matrices, *w.prescribed_f.T)
 
 
-# criterion 03
+# criterion 03 (with 09 and 10, which check it along their million-step windows)
 @_check("gl2.angle_drift_bound_on_every_orbit", fast=False)
 def _orbit_drift_bound():
-    # the one-step bound along both million-step constructions and two i.i.d. orbits
-    worst = math.inf
-    for w in (_long_window("bounded"), _long_window("lowcost")):
-        lhs, rhs = gl2.angle_drift_gap(w.matrices, w.prescribed_f[:, 0], w.prescribed_f[:, 1])
-        worst = min(worst, float((rhs - lhs).min()))
     rng = np.random.default_rng(13)
     iid_laws = (
         cocycle.rotgain_distribution(scalars.uniform(0.0, math.pi), scalars.uniform(-1.0, 1.0)),
@@ -665,9 +639,7 @@ def _orbit_drift_bound():
         w = cocycle.sample_onestep(nu, 50_000, seed=seed)
         a1 = rng.uniform(0.0, math.pi, len(w.matrices))
         a2 = gl2.canon_line(a1 + rng.uniform(0.01, math.pi / 2, len(w.matrices)))
-        lhs, rhs = gl2.angle_drift_gap(w.matrices, a1, a2)
-        worst = min(worst, float((rhs - lhs).min()))
-    _expect(worst >= -1e-9, f"a step beats the drift bound by {-worst}")
+        _expect_drift_bound(w.matrices, a1, a2)
 
 
 @_check("flexible.atom_construction_is_exact")

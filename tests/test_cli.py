@@ -480,10 +480,15 @@ def test_help_exits_zero(capsys):
 # verify subcommand
 
 
-def test_verify_subcommand_runs_fast_suite(capsys):
+def test_verify_subcommand_runs_fast_suite(stub_checks, capsys):
     assert cli.main(["verify", "fast"]) == 0
     out = capsys.readouterr().out
-    assert "checks passed" in out and "FAIL" not in out
+    assert "1/1 checks passed" in out and "FAIL" not in out
+
+
+def test_verify_exits_one_when_a_check_fails(stub_checks, capsys):
+    assert cli.main(["verify", "all"]) == 1
+    assert "FAIL stub.fails" in capsys.readouterr().out
 
 
 def test_verify_rejects_unknown_suite():

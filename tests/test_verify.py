@@ -1,13 +1,14 @@
 """Tests for the named invariant battery.
 
-Oracles: the battery itself must pass on a healthy tree; a deliberately
-corrupted svd2 must surface as a failure naming the broken invariant
-(negative control for the battery's sensitivity).
+Oracles: stub checks for the runner's report; the healthy fast suite under
+python -O; a corrupted svd2 must fail by name (negative control for the
+battery's sensitivity); README's criterion table against the registrations.
 """
 
 import ast
 import io
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -30,27 +31,25 @@ def test_suite_names_and_membership():
         verify.run_suite("bogus")
 
 
-@pytest.fixture(scope="module")
-def fast_run():
-    # the healthy fast suite runs once; its results and printed report are shared
+@pytest.fixture
+def stub_run(stub_checks):
     out = io.StringIO()
-    results = verify.run_suite("fast", out=out)
-    return results, out.getvalue()
+    return verify.run_suite("all", out=out), out.getvalue()
 
 
-def test_fast_suite_passes(fast_run):
-    results, text = fast_run
-    assert results and all(r.ok for r in results)
-    assert f"{len(results)}/{len(results)} checks passed" in text
-    for r in results:
-        assert f"PASS {r.name} ({r.seconds:.2f}s)" in text
+def test_fast_suite_passes(stub_run):
+    (ok, bad), text = stub_run
+    assert text.splitlines() == [
+        f"PASS stub.passes ({ok.seconds:.2f}s)",
+        f"FAIL stub.fails ({bad.seconds:.2f}s): AssertionError: on purpose",
+        "1/2 checks passed",
+    ]
 
 
-def test_results_report_timing_and_messages(fast_run):
-    results, _ = fast_run
-    for r in results:
-        assert r.seconds >= 0.0
-        assert r.message == ""
+def test_results_report_timing_and_messages(stub_run):
+    results, _ = stub_run
+    assert all(r.seconds >= 0.0 for r in results)
+    assert [r.message for r in results] == ["", "AssertionError: on purpose"]
 
 
 def test_corrupted_svd2_is_a_named_failure(monkeypatch):
@@ -85,7 +84,8 @@ def test_battery_survives_python_optimize():
             return sv._replace(left=gl2.canon_line(sv.left + 0.4))
 
         gl2.svd2 = corrupted
-        print(" ".join(r.name for r in verify.run_suite("fast", out=io.StringIO()) if not r.ok))
+        svd_checks = [c for c in verify._suite("fast") if c.name.startswith("gl2.svd")]
+        print(" ".join(r.name for r in map(verify.run_check, svd_checks) if not r.ok))
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
@@ -107,3 +107,24 @@ def test_src_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_readme_criterion_table_matches_registrations():
+    # each table row: number | criterion | checks | budget(s) | fast
+    registered = {(c.name, c.budget_s, c.fast) for c in verify._suite("all")}
+    rows = {}
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and re.fullmatch(r"\d\d", cells[0]):
+            names = re.findall(r"`([^`]+)`", cells[2])
+            budgets = [float(b) for b in re.findall(r"([\d.]+) s\b", cells[3])]
+            assert names and len(budgets) == len(names) and cells[4] in ("yes", "no"), line
+            for name, budget in zip(names, budgets):
+                assert (name, budget, cells[4] == "yes") in registered, line
+            rows[cells[0]] = names
+    assert sorted(rows) == [f"{n:02d}" for n in range(1, 14)]
+    # each `# criterion NN` comment marks a check that its table row names
+    source = Path(verify.__file__).read_text()
+    marked = re.findall(r"# criterion (\d\d)\b.*\n@_check\(\"([^\"]+)\"", source)
+    assert sorted(number for number, _ in marked) == sorted(rows)
+    assert all(name in rows[number] for number, name in marked), marked
