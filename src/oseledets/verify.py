@@ -546,13 +546,14 @@ def _chain_contracts():
         _expect(abs(per[n] - piece.weight) <= 1e-12)
 
 
-def _expect_prescribed_law(w, mode: str, tv_tol: float) -> None:
-    """Closed-loop verification of a _FOUR_CELL window at rates (0.5, -0.5)."""
+def _expect_prescribed_law(w, mode: str, tv_tol: float):
+    """Closed-loop check of a _FOUR_CELL window at rates (0.5, -0.5); returns the report."""
     rep = flexible.verify_flexible(w, _FOUR_CELL, 0.5, -0.5, mode=mode)
     _expect(abs(rep.lambda_hat[0] - 0.5) < 0.05, f"top exponent {rep.lambda_hat[0]}")
     _expect(abs(rep.lambda_hat[1] + 0.5) < 0.05, f"bottom exponent {rep.lambda_hat[1]}")
     _expect(rep.tv_distance < tv_tol, f"tv distance {rep.tv_distance}")
     _expect(rep.agreement_fraction >= 0.99, f"agreement {rep.agreement_fraction}")
+    return rep
 
 
 def _expect_drift_bound(g, a1, a2) -> None:
@@ -563,10 +564,9 @@ def _expect_drift_bound(g, a1, a2) -> None:
 
 
 def _bounded_run(w, tv_tol):
-    costs = flexible.step_costs(w, "bounded", 0.5, -0.5)
-    _expect(float(costs.max()) < 0.5, "per-step budget is a hard bound")
+    rep = _expect_prescribed_law(w, "bounded", tv_tol)
+    _expect(rep.max_cost < 0.5, "per-step budget is a hard bound")
     _expect(int(np.abs(np.diff(w.labels)).max()) <= 1)
-    _expect_prescribed_law(w, "bounded", tv_tol)
 
 
 @_check("flexible.bounded_steps_stay_in_budget")

@@ -675,16 +675,6 @@ def test_report_serialization():
     assert len(csv.splitlines()) == 3
 
 
-def test_verdicts_counterexample_vs_control():
-    vce = triangular_gap_neglog_samples(
-        build_counterexample_cocycle(), trials=20_000, depth=512, seed=5
-    )
-    assert angle_tail_report_neglog(vce, [4.0, 64.0]).verdict == "growing"
-    ctrl = cocycle.rotgain_distribution(scalars.uniform(0, 2 * math.pi), scalars.constant(1.0))
-    ath = oseledets_angle_samples(ctrl, trials=20_000, depth=12, seed=6)
-    assert angle_tail_report(ath, [4.0, 64.0]).verdict == "converging"
-
-
 # ---------------------------------------------------------------------------
 # product bounds and the lag-discounted supremum
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from datetime import timedelta
 
@@ -591,6 +592,66 @@ def test_simulate_deterministic_in_seed():
     assert np.array_equal(a.prescribed_f, b.prescribed_f)
     assert np.array_equal(a.labels, b.labels)
     assert not np.array_equal(a.matrices, c.matrices)
+
+
+MODE_BOUNDS = {"bounded": {"budget": 0.5}, "lowcost": {"epsilon": 0.1}}
+
+
+@pytest.mark.parametrize("mode", ["bounded", "lowcost"])
+def test_step_blocks_do_not_change_window_or_report(monkeypatch, mode):
+    # 2000 steps are no multiple of 3; a block above 2000 is one pass
+    def run(block):
+        monkeypatch.setattr(fx, "STEP_BLOCK", block)
+        w = simulate_flexible(FOUR_CELL, 0.5, -0.5, mode, 2000, seed=21, **MODE_BOUNDS[mode])
+        return w, verify_flexible(w, FOUR_CELL, 0.5, -0.5, mode=mode)
+
+    whole, whole_rep = run(2001)
+    for block in (1, 3):
+        w, rep = run(block)
+        assert np.array_equal(w.matrices, whole.matrices)
+        assert np.array_equal(w.prescribed_f, whole.prescribed_f)
+        assert np.array_equal(w.labels, whole.labels)
+        assert rep.to_obj() == whole_rep.to_obj()
+        assert rep.to_csv() == whole_rep.to_csv()
+
+
+@pytest.mark.parametrize("edge", [3, 1000])
+def test_budget_breach_in_one_block_is_a_contract_violation(monkeypatch, edge):
+    # blocks of 3 steps: the gap angle jumps only from splitting edge - 1 to
+    # edge, which only the first block (steps 0-2 read splittings 0-3) or
+    # only the last block (step 999 reads splittings 999-1000) sees
+    monkeypatch.setattr(fx, "STEP_BLOCK", 3)
+    real = fx._draw_cells
+
+    def jump_once(cells, idx, rng):
+        alpha, theta = real(cells, idx, rng)
+        theta[:edge], theta[edge:] = 0.3, 1.4  # log-sin gap apart by 1.47
+        return alpha, theta
+
+    monkeypatch.setattr(fx, "_draw_cells", jump_once)
+    with pytest.raises(skyscraper.ContractViolation, match="budget exceeded"):
+        simulate_flexible(FOUR_CELL, 0.5, -0.5, "bounded", 1000, seed=22, budget=0.5)
+
+
+def test_flexible_peak_is_the_kept_window_plus_blocks():
+    # tracemalloc counts numpy's buffers; a small run first keeps lazy
+    # imports out of the count
+    steps = 200_000
+    bound = MODE_BOUNDS["lowcost"]
+    small = simulate_flexible(FOUR_CELL, 0.5, -0.5, "lowcost", 2000, seed=23, **bound)
+    verify_flexible(small, FOUR_CELL, 0.5, -0.5, mode="lowcost")
+    tracemalloc.start()
+    try:
+        w = simulate_flexible(FOUR_CELL, 0.5, -0.5, "lowcost", steps, seed=23, **bound)
+        verify_flexible(w, FOUR_CELL, 0.5, -0.5, mode="lowcost")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = w.matrices.nbytes + w.prescribed_f.nbytes + w.labels.nbytes
+    # besides the window: 32 bytes per step (the drawn alpha and theta while
+    # building; the exponent estimate's product tree, or the gap angles, step
+    # costs and one difference, while verifying) and 2 MB of per-block arrays
+    assert peak < kept + 4 * 8 * steps + 2e6, (peak, kept)
 
 
 def test_lowcost_draws_do_not_read_uninitialised_memory(monkeypatch):
