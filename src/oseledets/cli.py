@@ -185,6 +185,8 @@ def cmd_flexible(args) -> int:
             eta, r1, r2, args.mode, args.steps, args.seed,
             budget=args.budget, epsilon=args.epsilon,
         )
+    except flexible.BuildTooLarge as err:
+        raise _UsageError(str(err)) from None
     except flexible.UnboundedGap as err:
         print(f"infeasible: {err}", file=sys.stderr)
         if err.witness is not None:

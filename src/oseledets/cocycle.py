@@ -71,11 +71,13 @@ class MatrixDistribution:
             if len(self.matrices) == 0 or len(self.matrices) != len(self.weights):
                 raise ValueError("atoms need matching matrix and weight lists")
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("atom weights must be nonnegative and sum to 1")
-            for m in self.matrices:
-                if abs(gl2.det2(np.asarray(m, dtype=float))) <= gl2.DET_FLOOR:
-                    raise gl2.NotInvertible("atom matrix is singular")
+            if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+                raise ValueError("atom weights must be finite, nonnegative and sum to 1")
+            mats = np.asarray(self.matrices, dtype=float)
+            if not np.all(np.isfinite(mats)):
+                raise ValueError("atom matrix entries must be finite")
+            if np.any(np.abs(gl2.det2(mats)) <= gl2.DET_FLOOR):
+                raise gl2.NotInvertible("atom matrix is singular")
         elif self.kind == "triangular":
             if self.a is None or self.b is None:
                 raise ValueError("triangular kind needs scalar laws a and b")

@@ -69,9 +69,20 @@ CSV_ROWS = 1 << 16  # rows per chunk in ConstructionReport.to_csv, bounding its 
 # 2^10 and 0.65 s in one block (best of 5, 2-core x86); largest array 256 KiB
 STEP_BLOCK = 1 << 13
 
+# a build may need at most max(steps, 2^20) / skyscraper.OVERDRAW_TOWERS
+# (16) lowcost tower levels or bounded gap-angle bands, so what it allocates
+# stays a small multiple of the window (or of 2^20 steps), however small
+# the budget or epsilon
+SIZE_FLOOR = 1 << 20
+
 
 class BadEtaSpec(ValueError):
     """Mixture weights or rectangle bounds violate the domain invariants."""
+
+
+class BuildTooLarge(ValueError):
+    """The budget or epsilon is so small that the build needs more gap-angle
+    bands, or tower levels, than a window of its length affords (SIZE_FLOOR)."""
 
 
 class UnboundedGap(ValueError):
@@ -180,6 +191,13 @@ def atom_cell(alpha, theta) -> Cell:
     return Cell(alpha, alpha, theta, theta)
 
 
+class Piece(NamedTuple):
+    """One mixture component."""
+
+    weight: float
+    cell: Cell
+
+
 @dataclass(frozen=True)
 class TailRule:
     """Geometric continuation of a mixture: extra piece j = 0, 1, 2, ... has
@@ -206,11 +224,11 @@ class TailRule:
     def total_mass(self) -> float:
         return self.first_weight / (1.0 - self.weight_ratio)
 
-    def expand(self, residual: float = TAIL_RESIDUAL) -> list[tuple[float, Cell]]:
+    def expand(self, residual: float = TAIL_RESIDUAL) -> list[Piece]:
         """Truncate once the undistributed mass certifiably drops below
         ``residual``; that remainder is folded into the last retained piece
         so the expansion carries exactly total_mass."""
-        out: list[tuple[float, Cell]] = []
+        out: list[Piece] = []
         w = self.first_weight
         scale = 1.0
         remaining = self.total_mass
@@ -223,9 +241,9 @@ class TailRule:
                 self.cell.theta_hi * scale,
             )
             if remaining < residual:
-                out.append((w + remaining, cell))
+                out.append(Piece(w + remaining, cell))
                 return out
-            out.append((w, cell))
+            out.append(Piece(w, cell))
             w *= self.weight_ratio
             scale *= self.theta_ratio
 
@@ -249,23 +267,21 @@ class TailRule:
 
 @dataclass(frozen=True)
 class EtaSpec:
-    """Mixture of uniform rectangle laws: pieces (weight, Cell), plus an
-    optional TailRule; all weights (tail included) must sum to 1."""
+    """Mixture of uniform rectangle laws: Pieces (weight, Cell), given as
+    any (weight, Cell) pairs, plus an optional TailRule; all weights (tail
+    included) must sum to 1."""
 
     pieces: tuple
     tail_rule: TailRule | None = None
 
     def __post_init__(self):
-        norm = []
-        for entry in self.pieces:
-            w, cell = entry
-            w = float(w)
+        pieces = tuple(Piece(float(w), cell) for w, cell in self.pieces)
+        for w, cell in pieces:
             if not math.isfinite(w) or w < 0.0:
                 raise BadEtaSpec(f"piece weight {w!r} must be finite and >= 0")
             if not isinstance(cell, Cell):
-                cell = Cell.from_obj(cell) if isinstance(cell, dict) else Cell(*cell)
-            norm.append((w, cell))
-        object.__setattr__(self, "pieces", tuple(norm))
+                raise BadEtaSpec(f"piece cell {cell!r} is not a Cell")
+        object.__setattr__(self, "pieces", pieces)
         total = math.fsum(w for w, _ in self.pieces)
         if self.tail_rule is not None:
             total += self.tail_rule.total_mass
@@ -287,22 +303,13 @@ class EtaSpec:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "EtaSpec":
-        pieces = [
-            (float(p["weight"]), Cell.from_obj(p["cell"])) for p in obj["pieces"]
-        ]
+        pieces = tuple((p["weight"], Cell.from_obj(p["cell"])) for p in obj["pieces"])
         tail = obj.get("tail_rule")
-        return cls(tuple(pieces), TailRule.from_obj(tail) if tail else None)
+        return cls(pieces, TailRule.from_obj(tail) if tail else None)
 
     @classmethod
     def from_json(cls, text: str) -> "EtaSpec":
         return cls.from_obj(json.loads(text))
-
-
-class Piece(NamedTuple):
-    """One mixture component."""
-
-    weight: float
-    cell: Cell
 
 
 def decompose_eta(eta: EtaSpec) -> list[Piece]:
@@ -312,16 +319,13 @@ def decompose_eta(eta: EtaSpec) -> list[Piece]:
     below 1e-12, folded into its last piece); zero-mass pieces are dropped
     with a warning.  Order is exactly: explicit pieces, then tail pieces.
     """
-    flat: list[tuple[float, Cell]] = list(eta.pieces)
+    flat = list(eta.pieces)
     if eta.tail_rule is not None:
         flat.extend(eta.tail_rule.expand())
-    kept: list[Piece] = []
-    for idx, (w, cell) in enumerate(flat):
-        if w <= 0.0:
+    for idx, piece in enumerate(flat):
+        if piece.weight <= 0.0:
             warnings.warn(f"dropping zero-mass mixture piece {idx}")
-            continue
-        kept.append(Piece(w, cell))
-    return kept
+    return [piece for piece in flat if piece.weight > 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,40 +466,6 @@ def march_chain(pieces: list[Piece], b: float) -> list[SubCell]:
 
 
 # ---------------------------------------------------------------------------
-# prescribed log-gains
-
-
-@dataclass(frozen=True)
-class PsiPair:
-    """Log-gain pair psi_j = c_j * beta.
-
-    beta is a continuous bump equal to 1 on every mixture cell, ramping
-    linearly to 0 over a gap-angle collar of width theta_lo / 2 below and
-    above each cell, so its support stays away from collinear splittings.
-    Because beta is 1 across the mixture's support, the mixture integral of
-    psi_j is exactly c_j.
-    """
-
-    c1: float
-    c2: float
-    cells: tuple
-
-    def beta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape)
-        for cell in self.cells:
-            collar = cell.theta_lo / 2.0
-            rise = (theta - collar) / collar
-            fall = (cell.theta_hi + collar - theta) / collar
-            out = np.maximum(out, np.clip(np.minimum(rise, fall), 0.0, 1.0))
-        return out
-
-    def at(self, alpha, theta):
-        b = self.beta(theta)
-        return self.c1 * b, self.c2 * b
-
-
-# ---------------------------------------------------------------------------
 # travel costs
 
 
@@ -552,7 +522,7 @@ def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float, theta=None)
     if theta is None:
         theta = gl2.line_angle(x1, window.prescribed_f[:, 1])
     if mode == "bounded":
-        return np.abs(np.diff(_u_of_theta(theta)))
+        return gl2.transfer_cost_bounded(theta[:-1], theta[1:])
     if mode == "lowcost":
         changed = (np.diff(x1) != 0.0) | (np.diff(theta) != 0.0)
         out = np.zeros(len(x1) - 1)
@@ -596,10 +566,10 @@ def simulate_flexible(
 
     A stationary skyscraper trajectory schedules which mixture component
     the splitting f occupies at each time.  Each matrix composes the
-    eigen-matrix of f with log-eigenvalues psi(f) and the unit-frame map
-    from f's canonical lift to its successor's, so f is carried exactly onto
-    its shift with log-gains (r1, r2) and the exponents/directions are known
-    in advance.
+    eigen-matrix of f with the constant log-eigenvalues (r1, r2) / (total
+    weight) and the unit-frame map from f's canonical lift to its
+    successor's, so f is carried exactly onto its shift with log-gains
+    (r1, r2) and the exponents/directions are known in advance.
 
     mode "bounded" (keyword budget): chain the mixture by march_chain,
     refine the chain masses into label occupancies, and draw f fresh each
@@ -610,7 +580,8 @@ def simulate_flexible(
     satisfies 2 C_n / k_n < epsilon (a lone piece that needs k > 1 takes
     heights k and k + 1, for gcd 1), and hold f constant up each tower;
     travel is paid only at tower changes, so the mean step cost is below
-    epsilon (statistical).
+    epsilon (statistical).  Either mode raises BuildTooLarge before it
+    allocates more than max(steps, SIZE_FLOOR) / 16 bands or tower levels.
 
     prescribed_f[i] is (x1, x2) line angles at time offset + i; labels[i]
     is the tower label (bounded) or the piece index (lowcost); the window
@@ -621,14 +592,20 @@ def simulate_flexible(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     pieces = decompose_eta(eta)
-    # beta is 1 on every cell, so the mixture integral of beta is the total weight
-    integral = math.fsum(p.weight for p in pieces)
-    psi = PsiPair(float(r1) / integral, float(r2) / integral, tuple(p.cell for p in pieces))
+    # every splitting is drawn inside a mixture cell, where the log-gains are
+    # the constants r_j / (total weight), so their mixture averages are r_j
+    total = math.fsum(p.weight for p in pieces)
+    gains = np.exp([float(r1) / total, float(r2) / total])
+    size_limit = max(steps, SIZE_FLOOR) // skyscraper.OVERDRAW_TOWERS
     rng = np.random.default_rng(seed)
 
     if mode == "bounded":
         if budget is None or not budget > 0.0:
             raise ValueError("bounded mode needs a positive budget")
+        # march_chain cuts the u-axis into at least span / (SLICE_SPAN_FRACTION b) bands
+        span = max(p.cell.u_hi for p in pieces) - min(p.cell.u_lo for p in pieces)
+        if span > size_limit * SLICE_SPAN_FRACTION * budget:
+            raise BuildTooLarge(f"budget {budget!r} cuts over {size_limit} gap-angle bands")
         chain = march_chain(pieces, budget)
         values, owners = skyscraper.refine_weights([c.mass for c in chain])
         pi = skyscraper.bounded_tower_vector(values)
@@ -641,6 +618,9 @@ def simulate_flexible(
         if epsilon is None or not epsilon > 0.0:
             raise ValueError("lowcost mode needs a positive epsilon")
         caps = piece_cost_caps(pieces, r1, r2)
+        # the costliest piece's tower is at least 2 C / epsilon + 1 high
+        if 2.0 * caps[-1] >= size_limit * epsilon:
+            raise BuildTooLarge(f"epsilon {epsilon!r} needs a tower of over {size_limit} levels")
         weights = [p.weight for p in pieces]
         if len(pieces) == 1:
             # a lone tower has gcd 1 only at height 1; past that the piece
@@ -676,11 +656,9 @@ def simulate_flexible(
         # canonical-lift frames: theta <= pi/2 makes (alpha, alpha + theta)
         # the lift outright, no flip needed
         frames = gl2._unit_columns(a, a + t)
-        p1, p2 = psi.at(a[:-1], t[:-1])
-        # F = frames[1:] diag(e^p1, e^p2) frames[:-1]^-1: the diagonal scales rows
+        # F = frames[1:] diag(gains) frames[:-1]^-1: the diagonal scales rows
         mats = gl2.inv2(frames[:-1])
-        mats[:, 0] *= np.exp(p1)[:, None]
-        mats[:, 1] *= np.exp(p2)[:, None]
+        mats *= gains[:, None]
         mats = np.matmul(frames[1:], mats, out=matrices[lo:hi])
 
         # hard contracts: the cocycle carries each prescribed line to its
@@ -689,7 +667,7 @@ def simulate_flexible(
             miss = gl2.line_angle(gl2.projective_action(mats, angles[:-1]), angles[1:])
             ensure(np.all(miss < COVARIANCE_TOL), "prescribed line not carried")
         if mode == "bounded":
-            moves = np.abs(np.diff(_u_of_theta(t)))
+            moves = gl2.transfer_cost_bounded(t[:-1], t[1:])
             ensure(np.all(moves < budget), "budget exceeded along the window")
 
         prescribed[lo:hi, 0] = gl2.canon_line(a[:-1])

@@ -291,13 +291,17 @@ def eigen_matrix(x: SplittingPair, log_eig1: float, log_eig2: float) -> np.ndarr
     return p @ d @ inv2(p)
 
 
-def transfer_cost_bounded(x: SplittingPair, y: SplittingPair) -> np.ndarray:
+def transfer_cost_bounded(theta, theta_prime) -> np.ndarray:
     """Symmetric travel cost: |log sin(theta'/2) - log sin(theta/2)|.
 
-    theta and theta' are the gap angles of x and y.  Vanishes iff the gaps
-    agree; equals log_norm_max of the canonical pair-to-pair map.
+    theta and theta' are the gap angles (each in (0, pi/2]) of a splitting
+    and of its successor.  Vanishes iff the gaps agree; equals log_norm_max
+    of the canonical pair-to-pair map.  Array-generic in the gap angles,
+    like transfer_cost_general.
     """
-    return np.abs(np.log(np.sin(gap_angle(y) / 2.0)) - np.log(np.sin(gap_angle(x) / 2.0)))
+    theta = np.asarray(theta, dtype=float)
+    theta_prime = np.asarray(theta_prime, dtype=float)
+    return np.abs(np.log(np.sin(theta_prime / 2.0)) - np.log(np.sin(theta / 2.0)))
 
 
 def transfer_cost_general(theta, theta_prime, psi1: float, psi2: float) -> np.ndarray:

@@ -63,6 +63,9 @@ class ScalarDist:
     _cum: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        params = (*self.values, *self.weights, self.lo, self.hi, self.rate, self.scale, self.shift)
+        if not all(map(math.isfinite, params)):
+            raise BadTerm("scalar law parameters must be finite")
         if self.kind == "atoms":
             w = np.asarray(self.weights, dtype=float)
             if len(w) == 0 or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:

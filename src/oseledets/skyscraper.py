@@ -33,6 +33,10 @@ MASS_TOL = 1e-12
 # fold the residual into the last retained piece.
 FOLD_TOL = 1e-9
 
+# renewal_trajectory draws this many towers beyond its estimate whenever the
+# walk runs short, so the tallest tower can cost this many times its height
+OVERDRAW_TOWERS = 16
+
 
 class BadTowerVector(ValueError):
     """Tower masses violate positivity, unit mass, or the gcd-1 condition."""
@@ -116,7 +120,7 @@ def renewal_trajectory(pi: TowerVector, steps: int, seed=0) -> tuple[np.ndarray,
     ls = [np.arange(i0, k0, dtype=np.int64)]
     total = k0 - i0
     while total < steps:
-        m = int((steps - total) / mean_return * 1.2) + 16
+        m = int((steps - total) / mean_return * 1.2) + OVERDRAW_TOWERS
         draw = rng.choice(ks, p=q, size=m)
         hs.append(np.repeat(draw, draw))
         csum = np.cumsum(draw)

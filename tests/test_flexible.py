@@ -33,7 +33,6 @@ from oseledets.flexible import (
     TailRule,
     UnboundedGap,
     atom_cell,
-    PsiPair,
     budget_fit_check,
     decompose_eta,
     march_chain,
@@ -107,6 +106,9 @@ def test_eta_spec_validation():
         EtaSpec(pieces=((0.5, atom_cell(0.3, 0.4)),))  # mass 0.5, not 1
     with pytest.raises(BadEtaSpec):
         EtaSpec(pieces=((1.0, atom_cell(0.3, 0.4)), (-0.1, atom_cell(0.5, 0.6))))
+    with pytest.raises(BadEtaSpec):
+        EtaSpec(pieces=((1.0, (0.3, 0.3, 0.4, 0.4)),))  # a cell must be a Cell
+    assert all(isinstance(p, fx.Piece) for p in TWO_CELL.pieces)
 
 
 def test_eta_spec_json_round_trip():
@@ -385,92 +387,29 @@ def test_march_chain_property(case):
 # log-gains
 
 
-def build_psi_pair(eta, r1, r2):
-    """The log-gains simulate_flexible prescribes, built on their own: beta is
-    1 on every cell, so c_j = r_j / (total weight) gives mixture averages r_j."""
-    if not r1 >= r2:
-        raise ValueError("need r1 >= r2")
-    pieces = decompose_eta(eta)
-    total = math.fsum(p.weight for p in pieces)
-    return PsiPair(r1 / total, r2 / total, tuple(p.cell for p in pieces))
-
-
-def test_psi_is_exactly_r_on_cells():
-    psi = build_psi_pair(TWO_CELL, 0.5, -0.25)
-    rng = np.random.default_rng(1)
-    for w, cell in TWO_CELL.pieces:
-        alpha, theta = cell.sample(rng, 500)
-        p1, p2 = psi.at(alpha, theta)
-        assert np.all(p1 == 0.5) and np.all(p2 == -0.25)
-
-
-def test_psi_collar_ramp_and_support():
-    psi = build_psi_pair(ATOM, 1.0, -1.0)
-    t0 = math.pi / 3
-    assert psi.beta(t0 / 2.0) == 0.0  # collar's outer edge
-    assert psi.beta(0.75 * t0) == pytest.approx(0.5, abs=1e-12)
-    assert psi.beta(t0) == 1.0
-    assert psi.beta(1e-9) == 0.0  # support stays away from gap 0
-
-
-def test_psi_monte_carlo_average():
-    # mixture draws land where beta = 1, so the sample mean is exactly r_j
-    rng = np.random.default_rng(2)
-    psi = build_psi_pair(TWO_CELL, 0.7, -0.3)
-    pieces = decompose_eta(TWO_CELL)
-    pick = rng.choice(len(pieces), p=[p.weight for p in pieces], size=4000)
-    vals1, vals2 = [], []
-    for n, piece in enumerate(pieces):
-        k = int((pick == n).sum())
-        a, t = piece.cell.sample(rng, k)
-        p1, p2 = psi.at(a, t)
-        vals1.append(p1)
-        vals2.append(p2)
-    assert np.concatenate(vals1).mean() == pytest.approx(0.7, abs=1e-12)
-    assert np.concatenate(vals2).mean() == pytest.approx(-0.3, abs=1e-12)
-
-
-def assemble_F(f_now, f_next, psi_pair):
+def assemble_F(f_now, f_next, c1, c2):
     """One step at a time: the eigen-matrix of f_now with log-eigenvalues
-    psi(f_now), then the unit-frame map from f_now's canonical lift to
+    (c1, c2), then the unit-frame map from f_now's canonical lift to
     f_next's (simulate_flexible builds the same matrices batched)."""
-    p1, p2 = psi_pair.at(f_now[0], gl2.gap_angle(f_now))
-    psi_mat = gl2.eigen_matrix(f_now, float(p1), float(p2))
+    psi_mat = gl2.eigen_matrix(f_now, c1, c2)
     phi = gl2.interp_matrix(gl2.canonical_lift(f_now), gl2.canonical_lift(f_next))
     return phi @ psi_mat
 
 
-def test_psi_zero_rates_gives_zero_gains():
-    psi = build_psi_pair(TWO_CELL, 0.0, 0.0)
-    p1, p2 = psi.at(0.5, 0.5)
-    assert p1 == 0.0 and p2 == 0.0
-    f = gl2.splitting(0.5, 1.0)
-    np.testing.assert_allclose(assemble_F(f, f, psi), np.eye(2), atol=1e-12)
-
-
-def test_psi_rejects_reversed_rates():
-    with pytest.raises(ValueError):
-        build_psi_pair(TWO_CELL, -0.5, 0.5)
-    with pytest.raises(ValueError):
-        simulate_flexible(TWO_CELL, -0.5, 0.5, "lowcost", 100, epsilon=0.3)
-
-
 def test_assemble_F_covariance_and_restricted_norm():
-    psi = build_psi_pair(TWO_CELL, 0.5, -0.5)
     rng = np.random.default_rng(3)
     for _ in range(50):
         a1, a2 = rng.uniform(0.0, math.pi, 2)
         t1, t2 = rng.uniform(0.25, math.pi / 2, 2)
         f_now = gl2.splitting(a1, gl2.canon_line(a1 + t1))
         f_next = gl2.splitting(a2, gl2.canon_line(a2 + t2))
-        m = assemble_F(f_now, f_next, psi)
+        m = assemble_F(f_now, f_next, 0.5, -0.5)
         assert float(gl2.line_angle(gl2.projective_action(m, f_now.x1), f_next.x1)) < 1e-10
         assert float(gl2.line_angle(gl2.projective_action(m, f_now.x2), f_next.x2)) < 1e-10
-        # the restriction to x1 gains exactly e^psi1
-        p1, _ = psi.at(f_now.x1, gl2.gap_angle(f_now))
+        # the restriction to x1 gains exactly e^c1
         u1 = gl2.canonical_lift(f_now)[0]
         gain = np.linalg.norm(m @ np.array([math.cos(u1), math.sin(u1)]))
-        assert math.log(gain) == pytest.approx(p1, abs=1e-10)
+        assert math.log(gain) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_general_cost_matches_lift_enumeration():
@@ -516,7 +455,7 @@ def test_piece_cost_caps_exact_for_atoms():
 
 
 def test_simulate_batched_matches_assemble_F():
-    psi = build_psi_pair(TWO_CELL, 0.5, -0.5)
+    # TWO_CELL's weights sum to 1, so the log-gains are the rates themselves
     w = simulate_flexible(TWO_CELL, 0.5, -0.5, "bounded", 60, seed=6, budget=0.6)
     x1 = w.prescribed_f[:, 0]
     x2 = w.prescribed_f[:, 1]
@@ -524,7 +463,7 @@ def test_simulate_batched_matches_assemble_F():
         f_now = gl2.splitting(x1[i], x2[i])
         f_next = gl2.splitting(x1[i + 1], x2[i + 1])
         np.testing.assert_allclose(
-            w.matrices[i], assemble_F(f_now, f_next, psi), atol=1e-12
+            w.matrices[i], assemble_F(f_now, f_next, 0.5, -0.5), atol=1e-12
         )
 
 
@@ -736,6 +675,8 @@ def test_simulate_rejects_bad_args():
         simulate_flexible(TWO_CELL, 0.5, -0.5, "nonsense", 100, budget=1.0)
     with pytest.raises(ValueError):
         simulate_flexible(TWO_CELL, -0.5, 0.5, "bounded", 100, budget=1.0)
+    with pytest.raises(ValueError):
+        simulate_flexible(TWO_CELL, -0.5, 0.5, "lowcost", 100, epsilon=0.3)
     with pytest.raises(UnboundedGap):
         eta = EtaSpec(
             pieces=((0.5, atom_cell(0.3, 1.5)), (0.5, atom_cell(0.9, 0.01)))
@@ -760,13 +701,14 @@ def test_verify_two_cell_report():
 
 
 def test_verify_birkhoff_averages_hit_rates():
-    # psi_j is constant r_j on the mixture's support, so averages are exact
+    # every factor stretches the canonical lift of its prescribed line j by
+    # the constant e^r_j (TWO_CELL's weights sum to 1), so averages are exact
     w = simulate_flexible(TWO_CELL, 0.7, -0.3, "bounded", 5000, seed=16, budget=0.6)
-    psi = build_psi_pair(TWO_CELL, 0.7, -0.3)
-    theta = gl2.line_angle(w.prescribed_f[:, 0], w.prescribed_f[:, 1])
-    p1, p2 = psi.at(w.prescribed_f[:, 0], theta)
-    assert p1.mean() == pytest.approx(0.7, abs=1e-12)
-    assert p2.mean() == pytest.approx(-0.3, abs=1e-12)
+    u = np.stack(gl2.canonical_lift(gl2.splitting(*w.prescribed_f.T)), axis=-1)
+    for j, r in enumerate((0.7, -0.3)):
+        unit = np.stack([np.cos(u[:, j]), np.sin(u[:, j])], axis=-1)
+        gain = np.log(np.linalg.norm(np.einsum("nik,nk->ni", w.matrices, unit), axis=1))
+        assert float(np.abs(gain - r).max()) < 1e-10
 
 
 def test_verify_requires_prescribed_f():

@@ -260,14 +260,15 @@ def test_splitting_helpers_take_arrays_pair_by_pair():
     b = gl2.canon_line(a + rng.uniform(1e-3, math.pi / 2, (2, 300)))
     x, y = gl2.splitting(a[0], b[0]), gl2.splitting(a[1], b[1])
     lift_x = np.array(gl2.canonical_lift(x))
-    cost = gl2.transfer_cost_bounded(x, y)
+    cost = gl2.transfer_cost_bounded(gl2.gap_angle(x), gl2.gap_angle(y))
     for i in range(300):
         xi = gl2.splitting(float(a[0, i]), float(b[0, i]))
         yi = gl2.splitting(float(a[1, i]), float(b[1, i]))
         assert tuple(lift_x[:, i]) == gl2.canonical_lift(xi)  # the same bits
         assert gl2.gap_angle(x)[i] == gl2.gap_angle(xi)
         # numpy may round a transcendental function differently on arrays
-        assert abs(cost[i] - gl2.transfer_cost_bounded(xi, yi)) <= 1e-14
+        one = gl2.transfer_cost_bounded(gl2.gap_angle(xi), gl2.gap_angle(yi))
+        assert abs(cost[i] - one) <= 1e-14
     with pytest.raises(DegenerateSplitting):
         gl2.splitting([0.1, 0.2], [0.5, 0.2 + math.pi])  # the second pair is one line
     with pytest.raises(DegenerateSplitting):
@@ -301,8 +302,8 @@ def test_eigen_matrix_eigenlines_fixed():
 
 
 def test_transfer_cost_bounded_fixture():
-    x = SplittingPair(0.0, math.pi / 2)  # gap pi/2
-    y = SplittingPair(0.0, math.pi / 6)  # gap pi/6
+    x = gl2.gap_angle(SplittingPair(0.0, math.pi / 2))  # gap pi/2
+    y = gl2.gap_angle(SplittingPair(0.0, math.pi / 6))  # gap pi/6
     got = gl2.transfer_cost_bounded(x, y)
     assert got == pytest.approx(1.005052538742381, abs=1e-12)
     assert gl2.transfer_cost_bounded(x, x) == 0.0
@@ -322,7 +323,7 @@ def test_transfer_cost_bounded_equals_norm_of_canonical_map():
         if min(gl2.line_angle(*x), gl2.line_angle(*y)) < 1e-3:
             continue
         m = gl2.interp_matrix(gl2.canonical_lift(x), gl2.canonical_lift(y))
-        assert gl2.transfer_cost_bounded(x, y) == pytest.approx(
+        assert gl2.transfer_cost_bounded(gl2.gap_angle(x), gl2.gap_angle(y)) == pytest.approx(
             float(gl2.log_norm_max(m)), abs=1e-10
         )
 
@@ -351,4 +352,4 @@ def test_transfer_cost_general_dominates_bounded():
         if min(gl2.gap_angle(x), gl2.gap_angle(y)) < 0.05:
             continue
         general = gl2.transfer_cost_general(gl2.gap_angle(x), gl2.gap_angle(y), 0.0, 0.0)
-        assert general >= gl2.transfer_cost_bounded(x, y) - 1e-12
+        assert general >= gl2.transfer_cost_bounded(gl2.gap_angle(x), gl2.gap_angle(y)) - 1e-12
