@@ -32,6 +32,7 @@ from .cocycle import (
     triangular_distribution,
 )
 from .scalars import BadTerm, ScalarDist, Unsupported, constant, dyadic, float_str
+from .skyscraper import ensure
 
 # row chunk for the big vectorized Monte Carlo loops; fixed so a given seed
 # always produces the same stream layout
@@ -42,6 +43,12 @@ CHUNK = 2048
 # in cache and below malloc's 128 KiB mmap threshold, so blocks reuse memory
 BLOCK_ELEMENTS = 1 << 12
 NEGLOG_BLOCK_ELEMENTS = 1 << 13
+
+# explicit head terms of the log-domain series for a point-mass a; the
+# exceedance rounds after it stop at the term index NEGLOG_HORIZON, where
+# float positions stop being exact integers
+NEGLOG_HEAD = 64
+NEGLOG_HORIZON = 2.0**53
 
 # a product sampler of bounded condition checks its lines every STOP_EVERY
 # steps and stops once none moved by STOP_TOL radians since the last check
@@ -286,9 +293,21 @@ def oseledets_angle_samples(
 
 
 def log_domain_supported(nu: MatrixDistribution) -> bool:
-    """Triangular, with a (and b unless given as log|b|) supported in [0, inf)."""
+    """Triangular, with a (and b unless given as log|b|) supported in [0, inf),
+    and a not supported in [1, inf): the series needs a contracting first axis."""
     laws = (nu.a,) if nu.log_scale_b else (nu.a, nu.b)
-    return nu.kind == "triangular" and all(law.support()[0] >= 0 for law in laws)
+    return (
+        nu.kind == "triangular"
+        and all(law.support()[0] >= 0 for law in laws)
+        and nu.a.support()[0] < 1.0
+    )
+
+
+def exact_series(nu: MatrixDistribution) -> bool:
+    """Whether triangular_gap_neglog_samples sums nu's series without
+    truncation: a point-mass a in [0, 1)."""
+    a = nu.a
+    return a.kind == "atoms" and len(a.values) == 1 and 0.0 <= a.values[0] < 1.0
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
@@ -307,38 +326,120 @@ def triangular_gap_neglog_samples(
 
     The contracting line of [[a, b], [0, 1]] products is the first axis
     exactly, and the expanding line is spanned by (X, 1) where X is the
-    invariant series, so -log sin(theta) = log sqrt(1 + X^2).  Everything
-    runs in the log domain, which keeps tails like log b = 2^26
-    representable where explicit matrices would overflow.  A zero a or b is
-    a -inf log term that drops out exactly.  Each chunk of CHUNK rows draws
-    all its a before its b; a point-mass a only advances the stream, and any
-    other a is read row block by row block from a copy of the stream.
+    invariant series sum_k b_k a_0...a_(k-1), so -log sin(theta) =
+    log sqrt(1 + X^2).  Everything runs in the log domain, which keeps
+    tails like log b = 2^26 representable where explicit matrices would
+    overflow.  A zero a or b is a -inf log term that drops out exactly.
+
+    A point-mass a in [0, 1) (``exact_series``) sums the whole series:
+    ``depth`` terms explicitly, then only the later terms that can still
+    matter (``_add_exceedances``).  Any other a sums the first ``depth``
+    terms: each chunk of CHUNK rows draws all its a before its b, and a is
+    read row block by row block from a copy of the stream.
     """
     if not log_domain_supported(nu):
-        raise Unsupported("log-domain series needs a triangular law with nonnegative a and b")
+        raise Unsupported(
+            "log-domain series needs a triangular law with nonnegative a and b"
+            " and a not supported in [1, inf)"
+        )
     (rng,) = _spawn_rngs(seed, 1)
-    point = nu.a.kind == "atoms" and len(nu.a.values) == 1
-    if point:  # log a prefix sums, one row shared by every trial
-        row = np.cumsum(np.log(np.full(depth, nu.a.values[0])))
-        prefix = np.broadcast_to(row, (CHUNK, depth))
+    if exact_series(nu):
+        return _exact_neglog_samples(nu, trials, depth, rng)
     block_rows = max(1, NEGLOG_BLOCK_ELEMENTS // depth)
     out = np.empty(trials)
     for done in range(0, trials, CHUNK):
         m = min(CHUNK, trials - done)
-        if not point:
-            a_rng = copy.deepcopy(rng)
+        a_rng = copy.deepcopy(rng)
         rng.bit_generator.advance(m * depth)
         for r in range(0, m, block_rows):
             n = min(block_rows, m - r)
-            if not point:
-                la = np.log(np.asarray(nu.a.sample(a_rng, n * depth), dtype=float)).reshape(n, depth)
-                prefix = np.cumsum(la, axis=1, out=la)
+            la = np.log(np.asarray(nu.a.sample(a_rng, n * depth), dtype=float)).reshape(n, depth)
+            prefix = np.cumsum(la, axis=1, out=la)
             terms = np.asarray(nu.b.sample(rng, n * depth), dtype=float).reshape(n, depth)
             if not nu.log_scale_b:
                 np.log(terms, out=terms)
-            terms[:, 1:] += prefix[:n, :-1]
+            terms[:, 1:] += prefix[:, :-1]
             out[done + r : done + r + n] = 0.5 * np.logaddexp(0.0, 2.0 * _logsumexp_rows(terms))
     return out
+
+
+def _exact_neglog_samples(nu: MatrixDistribution, trials: int, head: int, rng) -> np.ndarray:
+    """The series of a point a = e^-kappa in [0, 1), summed to the term-index
+    horizon NEGLOG_HORIZON.  Term k is z_k = psi_k - kappa k, psi = log b.
+
+    Each chunk of CHUNK rows draws its head of ``head`` terms row-major, then
+    runs the exceedance rounds over the chunk.  With M a row's running max
+    term, a term k past the head is added only when psi_k passes
+    tau_k = M - c + kappa (k + head) / 2; a term below its threshold is
+    below e^(M - c) e^(-kappa (k - head) / 2), so c = 53 log 2 -
+    log(1 - e^(-kappa / 2)) keeps all of them together below 2^-53 e^M, at
+    most 2^-53 X.  The head holds at least c / kappa terms, so the first
+    threshold is at least M and the rounds visit only rare terms.
+    """
+    a = float(nu.a.values[0])
+    kappa = -math.log(a) if a > 0.0 else math.inf
+    c = 53.0 * math.log(2.0) - math.log1p(-math.exp(-kappa / 2.0))
+    if kappa < math.inf:
+        head = max(head, math.ceil(c / kappa))
+    lag = np.zeros(head)  # log(a^k); term 0 carries no a
+    lag[1:] = np.arange(1, head) * np.log(a)
+    block_rows = max(1, NEGLOG_BLOCK_ELEMENTS // head)
+    out = np.empty(trials)
+    for done in range(0, trials, CHUNK):
+        m = min(CHUNK, trials - done)
+        total, top = np.empty(m), np.empty(m)
+        for r in range(0, m, block_rows):
+            n = min(block_rows, m - r)
+            terms = np.asarray(nu.b.sample(rng, n * head), dtype=float).reshape(n, head)
+            if not nu.log_scale_b:
+                np.log(terms, out=terms)
+            terms += lag
+            top[r : r + n] = terms.max(axis=1)
+            total[r : r + n] = _logsumexp_rows(terms)
+        if kappa < math.inf:  # a = 0 keeps term 0 alone
+            _add_exceedances(nu, total, top, kappa, c, head, rng)
+        out[done : done + m] = 0.5 * np.logaddexp(0.0, 2.0 * total)
+    return out
+
+
+@np.errstate(over="ignore")  # e^tau past the float range has sf 0
+def _add_exceedances(nu, total, top, kappa: float, c: float, head: int, rng) -> None:
+    """Add to each row's log-sum ``total`` (running max ``top``) the terms
+    k >= head with psi_k > tau_k, by thinning (Devroye 1986, ch. X).
+
+    Each round, for every live row at position pos: a Geometric(p) skip,
+    p = sf(tau_pos), to the next candidate k (tau rises with k, so p bounds
+    every sf(tau_k) on the way); acceptance with probability
+    sf(tau_k) / p; then psi_k = isf(sf(tau_k) U) given psi_k > tau_k.  A row
+    ends when p is 0 or its candidate lies at or past NEGLOG_HORIZON.  Past
+    that horizon a row misses a term that would pass its threshold with
+    probability at most sum_(k >= 2^53) sf(tau_k); for the dyadic psi at
+    a = 1/e that is about 2^-52.
+    """
+    if nu.log_scale_b:
+        sf, isf = nu.b.sf, nu.b.isf
+    else:  # psi = log b
+        sf = lambda t: nu.b.sf(np.exp(t))  # noqa: E731
+        isf = lambda q: np.log(nu.b.isf(q))  # noqa: E731
+    rows = np.arange(total.size)
+    pos = np.full(total.size, float(head))
+    while rows.size:
+        p = sf(top[rows] - c + kappa * (pos + head) / 2.0)
+        live = p > 0.0
+        rows, pos, p = rows[live], pos[live], p[live]
+        # failures before the first success, in float: a tiny p cannot overflow
+        skip = np.floor(-np.log1p(-rng.random(rows.size)) / -np.log1p(-p))
+        k = pos + skip
+        live = k < NEGLOG_HORIZON
+        rows, k, p = rows[live], k[live], p[live]
+        s = sf(top[rows] - c + kappa * (k + head) / 2.0)
+        ensure(np.all(s <= p), "a tail probability rose along the thresholds")
+        hit = rng.random(rows.size) * p < s
+        at = rows[hit]
+        z = isf(s[hit] * (1.0 - rng.random(at.size))) - kappa * k[hit]
+        total[at] = np.logaddexp(total[at], z)
+        top[at] = np.maximum(top[at], z)
+        pos = k + 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -540,14 +540,16 @@ def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float, theta=None)
 
 def _draw_cells(cells: list[Cell], idx: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, theta) with entry i drawn from cells[idx[i]], one
-    cell.sample call per cell, in cell order."""
+    cell.sample call per cell, in cell order.  A stable sort groups the
+    entries by cell once, each group in entry order."""
     alpha = np.empty(idx.size)
     theta = np.empty(idx.size)
-    for j, cell in enumerate(cells):
-        mask = idx == j
-        hits = int(mask.sum())
-        if hits:
-            alpha[mask], theta[mask] = cell.sample(rng, hits)
+    order = np.argsort(idx, kind="stable")
+    counts = np.bincount(idx, minlength=len(cells))
+    for cell, n, end in zip(cells, counts, np.cumsum(counts)):
+        if n:
+            at = order[end - n : end]
+            alpha[at], theta[at] = cell.sample(rng, int(n))
     return alpha, theta
 
 

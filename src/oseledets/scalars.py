@@ -113,6 +113,75 @@ class ScalarDist:
         u = rng.random() if n is None else rng.random(n)
         return self.icdf(u)
 
+    # -- tail functions ---------------------------------------------------
+
+    def sf(self, x):
+        """P(X > x), array-generic, in closed form: no 1 - cdf, so tail
+        probabilities far below 2^-53 keep their relative precision."""
+        return self._sf(np.asarray(x, dtype=float), 1.0)
+
+    def isf(self, q):
+        """inf{x : sf(x) < q} for q in (0, 1], array-generic.  For U uniform on
+        (0, sf(t)], isf(U) is distributed as X given X > t, and an atomic X
+        lands strictly above t even at U = sf(t)."""
+        return self._isf(np.asarray(q, dtype=float), 1.0)
+
+    def _sf(self, x, sign: float):
+        """P(sign * X > x) for sign = +1 or -1."""
+        if self.kind == "affine":
+            s = sign * self.scale
+            return self.base._sf((x - sign * self.shift) / abs(s), math.copysign(1.0, s))
+        if self.kind == "atoms":
+            vals, tail = self._sorted_tail(sign)
+            return tail[np.searchsorted(vals, x, side="right")]
+        if self.kind == "uniform":
+            lo, hi = (self.lo, self.hi) if sign > 0 else (-self.hi, -self.lo)
+            return np.clip((hi - x) / (hi - lo), 0.0, 1.0)
+        if self.kind == "exponential":
+            if sign > 0:
+                return np.exp(-self.rate * np.maximum(x, 0.0))
+            return -np.expm1(self.rate * np.minimum(x, 0.0))
+        # dyadic; clipping at 2^1023 keeps frexp finite, and 4^-1024 is 0
+        if sign > 0:  # P(2^k > x) = 4^-E for x in [2^(E-1), 2^E), E >= 1
+            _, e = np.frexp(np.clip(x, 0.5, 2.0**1023))
+            return np.ldexp(1.0, -2 * e)
+        # P(2^k < y), y = -x: 1 - 4^-(j + 1) for 2^j the largest atom below y
+        f, e = np.frexp(np.minimum(-x, 2.0**1023))
+        return np.where(-x > 1.0, 1.0 - np.ldexp(1.0, -2 * (e - (f == 0.5))), 0.0)
+
+    def _isf(self, q, sign: float):
+        """inf{x : P(sign * X > x) < q} for q in (0, 1]."""
+        if self.kind == "affine":
+            s = sign * self.scale
+            return sign * self.shift + abs(s) * self.base._isf(q, math.copysign(1.0, s))
+        if self.kind == "atoms":
+            vals, tail = self._sorted_tail(sign)
+            # first atom whose own sf is below q; the last atom's sf is 0
+            idx = np.searchsorted(-tail[1:], -q, side="right")
+            return vals[np.minimum(idx, vals.size - 1)]
+        if self.kind == "uniform":
+            lo, hi = (self.lo, self.hi) if sign > 0 else (-self.hi, -self.lo)
+            return hi - q * (hi - lo)
+        with np.errstate(divide="ignore"):  # q = 1 on a law unbounded below
+            if self.kind == "exponential":
+                return (-np.log(q) if sign > 0 else np.log1p(-q)) / self.rate
+            if sign > 0:
+                # dyadic: smallest k with 4^-(k+1) < q.  With C = ceil(log2 q),
+                # read off q = f 2^E as E - (f == 1/2), that is k = (-C) // 2
+                f, e = np.frexp(q)
+                return np.ldexp(1.0, (f == 0.5) - e >> 1)
+            # -(smallest k with 4^-(k+1) <= 1 - q); 1 - q is exact wherever k > 0
+            f, e = np.frexp(1.0 - q)
+            return np.where(q < 1.0, -np.ldexp(1.0, np.maximum(-e, 0) >> 1), -np.inf)
+
+    def _sorted_tail(self, sign: float):
+        """The values of sign * X ascending, and tail[i] = weight of values i onward."""
+        vals = sign * np.asarray(self.values, dtype=float)
+        order = np.argsort(vals, kind="stable")
+        w = np.asarray(self.weights, dtype=float)[order]
+        tail = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+        return vals[order], tail
+
     # -- exact functionals ------------------------------------------------
 
     @property

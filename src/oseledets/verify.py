@@ -339,7 +339,9 @@ def _sup_mean():
 def _tail_verdicts():
     thresholds = (4.0, 8.0, 16.0, 32.0, 64.0)
     grow = estimation.build_counterexample_cocycle()
-    v = estimation.triangular_gap_neglog_samples(grow, 200_000, seed=FAST_SEED)
+    v = estimation.triangular_gap_neglog_samples(
+        grow, 200_000, depth=estimation.NEGLOG_HEAD, seed=FAST_SEED
+    )
     rep = estimation.angle_tail_report_neglog(v, thresholds)
     _expect(rep.verdict == "growing", f"heavy-tail control read as {rep.verdict}")
     d = np.minimum(v, 64.0) - np.minimum(v, 4.0)
@@ -351,6 +353,51 @@ def _tail_verdicts():
     s = estimation.oseledets_angle_samples(calm, 100_000, 300, seed=16)
     rep2 = estimation.angle_tail_report(s, thresholds)
     _expect(rep2.verdict == "converging", f"light-tail control read as {rep2.verdict}")
+
+
+NEGLOG_ORACLE_DEPTH = 8192
+
+
+def _deep_neglog_oracle(a: float, b: scalars.ScalarDist, log_b: bool, rows: int, rng) -> np.ndarray:
+    """-log sin(gap angle) from an explicit sum of NEGLOG_ORACLE_DEPTH terms
+    of the series of [[a, b], [0, 1]], every b drawn through its inverse CDF."""
+    lag = np.arange(NEGLOG_ORACLE_DEPTH) * math.log(a)
+    out = np.empty(rows)
+    for r in range(0, rows, 8):
+        n = min(8, rows - r)
+        z = b.icdf(rng.random((n, NEGLOG_ORACLE_DEPTH)))
+        if not log_b:
+            np.log(z, out=z)
+        z += lag
+        top = z.max(axis=1, keepdims=True)
+        z -= top
+        log_x = np.log(np.exp(z, out=z).sum(axis=1)) + top[:, 0]
+        out[r : r + n] = 0.5 * np.logaddexp(0.0, 2.0 * log_x)
+    return out
+
+
+# the exact log-domain series against an explicit sum of its first 8192
+# terms; a later term passes a row's max in about 1e-4 of the rows of the
+# dyadic law at a = 1/e, below what 3000 oracle rows resolve
+@_check("estimation.neglog_exact_tail_vs_deep_oracle", fast=False, budget_s=30.0)
+def _neglog_deep_oracle():
+    laws = (  # (a, law of b or of log b, log_b)
+        (math.exp(-1.0), scalars.dyadic(), True),  # the counterexample
+        (0.7, scalars.exponential(0.5), False),  # psi = log b: sf(t) = P(b > e^t)
+        (0.8, scalars.atoms([(0.0, 0.6), (2.0, 0.3), (6.0, 0.1)]), True),
+        (0.5, scalars.affine(scalars.dyadic(), 1.5, -1.0), True),
+    )
+    for i, (a, b, log_b) in enumerate(laws):
+        nu = cocycle.triangular_distribution(scalars.constant(a), b, log_scale_b=log_b)
+        v = estimation.triangular_gap_neglog_samples(
+            nu, 40_000, depth=estimation.NEGLOG_HEAD, seed=FAST_SEED + i
+        )
+        w = _deep_neglog_oracle(a, b, log_b, 3000, np.random.default_rng([FAST_SEED, i]))
+        for t in (4.0, 8.0, 16.0, 32.0):
+            cv, cw = np.minimum(v, t), np.minimum(w, t)
+            se = math.hypot(cv.std(ddof=1) / math.sqrt(cv.size), cw.std(ddof=1) / math.sqrt(cw.size))
+            diff = cv.mean() - cw.mean()
+            _expect(abs(diff) <= 3.0 * se, f"law {i}, threshold {t}: exact - deep = {diff} (se {se})")
 
 
 # criterion 12

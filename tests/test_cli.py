@@ -122,6 +122,19 @@ def test_onestep_law_supported_from_zero_uses_log_domain(tmp_path, monkeypatch):
     assert obj["angle_tail"]["sample_count"] == obj["config"]["trials"]
 
 
+def test_onestep_expanding_a_uses_the_matrix_sampler(tmp_path):
+    # a = 2 almost surely: the first axis is expanding, so the log-domain
+    # series does not apply; the gap angle of this law is about 0.8 rad
+    nu = triangular_distribution(scalars.constant(2.0), scalars.uniform(0.5, 1.5))
+    spec = write_spec(tmp_path, "nu.json", nu)
+    argv = ["onestep", "--spec", spec, "--steps", "2000", "--trials", "4000", "--seed", "1"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    tail = json.loads((tmp_path / "onestep_report.json").read_text())["angle_tail"]
+    means = [float(m) for m in tail["truncated_means"]]
+    assert means[0] < float(tail["thresholds"][0])
+    assert tail["verdict"] == "converging"
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, oseledets.cli; sys.exit('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from oseledets import cocycle, estimation as est, gl2, scalars
 from oseledets.cocycle import WindowExhausted
@@ -420,8 +422,8 @@ def test_rank_one_factors_give_zero_angles_without_nan():
 
 
 def test_neglog_point_mass_advance_keeps_b_draws():
-    # skipping a point-mass a must leave the b stream exactly where drawing
-    # and discarding a would
+    # advancing past a chunk's a draws must leave the b stream exactly where
+    # drawing and discarding them would
     (rng,) = est._spawn_rngs(17, 1)
     rng.bit_generator.advance(2048 * 8)
     skipped = scalars.dyadic().sample(rng, 2048 * 8)
@@ -432,36 +434,30 @@ def test_neglog_point_mass_advance_keeps_b_draws():
 
 
 def test_neglog_point_mass_matches_drawn_prefix():
-    # the shared prefix row of a point mass gives the same samples as the
-    # general path with a law that draws that value every time
-    point = cocycle.triangular_distribution(
-        scalars.constant(math.exp(-1)), scalars.dyadic(), log_scale_b=True
+    # with b <= 1.5 and a = 1/e no term past 64 can pass its threshold, so the
+    # exact path is the head: the first 64 b of each row, drawn row-major
+    nu = cocycle.triangular_distribution(
+        scalars.constant(math.exp(-1)), scalars.uniform(0.5, 1.5)
     )
-    drawn = cocycle.triangular_distribution(
-        scalars.atoms([(math.exp(-1), 1.0), (1.0, 0.0)]), scalars.dyadic(), log_scale_b=True
-    )
-    v_point = triangular_gap_neglog_samples(point, trials=3000, depth=64, seed=8)
-    v_drawn = triangular_gap_neglog_samples(drawn, trials=3000, depth=64, seed=8)
-    np.testing.assert_array_equal(v_point, v_drawn)
+    trials, head = est.CHUNK + 5, 64
+    got = triangular_gap_neglog_samples(nu, trials, depth=head, seed=8)
+    (rng,) = est._spawn_rngs(8, 1)
+    b = np.concatenate([nu.b.sample(rng, m * head) for m in (est.CHUNK, 5)])
+    x = (b.reshape(trials, head) * np.exp(-np.arange(head))).sum(axis=1)
+    np.testing.assert_allclose(got, 0.5 * np.log1p(x**2), rtol=1e-13)
 
 
 @np.errstate(divide="ignore")
 def _chunk_neglog_samples(nu, trials, depth, seed):
-    """The log-domain sampler with each CHUNK of rows drawn and reduced whole:
-    per chunk all a (or an advance for a point mass), then all b."""
+    """The drawn-a log-domain sampler with each CHUNK of rows drawn and
+    reduced whole: per chunk all a, then all b."""
     (rng,) = est._spawn_rngs(seed, 1)
-    point = nu.a.kind == "atoms" and len(nu.a.values) == 1
-    if point:
-        prefix = np.cumsum(np.log(np.full(depth - 1, float(nu.a.values[0]))))
     out = np.empty(trials)
     done = 0
     while done < trials:
         m = min(est.CHUNK, trials - done)
-        if point:
-            rng.bit_generator.advance(m * depth)
-        else:
-            la = np.log(np.asarray(nu.a.sample(rng, m * depth), dtype=float))
-            prefix = np.cumsum(la.reshape(m, depth)[:, :-1], axis=1)
+        la = np.log(np.asarray(nu.a.sample(rng, m * depth), dtype=float))
+        prefix = np.cumsum(la.reshape(m, depth)[:, :-1], axis=1)
         braw = np.asarray(nu.b.sample(rng, m * depth), dtype=float).reshape(m, depth)
         terms = braw if nu.log_scale_b else np.log(braw)
         terms[:, 1:] += prefix
@@ -485,12 +481,55 @@ NEGLOG_ROWS = est.NEGLOG_BLOCK_ELEMENTS // NEGLOG_DEPTH
 @pytest.mark.parametrize(
     "trials", [1, NEGLOG_ROWS - 1, NEGLOG_ROWS + 1, est.CHUNK + 3]
 )
-def test_neglog_row_blocks_match_chunk_oracle(a, b, log_b, trials):
+def test_neglog_row_blocks_match_chunk_oracle(monkeypatch, a, b, log_b, trials):
     assert NEGLOG_ROWS > 2  # the trial counts straddle a row block
     nu = cocycle.triangular_distribution(a, b, log_scale_b=log_b)
     got = triangular_gap_neglog_samples(nu, trials, depth=NEGLOG_DEPTH, seed=12)
-    want = _chunk_neglog_samples(nu, trials, NEGLOG_DEPTH, seed=12)
+    if est.exact_series(nu):  # the same sampler, each chunk's head one block
+        monkeypatch.setattr(est, "NEGLOG_BLOCK_ELEMENTS", est.CHUNK * NEGLOG_DEPTH)
+        want = triangular_gap_neglog_samples(nu, trials, depth=NEGLOG_DEPTH, seed=12)
+    else:
+        want = _chunk_neglog_samples(nu, trials, NEGLOG_DEPTH, seed=12)
     np.testing.assert_array_equal(got, want)
+
+
+# psi laws of the exact path, with whether b is given as log b; atoms at 0
+# in b itself are -inf terms
+EXACT_PSI_LAWS = [
+    (scalars.dyadic(), True),
+    (scalars.exponential(0.7), True),
+    (scalars.atoms([(-3.0, 0.5), (1.0, 0.4), (9.0, 0.1)]), True),
+    (scalars.affine(scalars.dyadic(), 2.5, -4.0), True),
+    (scalars.affine(scalars.exponential(1.0), -2.0, 1.0), True),
+    (scalars.uniform(-1.0, 4.0), True),
+    (scalars.exponential(0.5), False),
+    (scalars.atoms([(0.0, 0.9), (3.0, 0.1)]), False),
+    (scalars.dyadic(), False),
+]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@seed(20261)
+@given(
+    a=st.floats(0.02, 0.97),
+    law=st.sampled_from(range(len(EXACT_PSI_LAWS))),
+    depth=st.sampled_from([1, 5, 64]),
+    trials=st.integers(1, 40),
+)
+def test_neglog_exact_path_properties(a, law, depth, trials):
+    b, log_b = EXACT_PSI_LAWS[law]
+    nu = cocycle.triangular_distribution(scalars.constant(a), b, log_scale_b=log_b)
+    assert est.exact_series(nu)
+    got = triangular_gap_neglog_samples(nu, trials, depth=depth, seed=law)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(est, "NEGLOG_BLOCK_ELEMENTS", 1)
+        np.testing.assert_array_equal(
+            triangular_gap_neglog_samples(nu, trials, depth=depth, seed=law), got
+        )
+        mp.setattr(est, "_add_exceedances", lambda *args: None)
+        head_only = triangular_gap_neglog_samples(nu, trials, depth=depth, seed=law)
+    assert np.all(got >= head_only)
 
 
 def test_neglog_drawn_a_stays_in_row_blocks():
@@ -544,6 +583,8 @@ def test_log_domain_support_predicate():
         (rare_negative, pos, False),
         (pos, rare_negative, False),
         (scalars.affine(scalars.dyadic(), -1.0, 3.0), pos, False),  # unbounded below
+        (scalars.constant(2.0), pos, False),  # a >= 1: the first axis is not contracting
+        (scalars.uniform(1.0, 2.0), pos, True),
     ]:
         nu = cocycle.triangular_distribution(a, b, log_scale_b=log_b)
         assert not est.log_domain_supported(nu)
@@ -562,8 +603,7 @@ def test_neglog_zero_a_or_b_terms_drop_out():
         zero_b = cocycle.triangular_distribution(b, scalars.constant(0.0))
         flat = triangular_gap_neglog_samples(zero_b, trials=500, depth=16, seed=2)
     (rng,) = est._spawn_rngs(2, 1)
-    rng.bit_generator.advance(500 * 16)  # the a draws
-    b0 = b.sample(rng, 500 * 16).reshape(500, 16)[:, 0]
+    b0 = b.sample(rng, 500 * 16).reshape(500, 16)[:, 0]  # the point a is not drawn
     np.testing.assert_allclose(got, 0.5 * np.log1p(b0**2), rtol=1e-14)
     np.testing.assert_array_equal(flat, 0.0)
 

@@ -572,6 +572,39 @@ def test_budget_breach_in_one_block_is_a_contract_violation(monkeypatch, edge):
         simulate_flexible(FOUR_CELL, 0.5, -0.5, "bounded", 1000, seed=22, budget=0.5)
 
 
+def _masked_draw_cells(cells, idx, rng):
+    """_draw_cells by one full-window mask per cell: O(cells x steps)."""
+    alpha = np.empty(idx.size)
+    theta = np.empty(idx.size)
+    for j, cell in enumerate(cells):
+        mask = idx == j
+        hits = int(mask.sum())
+        if hits:
+            alpha[mask], theta[mask] = cell.sample(rng, hits)
+    return alpha, theta
+
+
+def test_draw_cells_matches_mask_oracle(monkeypatch):
+    # gap angles 0.01 to 1.5 at budget 0.003 chain into thousands of cells
+    eta = EtaSpec(pieces=((1.0, uniform_cell(0.1, 0.8, 0.01, 1.5)),))
+
+    def run():
+        return simulate_flexible(eta, 0.5, -0.5, "bounded", 20000, seed=24, budget=0.003)
+
+    fast = run()
+    monkeypatch.setattr(fx, "_draw_cells", _masked_draw_cells)
+    slow = run()
+    assert np.array_equal(fast.matrices, slow.matrices)
+    assert np.array_equal(fast.prescribed_f, slow.prescribed_f)
+    assert np.array_equal(fast.labels, slow.labels)
+    # owners that skip cells, and a cell that owns nothing
+    cells = [uniform_cell(0.1, 0.8, 0.3 + 0.1 * j, 0.35 + 0.1 * j) for j in range(5)]
+    idx = np.random.default_rng(25).choice([0, 2, 3, 4], size=1000)
+    got = fx._draw_cells(cells, idx, np.random.default_rng(26))
+    want = _masked_draw_cells(cells, idx, np.random.default_rng(26))
+    np.testing.assert_array_equal(got, want)
+
+
 def test_flexible_peak_is_the_kept_window_plus_blocks():
     # tracemalloc counts numpy's buffers; a small run first keeps lazy
     # imports out of the count

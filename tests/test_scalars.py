@@ -202,6 +202,84 @@ def test_negative_scale_mirrors_on_the_uniform_grid(base):
     np.testing.assert_array_equal(got, 2.0 - base.icdf(np.array([top, 0.0, top - 0.25])))
 
 
+TAIL_LAWS = {
+    "atoms": scalars.atoms([(3.0, 0.2), (-1.0, 0.5), (2.0, 0.3)]),
+    "uniform": scalars.uniform(-1.0, 3.0),
+    "exponential": scalars.exponential(2.0),
+    "dyadic": scalars.dyadic(),
+    "affine": scalars.affine(scalars.dyadic(), 2.5, -1.0),
+    "affine_neg_dyadic": scalars.affine(scalars.dyadic(), -1.0, 2.0),
+    "affine_neg_exponential": scalars.affine(scalars.exponential(1.5), -3.0, 0.5),
+    "affine_neg_atoms": scalars.affine(scalars.atoms([(1.0, 0.5), (2.0, 0.3), (3.0, 0.2)]), -2.0, 1.0),
+    "affine_neg_uniform": scalars.affine(scalars.uniform(1.0, 2.0), -2.0, 5.0),
+    "affine_twice": scalars.affine(scalars.affine(scalars.dyadic(), -1.0, 0.0), -0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("law", TAIL_LAWS.values(), ids=TAIL_LAWS.keys())
+def test_sf_matches_inverse_cdf_draws(law):
+    # on an even grid of 2^16 uniforms the share of icdf draws above x is
+    # P(X > x) to within one grid step
+    n = 1 << 16
+    x = np.sort(law.icdf((np.arange(n) + 0.5) / n))
+    probes = np.concatenate([x[::97], x[::97] + 1e-9, x[::97] - 1e-9, [-np.inf, np.inf]])
+    share = 1.0 - np.searchsorted(x, probes, side="right") / n
+    assert np.max(np.abs(law.sf(probes) - share)) <= 1.0 / n + 1e-12
+
+
+@pytest.mark.parametrize("law", TAIL_LAWS.values(), ids=TAIL_LAWS.keys())
+def test_isf_is_the_least_point_below_q(law):
+    # isf(q) = inf{x : sf(x) < q}: sf at isf(q) is at most q, and just below
+    # isf(q) it is at least q
+    q = np.concatenate([np.random.default_rng(4).random(500) + 2.0**-53, 2.0 ** -np.arange(0, 1001, 37)])
+    x = law.isf(q)
+    assert not np.any(np.isnan(x))
+    assert np.all(law.sf(x) <= q * (1.0 + 1e-9))
+    below = x - 1e-9 * np.maximum(1.0, np.abs(x))
+    assert np.all(law.sf(below) >= q * (1.0 - 1e-9))
+
+
+@pytest.mark.parametrize("law", TAIL_LAWS.values(), ids=TAIL_LAWS.keys())
+def test_isf_conditional_draws_land_above_the_threshold(law):
+    # isf(sf(t) U), U in (0, 1], lies above t; at U = 1 too for an atomic law
+    t = law.isf(np.array([0.9, 0.5, 0.1, 1e-3]))
+    p = law.sf(t)
+    p = p[p > 0]
+    t = t[: p.size]
+    u = np.concatenate([[1.0], np.random.default_rng(6).random(200) + 2.0**-53])
+    x = law.isf(p[:, None] * u[None, :])
+    if law.is_atomic:
+        assert np.all(x > t[:, None])
+    else:
+        assert np.all(x >= t[:, None] - 1e-12 * np.maximum(1.0, np.abs(t[:, None])))
+
+
+def test_dyadic_and_exponential_isf_exact_deep_in_the_tail():
+    d = scalars.dyadic()
+    k = np.arange(537)
+    np.testing.assert_array_equal(d.sf(np.ldexp(1.0, k)), np.ldexp(1.0, -2 * k - 2))
+    np.testing.assert_array_equal(d.isf(np.ldexp(1.0, -2 * k - 2)), np.ldexp(1.0, k + 1))
+    assert float(d.isf(2.0**-1000)) == 2.0**500
+    assert float(d.isf(2.0**-1000 * 1.5)) == 2.0**499
+    assert float(d.sf(np.inf)) == 0.0
+    e = scalars.exponential(2.0)
+    # log(2^-1000) is exact to rounding: one ulp off the product 1000 log 2
+    assert float(e.isf(2.0**-1000)) == pytest.approx(500 * math.log(2.0), rel=2.0**-52)
+    assert float(e.sf(1000 * math.log(2.0) / 2.0)) == pytest.approx(2.0**-1000, rel=1e-13)
+
+
+def test_affine_negative_scale_tail_functions():
+    d = scalars.affine(scalars.dyadic(), -1.0, 2.0)  # 2 - 2^k: 1, 0, -2, -6, ...
+    np.testing.assert_array_equal(d.sf([1.0, 0.0, -0.5, -2.0, -np.inf]), [0.0, 0.75, 15 / 16, 15 / 16, 1.0])
+    np.testing.assert_array_equal(d.isf([1.0, 0.9, 0.75, 0.5, 1e-300]), [-np.inf, 0.0, 1.0, 1.0, 1.0])
+    e = scalars.affine(scalars.exponential(1.0), -1.0, 0.0)  # -Exp(1)
+    assert float(e.sf(-1.0)) == pytest.approx(-math.expm1(-1.0), rel=1e-15)
+    assert float(e.isf(1e-300)) == pytest.approx(-1e-300, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert float(e.isf(1.0)) == -math.inf
+
+
 def test_point_mass_icdf_skips_lookup_exactly():
     d = scalars.constant(math.exp(-1))
     u = np.random.default_rng(2).random((3, 7))
