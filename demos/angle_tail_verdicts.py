@@ -18,7 +18,6 @@ import numpy as np
 from oseledets import scalars
 from oseledets.cocycle import rotgain_distribution
 from oseledets.estimation import (
-    NEGLOG_HEAD,
     angle_tail_report,
     angle_tail_report_neglog,
     build_counterexample_cocycle,
@@ -36,11 +35,9 @@ def show(tag, report):
 
 
 # heavy tail: -log sin(gap) sampled in the log domain, so the enormous
-# matrix entries (up to e^(2^26)) never have to be materialized; the series
-# is summed whole, from NEGLOG_HEAD explicit terms and the rare later terms
-# that can still matter
+# matrix entries (up to e^(2^26)) never have to be materialized
 grow = build_counterexample_cocycle()
-v = triangular_gap_neglog_samples(grow, 80_000, depth=NEGLOG_HEAD, seed=3)
+v = triangular_gap_neglog_samples(grow, 80_000, seed=3)
 show("heavy-tailed family", angle_tail_report_neglog(v, THRESHOLDS))
 print(f"  largest sampled -log sin(gap): {v.max():.3g}")
 

@@ -108,8 +108,8 @@ def _angle_tail(nu: MatrixDistribution, args):
     """Tail report from args.trials stationary gap-angle samples.
 
     Triangular families with positively supported laws and a contracting
-    first axis run in the log domain, which keeps heavy tails representable
-    (summed exactly for a point-mass a); everything else samples
+    first axis run in the log domain, which keeps heavy tails
+    representable; everything else samples
     matrix products directly.  Trials are split over a fixed number of
     chunks with derived seeds, so the result is byte-identical for any --jobs.
     """
@@ -120,10 +120,7 @@ def _angle_tail(nu: MatrixDistribution, args):
         for i in range(chunks)
     ]
     child = np.random.SeedSequence(args.seed).generate_state(chunks, dtype=np.uint64)
-    if not neglog:
-        depth = 256
-    else:  # the head of an exact series, or where a drawn a's series stops
-        depth = estimation.NEGLOG_HEAD if estimation.exact_series(nu) else 512
+    depth = 512 if neglog else 256
     work = [
         (nu.to_json(), n, depth, int(s), neglog) for n, s in zip(sizes, child)
     ]

@@ -46,8 +46,10 @@ NEGLOG_BLOCK_ELEMENTS = 1 << 13
 
 # explicit head terms of the log-domain series for a point-mass a; the
 # exceedance rounds after it stop at the term index NEGLOG_HORIZON, where
-# float positions stop being exact integers
+# float positions stop being exact integers.  A point a whose head would
+# pass NEGLOG_HEAD_MAX terms (a above about 0.924) is summed to ``depth``
 NEGLOG_HEAD = 64
+NEGLOG_HEAD_MAX = 512
 NEGLOG_HORIZON = 2.0**53
 
 # a product sampler of bounded condition checks its lines every STOP_EVERY
@@ -303,11 +305,15 @@ def log_domain_supported(nu: MatrixDistribution) -> bool:
     )
 
 
-def exact_series(nu: MatrixDistribution) -> bool:
-    """Whether triangular_gap_neglog_samples sums nu's series without
-    truncation: a point-mass a in [0, 1)."""
-    a = nu.a
-    return a.kind == "atoms" and len(a.values) == 1 and 0.0 <= a.values[0] < 1.0
+def _exact_plan(a: float) -> tuple[float, float, int]:
+    """(kappa, c, head) of the exact series for a point a = e^-kappa in
+    [0, 1): the threshold offset c of ``_exact_neglog_samples`` and the head
+    length max(NEGLOG_HEAD, ceil(c / kappa)).  a = 0 keeps term 0 alone."""
+    if a == 0.0:
+        return math.inf, 0.0, 1
+    kappa = -math.log(a)
+    c = 53.0 * math.log(2.0) - math.log(-math.expm1(-kappa / 2.0))
+    return kappa, c, max(NEGLOG_HEAD, math.ceil(c / kappa))
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
@@ -331,11 +337,12 @@ def triangular_gap_neglog_samples(
     tails like log b = 2^26 representable where explicit matrices would
     overflow.  A zero a or b is a -inf log term that drops out exactly.
 
-    A point-mass a in [0, 1) (``exact_series``) sums the whole series:
-    ``depth`` terms explicitly, then only the later terms that can still
-    matter (``_add_exceedances``).  Any other a sums the first ``depth``
-    terms: each chunk of CHUNK rows draws all its a before its b, and a is
-    read row block by row block from a copy of the stream.
+    A point-mass a in [0, 1) whose head fits in NEGLOG_HEAD_MAX terms sums
+    the whole series: the head explicitly, then only the later terms that
+    can still matter (``_exact_neglog_samples``); ``depth`` plays no part.
+    Any other a sums the first ``depth`` terms: each chunk of CHUNK rows
+    draws all its a before its b, and a is read row block by row block from
+    a copy of the stream.
     """
     if not log_domain_supported(nu):
         raise Unsupported(
@@ -343,8 +350,10 @@ def triangular_gap_neglog_samples(
             " and a not supported in [1, inf)"
         )
     (rng,) = _spawn_rngs(seed, 1)
-    if exact_series(nu):
-        return _exact_neglog_samples(nu, trials, depth, rng)
+    if nu.a.kind == "atoms" and len(nu.a.values) == 1:  # in [0, 1): supported
+        kappa, c, head = _exact_plan(float(nu.a.values[0]))
+        if head <= NEGLOG_HEAD_MAX:
+            return _exact_neglog_samples(nu, trials, kappa, c, head, rng)
     block_rows = max(1, NEGLOG_BLOCK_ELEMENTS // depth)
     out = np.empty(trials)
     for done in range(0, trials, CHUNK):
@@ -363,7 +372,9 @@ def triangular_gap_neglog_samples(
     return out
 
 
-def _exact_neglog_samples(nu: MatrixDistribution, trials: int, head: int, rng) -> np.ndarray:
+def _exact_neglog_samples(
+    nu: MatrixDistribution, trials: int, kappa: float, c: float, head: int, rng
+) -> np.ndarray:
     """The series of a point a = e^-kappa in [0, 1), summed to the term-index
     horizon NEGLOG_HORIZON.  Term k is z_k = psi_k - kappa k, psi = log b.
 
@@ -373,16 +384,11 @@ def _exact_neglog_samples(nu: MatrixDistribution, trials: int, head: int, rng) -
     tau_k = M - c + kappa (k + head) / 2; a term below its threshold is
     below e^(M - c) e^(-kappa (k - head) / 2), so c = 53 log 2 -
     log(1 - e^(-kappa / 2)) keeps all of them together below 2^-53 e^M, at
-    most 2^-53 X.  The head holds at least c / kappa terms, so the first
-    threshold is at least M and the rounds visit only rare terms.
+    most 2^-53 X.  The head holds at least c / kappa terms (``_exact_plan``),
+    so the first threshold is at least M and the rounds visit only rare terms.
     """
-    a = float(nu.a.values[0])
-    kappa = -math.log(a) if a > 0.0 else math.inf
-    c = 53.0 * math.log(2.0) - math.log1p(-math.exp(-kappa / 2.0))
-    if kappa < math.inf:
-        head = max(head, math.ceil(c / kappa))
     lag = np.zeros(head)  # log(a^k); term 0 carries no a
-    lag[1:] = np.arange(1, head) * np.log(a)
+    lag[1:] = -kappa * np.arange(1, head)
     block_rows = max(1, NEGLOG_BLOCK_ELEMENTS // head)
     out = np.empty(trials)
     for done in range(0, trials, CHUNK):

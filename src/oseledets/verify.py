@@ -339,9 +339,7 @@ def _sup_mean():
 def _tail_verdicts():
     thresholds = (4.0, 8.0, 16.0, 32.0, 64.0)
     grow = estimation.build_counterexample_cocycle()
-    v = estimation.triangular_gap_neglog_samples(
-        grow, 200_000, depth=estimation.NEGLOG_HEAD, seed=FAST_SEED
-    )
+    v = estimation.triangular_gap_neglog_samples(grow, 200_000, seed=FAST_SEED)
     rep = estimation.angle_tail_report_neglog(v, thresholds)
     _expect(rep.verdict == "growing", f"heavy-tail control read as {rep.verdict}")
     d = np.minimum(v, 64.0) - np.minimum(v, 4.0)
@@ -389,9 +387,7 @@ def _neglog_deep_oracle():
     )
     for i, (a, b, log_b) in enumerate(laws):
         nu = cocycle.triangular_distribution(scalars.constant(a), b, log_scale_b=log_b)
-        v = estimation.triangular_gap_neglog_samples(
-            nu, 40_000, depth=estimation.NEGLOG_HEAD, seed=FAST_SEED + i
-        )
+        v = estimation.triangular_gap_neglog_samples(nu, 40_000, seed=FAST_SEED + i)
         w = _deep_neglog_oracle(a, b, log_b, 3000, np.random.default_rng([FAST_SEED, i]))
         for t in (4.0, 8.0, 16.0, 32.0):
             cv, cw = np.minimum(v, t), np.minimum(w, t)

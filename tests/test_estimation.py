@@ -434,13 +434,14 @@ def test_neglog_point_mass_advance_keeps_b_draws():
 
 
 def test_neglog_point_mass_matches_drawn_prefix():
-    # with b <= 1.5 and a = 1/e no term past 64 can pass its threshold, so the
-    # exact path is the head: the first 64 b of each row, drawn row-major
+    # with b <= 1.5 and a = 1/e no term past the head can pass its threshold,
+    # so the exact path is the head: the first 64 b of each row, row-major
     nu = cocycle.triangular_distribution(
         scalars.constant(math.exp(-1)), scalars.uniform(0.5, 1.5)
     )
-    trials, head = est.CHUNK + 5, 64
-    got = triangular_gap_neglog_samples(nu, trials, depth=head, seed=8)
+    trials, head = est.CHUNK + 5, est.NEGLOG_HEAD
+    assert est._exact_plan(math.exp(-1))[2] == head
+    got = triangular_gap_neglog_samples(nu, trials, seed=8)
     (rng,) = est._spawn_rngs(8, 1)
     b = np.concatenate([nu.b.sample(rng, m * head) for m in (est.CHUNK, 5)])
     x = (b.reshape(trials, head) * np.exp(-np.arange(head))).sum(axis=1)
@@ -470,8 +471,9 @@ NEGLOG_DEPTH = 512
 NEGLOG_ROWS = est.NEGLOG_BLOCK_ELEMENTS // NEGLOG_DEPTH
 
 
+# a point a this close to 1 is past NEGLOG_HEAD_MAX and is summed to depth
 @pytest.mark.parametrize(
-    "a", [scalars.constant(math.exp(-1)), scalars.uniform(0.0, 0.5)], ids=["point", "uniform"]
+    "a", [scalars.constant(0.9999), scalars.uniform(0.0, 0.5)], ids=["point", "uniform"]
 )
 @pytest.mark.parametrize(
     "b, log_b",
@@ -481,16 +483,30 @@ NEGLOG_ROWS = est.NEGLOG_BLOCK_ELEMENTS // NEGLOG_DEPTH
 @pytest.mark.parametrize(
     "trials", [1, NEGLOG_ROWS - 1, NEGLOG_ROWS + 1, est.CHUNK + 3]
 )
-def test_neglog_row_blocks_match_chunk_oracle(monkeypatch, a, b, log_b, trials):
+def test_neglog_row_blocks_match_chunk_oracle(a, b, log_b, trials):
     assert NEGLOG_ROWS > 2  # the trial counts straddle a row block
     nu = cocycle.triangular_distribution(a, b, log_scale_b=log_b)
     got = triangular_gap_neglog_samples(nu, trials, depth=NEGLOG_DEPTH, seed=12)
-    if est.exact_series(nu):  # the same sampler, each chunk's head one block
-        monkeypatch.setattr(est, "NEGLOG_BLOCK_ELEMENTS", est.CHUNK * NEGLOG_DEPTH)
-        want = triangular_gap_neglog_samples(nu, trials, depth=NEGLOG_DEPTH, seed=12)
-    else:
-        want = _chunk_neglog_samples(nu, trials, NEGLOG_DEPTH, seed=12)
+    want = _chunk_neglog_samples(nu, trials, NEGLOG_DEPTH, seed=12)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("a", [1.0 - 1e-12, math.nextafter(1.0, 0.0)])
+def test_neglog_point_a_near_one_sums_to_depth(a):
+    # the exact head of a point a near 1 would hold c / kappa, over
+    # 46 / (1 - a) terms; past NEGLOG_HEAD_MAX the series is cut at depth
+    # like a drawn a's
+    assert est._exact_plan(a)[2] > est.NEGLOG_HEAD_MAX
+    nu = cocycle.triangular_distribution(scalars.constant(a), scalars.dyadic(), log_scale_b=True)
+    got = triangular_gap_neglog_samples(nu, 300, depth=NEGLOG_DEPTH, seed=5)
+    np.testing.assert_array_equal(got, _chunk_neglog_samples(nu, 300, NEGLOG_DEPTH, seed=5))
+
+
+def test_exact_head_cap_boundary():
+    # NEGLOG_HEAD_MAX = 512 admits a up to about 0.9248
+    assert est._exact_plan(0.92)[2] <= est.NEGLOG_HEAD_MAX < est._exact_plan(0.93)[2]
+    assert est._exact_plan(0.0)[2] == 1
+    assert est._exact_plan(0.5)[2] == est.NEGLOG_HEAD
 
 
 # psi laws of the exact path, with whether b is given as log b; atoms at 0
@@ -511,24 +527,23 @@ EXACT_PSI_LAWS = [
 @settings(max_examples=80, deadline=None, database=None)
 @seed(20261)
 @given(
-    a=st.floats(0.02, 0.97),
+    a=st.floats(0.02, 0.92),
     law=st.sampled_from(range(len(EXACT_PSI_LAWS))),
-    depth=st.sampled_from([1, 5, 64]),
     trials=st.integers(1, 40),
 )
-def test_neglog_exact_path_properties(a, law, depth, trials):
+def test_neglog_exact_path_properties(a, law, trials):
     b, log_b = EXACT_PSI_LAWS[law]
     nu = cocycle.triangular_distribution(scalars.constant(a), b, log_scale_b=log_b)
-    assert est.exact_series(nu)
-    got = triangular_gap_neglog_samples(nu, trials, depth=depth, seed=law)
+    assert est._exact_plan(a)[2] <= est.NEGLOG_HEAD_MAX
+    got = triangular_gap_neglog_samples(nu, trials, seed=law)
     assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(est, "NEGLOG_BLOCK_ELEMENTS", 1)
         np.testing.assert_array_equal(
-            triangular_gap_neglog_samples(nu, trials, depth=depth, seed=law), got
+            triangular_gap_neglog_samples(nu, trials, seed=law), got
         )
         mp.setattr(est, "_add_exceedances", lambda *args: None)
-        head_only = triangular_gap_neglog_samples(nu, trials, depth=depth, seed=law)
+        head_only = triangular_gap_neglog_samples(nu, trials, seed=law)
     assert np.all(got >= head_only)
 
 
@@ -603,7 +618,7 @@ def test_neglog_zero_a_or_b_terms_drop_out():
         zero_b = cocycle.triangular_distribution(b, scalars.constant(0.0))
         flat = triangular_gap_neglog_samples(zero_b, trials=500, depth=16, seed=2)
     (rng,) = est._spawn_rngs(2, 1)
-    b0 = b.sample(rng, 500 * 16).reshape(500, 16)[:, 0]  # the point a is not drawn
+    b0 = b.sample(rng, 500)  # a = 0: the head is term 0 alone, and a is not drawn
     np.testing.assert_allclose(got, 0.5 * np.log1p(b0**2), rtol=1e-14)
     np.testing.assert_array_equal(flat, 0.0)
 
