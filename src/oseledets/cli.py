@@ -96,45 +96,26 @@ def _load(path: str, parse, what: str):
 # onestep
 
 
-def _angle_chunk(args) -> np.ndarray:
-    nu_json, n, depth, seed, neglog = args
-    nu = MatrixDistribution.from_json(nu_json)
-    if neglog:
-        return estimation.triangular_gap_neglog_samples(nu, n, depth=depth, seed=seed)
-    return estimation.oseledets_angle_samples(nu, n, depth, seed=seed)
-
-
 def _angle_tail(nu: MatrixDistribution, args):
-    """Tail report from args.trials stationary gap-angle samples.
-
-    Triangular families with positively supported laws and a contracting
-    first axis run in the log domain, which keeps heavy tails
-    representable; everything else samples
-    matrix products directly.  Trials are split over a fixed number of
-    chunks with derived seeds, so the result is byte-identical for any --jobs.
-    """
-    neglog = estimation.log_domain_supported(nu)
+    """Tail report from args.trials stationary -log sin(gap angle) samples
+    (``estimation.gap_neglog_samples``).  Trials are split over a fixed
+    number of chunks with derived seeds, so the result is byte-identical
+    for any --jobs."""
     chunks = SAMPLE_CHUNKS if args.trials >= SAMPLE_CHUNKS else 1
     sizes = [
         args.trials // chunks + (1 if i < args.trials % chunks else 0)
         for i in range(chunks)
     ]
     child = np.random.SeedSequence(args.seed).generate_state(chunks, dtype=np.uint64)
-    depth = 512 if neglog else 256
-    work = [
-        (nu.to_json(), n, depth, int(s), neglog) for n, s in zip(sizes, child)
-    ]
+    work = ([nu] * chunks, sizes, child.tolist())
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: ~11 ms of import
 
         with ProcessPoolExecutor(max_workers=min(args.jobs, chunks)) as pool:
-            parts = list(pool.map(_angle_chunk, work))
+            parts = list(pool.map(estimation.gap_neglog_samples, *work))
     else:
-        parts = [_angle_chunk(w) for w in work]
-    samples = np.concatenate(parts)
-    if neglog:
-        return estimation.angle_tail_report_neglog(samples, args.thresholds)
-    return estimation.angle_tail_report(samples, args.thresholds)
+        parts = list(map(estimation.gap_neglog_samples, *work))
+    return estimation.angle_tail_report_neglog(np.concatenate(parts), args.thresholds)
 
 
 def cmd_onestep(args) -> int:

@@ -52,6 +52,11 @@ NEGLOG_HEAD = 64
 NEGLOG_HEAD_MAX = 512
 NEGLOG_HORIZON = 2.0**53
 
+# depths of gap_neglog_samples: terms of the log-domain series for an a it
+# does not sum whole, and factors per half of the product sampler
+NEGLOG_DEPTH = 512
+PRODUCT_DEPTH = 256
+
 # a product sampler of bounded condition checks its lines every STOP_EVERY
 # steps and stops once none moved by STOP_TOL radians since the last check
 STOP_EVERY = 8
@@ -115,8 +120,12 @@ def lyapunov_estimates(window: OrbitWindow) -> LyapunovPair:
     log_s1 = scaled.log_scale + math.log(float(gl2.top_singular(scaled.mat)))
     top = log_s1 / n
     mats = window.matrices[window.slot(0) : window.slot(n - 1) + 1]
-    log_det_sum = float(np.sum(np.log(np.abs(gl2.det2(mats)))))
-    return LyapunovPair(top, log_det_sum / n - top)
+    log_det = np.log(np.abs(gl2.det2(mats)))
+    bad = np.flatnonzero(~np.isfinite(log_det))  # a det past the float range, or inf - inf
+    scale = np.abs(mats[bad]).max(axis=(1, 2), initial=0.0)
+    scale[scale == 0.0] = 1.0  # a zero factor keeps log 0 = -inf
+    log_det[bad] = np.log(np.abs(gl2.det2(mats[bad] / scale[:, None, None]))) + 2 * np.log(scale)
+    return LyapunovPair(top, float(np.sum(log_det)) / n - top)
 
 
 def estimate_E2_forward(window: OrbitWindow, depth: int) -> float:
@@ -305,10 +314,22 @@ def log_domain_supported(nu: MatrixDistribution) -> bool:
     )
 
 
+def gap_neglog_samples(nu: MatrixDistribution, trials: int, seed: int = 0) -> np.ndarray:
+    """-log sin(gap angle) samples of nu, one per trial: from the log-domain
+    series where ``log_domain_supported`` holds (NEGLOG_DEPTH terms for an a
+    it does not sum whole), from matrix products of PRODUCT_DEPTH factors
+    per half otherwise.  A product gap of exactly 0 gives +inf."""
+    if log_domain_supported(nu):
+        return triangular_gap_neglog_samples(nu, trials, NEGLOG_DEPTH, seed)
+    with np.errstate(divide="ignore"):  # -log sin 0 = +inf
+        return -np.log(np.sin(oseledets_angle_samples(nu, trials, PRODUCT_DEPTH, seed)))
+
+
 def _exact_plan(a: float) -> tuple[float, float, int]:
     """(kappa, c, head) of the exact series for a point a = e^-kappa in
-    [0, 1): the threshold offset c of ``_exact_neglog_samples`` and the head
-    length max(NEGLOG_HEAD, ceil(c / kappa)).  a = 0 keeps term 0 alone."""
+    [0, 1): the threshold offset c of ``triangular_gap_neglog_samples`` and
+    the head length max(NEGLOG_HEAD, ceil(c / kappa)).  a = 0 keeps term 0
+    alone."""
     if a == 0.0:
         return math.inf, 0.0, 1
     kappa = -math.log(a)
@@ -326,7 +347,7 @@ def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
 
 @np.errstate(divide="ignore")  # log 0 = -inf is intended
 def triangular_gap_neglog_samples(
-    nu: MatrixDistribution, trials: int, depth: int = 512, seed: int = 0
+    nu: MatrixDistribution, trials: int, depth: int = NEGLOG_DEPTH, seed: int = 0
 ) -> np.ndarray:
     """-log sin(gap angle) samples for positive upper-triangular families.
 
@@ -337,12 +358,20 @@ def triangular_gap_neglog_samples(
     tails like log b = 2^26 representable where explicit matrices would
     overflow.  A zero a or b is a -inf log term that drops out exactly.
 
-    A point-mass a in [0, 1) whose head fits in NEGLOG_HEAD_MAX terms sums
-    the whole series: the head explicitly, then only the later terms that
-    can still matter (``_exact_neglog_samples``); ``depth`` plays no part.
-    Any other a sums the first ``depth`` terms: each chunk of CHUNK rows
-    draws all its a before its b, and a is read row block by row block from
-    a copy of the stream.
+    Each chunk of CHUNK rows draws its explicit terms row block by row block.
+    For a point a = e^-kappa in [0, 1) whose head (``_exact_plan``) fits in
+    NEGLOG_HEAD_MAX terms, the series is summed whole and ``depth`` plays
+    no part.  Term k is z_k = psi_k - kappa k, psi = log b; after the head,
+    the exceedance rounds (``_add_exceedances``) add a term k only when
+    psi_k passes tau_k = M - c + kappa (k + head) / 2, with M the row's
+    running max term.  A term below its threshold is below
+    e^(M - c) e^(-kappa (k - head) / 2), so c = 53 log 2 -
+    log(1 - e^(-kappa / 2)) keeps all of them together below 2^-53 e^M, at
+    most 2^-53 X.  The head holds at least c / kappa terms, so the first
+    threshold is at least M and the rounds visit only rare terms.
+
+    Any other a sums the first ``depth`` terms: each chunk draws all its a
+    before its b, and a is read from a copy of the stream.
     """
     if not log_domain_supported(nu):
         raise Unsupported(
@@ -350,59 +379,33 @@ def triangular_gap_neglog_samples(
             " and a not supported in [1, inf)"
         )
     (rng,) = _spawn_rngs(seed, 1)
-    if nu.a.kind == "atoms" and len(nu.a.values) == 1:  # in [0, 1): supported
-        kappa, c, head = _exact_plan(float(nu.a.values[0]))
-        if head <= NEGLOG_HEAD_MAX:
-            return _exact_neglog_samples(nu, trials, kappa, c, head, rng)
+    point = nu.a.kind == "atoms" and len(nu.a.values) == 1  # in [0, 1): supported
+    kappa, c, head = _exact_plan(float(nu.a.values[0])) if point else (0.0, 0.0, math.inf)
+    exact = head <= NEGLOG_HEAD_MAX
+    if exact:
+        depth = head
+        lag = -kappa * np.arange(1, head)  # log(a^k) of the terms k >= 1
     block_rows = max(1, NEGLOG_BLOCK_ELEMENTS // depth)
     out = np.empty(trials)
     for done in range(0, trials, CHUNK):
         m = min(CHUNK, trials - done)
-        a_rng = copy.deepcopy(rng)
-        rng.bit_generator.advance(m * depth)
+        total, top = np.empty(m), np.empty(m)
+        if not exact:
+            a_rng = copy.deepcopy(rng)
+            rng.bit_generator.advance(m * depth)
         for r in range(0, m, block_rows):
             n = min(block_rows, m - r)
-            la = np.log(np.asarray(nu.a.sample(a_rng, n * depth), dtype=float)).reshape(n, depth)
-            prefix = np.cumsum(la, axis=1, out=la)
+            if not exact:
+                la = np.log(np.asarray(nu.a.sample(a_rng, n * depth), dtype=float)).reshape(n, depth)
+                lag = np.cumsum(la, axis=1, out=la)[:, :-1]
             terms = np.asarray(nu.b.sample(rng, n * depth), dtype=float).reshape(n, depth)
             if not nu.log_scale_b:
                 np.log(terms, out=terms)
-            terms[:, 1:] += prefix[:, :-1]
-            out[done + r : done + r + n] = 0.5 * np.logaddexp(0.0, 2.0 * _logsumexp_rows(terms))
-    return out
-
-
-def _exact_neglog_samples(
-    nu: MatrixDistribution, trials: int, kappa: float, c: float, head: int, rng
-) -> np.ndarray:
-    """The series of a point a = e^-kappa in [0, 1), summed to the term-index
-    horizon NEGLOG_HORIZON.  Term k is z_k = psi_k - kappa k, psi = log b.
-
-    Each chunk of CHUNK rows draws its head of ``head`` terms row-major, then
-    runs the exceedance rounds over the chunk.  With M a row's running max
-    term, a term k past the head is added only when psi_k passes
-    tau_k = M - c + kappa (k + head) / 2; a term below its threshold is
-    below e^(M - c) e^(-kappa (k - head) / 2), so c = 53 log 2 -
-    log(1 - e^(-kappa / 2)) keeps all of them together below 2^-53 e^M, at
-    most 2^-53 X.  The head holds at least c / kappa terms (``_exact_plan``),
-    so the first threshold is at least M and the rounds visit only rare terms.
-    """
-    lag = np.zeros(head)  # log(a^k); term 0 carries no a
-    lag[1:] = -kappa * np.arange(1, head)
-    block_rows = max(1, NEGLOG_BLOCK_ELEMENTS // head)
-    out = np.empty(trials)
-    for done in range(0, trials, CHUNK):
-        m = min(CHUNK, trials - done)
-        total, top = np.empty(m), np.empty(m)
-        for r in range(0, m, block_rows):
-            n = min(block_rows, m - r)
-            terms = np.asarray(nu.b.sample(rng, n * head), dtype=float).reshape(n, head)
-            if not nu.log_scale_b:
-                np.log(terms, out=terms)
-            terms += lag
-            top[r : r + n] = terms.max(axis=1)
+            terms[:, 1:] += lag
+            if exact:  # the exceedance thresholds rise from the row max
+                top[r : r + n] = terms.max(axis=1)
             total[r : r + n] = _logsumexp_rows(terms)
-        if kappa < math.inf:  # a = 0 keeps term 0 alone
+        if exact and kappa < math.inf:  # a = 0 keeps term 0 alone
             _add_exceedances(nu, total, top, kappa, c, head, rng)
         out[done : done + m] = 0.5 * np.logaddexp(0.0, 2.0 * total)
     return out

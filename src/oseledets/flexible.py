@@ -119,9 +119,8 @@ class Cell:
     """Closed rectangle [alpha_lo, alpha_hi] x [theta_lo, theta_hi] carrying
     the uniform law; degenerate edges collapse the law to an atom.
 
-    alpha is a line angle in [0, pi] (pi identified with 0; put atoms at 0,
-    not pi) and theta a gap angle, so theta_lo > 0 keeps the closure away
-    from collinear splittings.
+    alpha is a line angle in [0, pi] (pi identified with 0) and theta a gap
+    angle, so theta_lo > 0 keeps the closure away from collinear splittings.
     """
 
     alpha_lo: float
@@ -161,11 +160,13 @@ class Cell:
         return alpha, theta
 
     def contains(self, alpha, theta, tol: float = 1e-12) -> np.ndarray:
+        """Whether (alpha, theta) lies in the cell, alpha read modulo pi: a
+        line angle in [0, pi) near 0 also matches a range that reaches pi."""
         alpha = np.asarray(alpha, dtype=float)
         theta = np.asarray(theta, dtype=float)
         return (
-            (alpha >= self.alpha_lo - tol)
-            & (alpha <= self.alpha_hi + tol)
+            (((alpha >= self.alpha_lo - tol) & (alpha <= self.alpha_hi + tol))
+             | (alpha <= self.alpha_hi + tol - math.pi))
             & (theta >= self.theta_lo - tol)
             & (theta <= self.theta_hi + tol)
         )

@@ -23,9 +23,14 @@ every check that depends on it.  They fail through ``_expect``, never
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import sys
+import tempfile
 import time
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -700,16 +705,18 @@ def _atom_exact():
 # the batch front end
 
 
-@_check("cli.reports_byte_identical")
-def _cli_deterministic():
-    import contextlib
-    import io
-    import json
-    import tempfile
-    from pathlib import Path
-
+def _run_cli(argv: list[str]) -> tuple[int, str]:
+    """``osl argv`` in-process, its stdout dropped: (exit code, stderr)."""
     from . import cli
 
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@_check("cli.reports_byte_identical")
+def _cli_deterministic():
     nu = cocycle.atoms_distribution([(((2.0, 0.0), (0.0, 0.5)), 1.0)])
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "nu.json"
@@ -717,13 +724,12 @@ def _cli_deterministic():
         outs = []
         for sub in ("a", "b"):
             out = Path(tmp) / sub
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(
-                    [
-                        "onestep", "--spec", str(spec), "--steps", "1200",
-                        "--trials", "400", "--seed", "7", "--out", str(out),
-                    ]
-                )
+            code, _ = _run_cli(
+                [
+                    "onestep", "--spec", str(spec), "--steps", "1200",
+                    "--trials", "400", "--seed", "7", "--out", str(out),
+                ]
+            )
             _expect(code == 0)
             outs.append((out / "onestep_report.json").read_bytes())
         _expect(outs[0] == outs[1], "same config and seed must give identical bytes")
@@ -733,13 +739,6 @@ def _cli_deterministic():
 
 @_check("cli.infeasible_budget_exits_two")
 def _cli_infeasible():
-    import contextlib
-    import io
-    import tempfile
-    from pathlib import Path
-
-    from . import cli
-
     eta = flexible.EtaSpec(
         pieces=(
             (0.5, flexible.atom_cell(0.3, 1.5)),
@@ -749,13 +748,11 @@ def _cli_infeasible():
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "eta.json"
         spec.write_text(eta.to_json())
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = cli.main(
-                [
-                    "flexible", "--spec", str(spec), "--mode", "bounded",
-                    "--budget", "0.5", "--steps", "2000", "--seed", "0", "--out", tmp,
-                ]
-            )
+        code, err = _run_cli(
+            [
+                "flexible", "--spec", str(spec), "--mode", "bounded",
+                "--budget", "0.5", "--steps", "2000", "--seed", "0", "--out", tmp,
+            ]
+        )
         _expect(code == 2)
-        _expect("witness" in err.getvalue() and "pieces [0]" in err.getvalue())
+        _expect("witness" in err and "pieces [0]" in err)

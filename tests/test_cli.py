@@ -16,7 +16,9 @@ import pytest
 from oseledets import cli, scalars
 from oseledets.cocycle import MatrixDistribution, atoms_distribution, triangular_distribution
 from oseledets.estimation import build_counterexample_cocycle
-from oseledets.flexible import EtaSpec, decompose_eta, piece_cost_caps, uniform_cell
+from oseledets.flexible import EtaSpec, atom_cell, decompose_eta, piece_cost_caps, uniform_cell
+from oseledets.gl2 import NotInvertible
+from oseledets.scalars import BadTerm
 
 DIAG = atoms_distribution([(((2.0, 0.0), (0.0, 0.5)), 1.0)])
 
@@ -224,6 +226,51 @@ def test_onestep_short_products_of_huge_gains_exit_zero(lo, hi, tmp_path, capsys
     assert lo < float(obj["lambda_hat"]["top"]) < hi
 
 
+@pytest.mark.parametrize("entries", [
+    ((1e200, 0.0), (0.0, 1e200)),
+    ((1e300, 1e300), (1e300, -1e300)),
+])
+def test_onestep_determinant_past_the_float_range(entries, tmp_path, capsys):
+    # a multiple of an orthogonal matrix: both exponents are log of its
+    # singular value, though det = s^2 overflows a float
+    spec = write_spec(tmp_path, "nu.json", atoms_distribution([(entries, 1.0)]))
+    argv = ["onestep", "--spec", spec, "--steps", "500", "--trials", "200", "--seed", "1"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    lam = json.loads((tmp_path / "onestep_report.json").read_text())["lambda_hat"]
+    top, bottom = float(lam["top"]), float(lam["bottom"])
+    assert bottom == pytest.approx(top, rel=1e-12)
+    assert top == pytest.approx(math.log(math.hypot(*entries[0])), rel=1e-12)
+
+
+def _rotgain(log_gain):
+    return MatrixDistribution.from_obj(
+        {"kind": "rotgain", "angle": {"kind": "uniform", "lo": "0.0", "hi": repr(math.pi)},
+         "log_gain": log_gain}
+    )
+
+
+# Known fault (ROADMAP open item 1): accepted specs whose factors pass e^709
+# end in a traceback.  Each reproducer is pinned, so a fix shows as XPASS.
+@pytest.mark.xfail(
+    strict=True, raises=(NotInvertible, BadTerm),
+    reason="factors are stored as raw float matrices, which overflow past e^709",
+)
+@pytest.mark.parametrize("nu,steps,trials", [
+    pytest.param(build_counterexample_cocycle(), 100000, 2000, id="heavy-long-window"),
+    pytest.param(_rotgain({"kind": "uniform", "lo": "710.0", "hi": "720.0"}), 2000, 400,
+                 id="rotgain-gain-past-709"),
+    pytest.param(_rotgain({"kind": "exponential", "rate": "0.01"}), 500, 200,
+                 id="rotgain-exponential-gain"),
+    pytest.param(triangular_distribution(scalars.constant(2.0), scalars.exponential(0.01),
+                                         log_scale_b=True), 500, 200,
+                 id="expanding-a-heavy-log-b"),
+])
+def test_onestep_factors_past_the_float_range_exit_zero(nu, steps, trials, tmp_path):
+    spec = write_spec(tmp_path, "nu.json", nu)
+    argv = ["onestep", "--spec", spec, "--steps", str(steps), "--trials", str(trials)]
+    assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 0
+
+
 def test_onestep_env_seed(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "nu.json", DIAG)
     monkeypatch.setenv("OSL_DEFAULT_SEED", "42")
@@ -295,6 +342,18 @@ def test_flexible_lowcost_prints_mean_cost(tmp_path, capsys):
     )
     assert code == 0
     assert "mean step cost" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode,bound", [("bounded", "0.5"), ("lowcost", "0.2")])
+def test_flexible_atom_at_alpha_pi_builds(mode, bound, tmp_path, capsys):
+    # alpha = pi is the line alpha = 0, which the build stores as 0
+    spec = write_spec(tmp_path, "eta.json", EtaSpec(pieces=((1.0, atom_cell(math.pi, 0.5)),)))
+    flag = "--budget" if mode == "bounded" else "--epsilon"
+    argv = ["flexible", "--spec", spec, "--mode", mode, flag, bound, "--steps", "5000"]
+    assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "flexible_report.json").read_text())["report"]
+    assert float(rep["tv_distance"]) == 0.0 and float(rep["agreement_fraction"]) == 1.0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_text_is_written_in_slices(tmp_path):

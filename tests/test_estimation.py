@@ -607,6 +607,20 @@ def test_log_domain_support_predicate():
             triangular_gap_neglog_samples(nu, trials=10, depth=4)
 
 
+def test_gap_neglog_samples_picks_the_sampler_and_its_depth():
+    pos = scalars.uniform(0.5, 1.5)
+    drawn_a = cocycle.triangular_distribution(scalars.uniform(0.0, 0.5), pos)
+    np.testing.assert_array_equal(
+        est.gap_neglog_samples(drawn_a, 300, seed=4),
+        triangular_gap_neglog_samples(drawn_a, 300, est.NEGLOG_DEPTH, seed=4),
+    )
+    expanding = cocycle.triangular_distribution(scalars.constant(2.0), pos)
+    theta = oseledets_angle_samples(expanding, 300, est.PRODUCT_DEPTH, seed=4)
+    np.testing.assert_array_equal(
+        est.gap_neglog_samples(expanding, 300, seed=4), -np.log(np.sin(theta))
+    )
+
+
 def test_neglog_zero_a_or_b_terms_drop_out():
     b = scalars.uniform(0.5, 1.5)
     with warnings.catch_warnings():
