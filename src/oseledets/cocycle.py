@@ -1,10 +1,11 @@
 """Matrix distributions, orbit windows, and cocycle product machinery.
 
 An orbit window holds the one-step matrices F(T^i omega) for i in
-[offset, offset + n).  Products reduce pairwise in a tree, and every pair
-product is divided by its max-abs entry, whose log moves into a separate
-accumulator, so window lengths of 10^6 and matrix norms like e^500000 stay
-representable.
+[offset, offset + n), each drawn as e^log_scale times a matrix whose max-abs
+entry lies within e^+-LOG_SAFE.  Products reduce pairwise in a tree seeded
+with those scales, and every pair product is divided by its max-abs entry,
+whose log moves into a separate accumulator, so window lengths of 10^6 and
+matrix norms like e^500000 stay representable.
 
 Seed discipline: all randomness flows through numpy SeedSequence children
 spawned from the master seed in a fixed documented order, one stream per
@@ -24,12 +25,9 @@ import numpy as np
 from . import gl2
 from .scalars import ScalarDist, Unsupported, float_str
 
-# projective draws divide a factor by a positive scalar once an entry would
-# pass e^LOG_ENTRY_CAP, so a sum of two entry products stays finite
-LOG_ENTRY_CAP = 700.0
-# a product of two factors with entries up to this is finite: each of its
-# entries sums two products of at most DBL_MAX / 2
-_PAIR_SAFE = math.sqrt(np.finfo(float).max / 2)
+# drawn factors keep their max-abs entry within e^-LOG_SAFE..e^LOG_SAFE, so
+# a pair product is finite: a margin below log sqrt(DBL_MAX / 2) = 354.54
+LOG_SAFE = 354.0
 
 
 class WindowExhausted(IndexError):
@@ -65,6 +63,8 @@ class MatrixDistribution:
     angle: ScalarDist | None = None     # rotgain
     log_gain: ScalarDist | None = None  # rotgain
     bounded_condition: bool = field(default=False, init=False, repr=False, compare=False)
+    # atoms: (g, log_scale, log_det) of each atom, as sample_block draws them
+    _atoms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "atoms":
@@ -76,8 +76,10 @@ class MatrixDistribution:
             mats = np.asarray(self.matrices, dtype=float)
             if not np.all(np.isfinite(mats)):
                 raise ValueError("atom matrix entries must be finite")
-            if np.any(np.abs(gl2.det2(mats)) <= gl2.DET_FLOOR):
+            atoms = _atom_factors(mats)
+            if not np.all(np.isfinite(atoms[2])):
                 raise gl2.NotInvertible("atom matrix is singular")
+            object.__setattr__(self, "_atoms", atoms)
         elif self.kind == "triangular":
             if self.a is None or self.b is None:
                 raise ValueError("triangular kind needs scalar laws a and b")
@@ -101,50 +103,56 @@ class MatrixDistribution:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample_block(
-        self, rng: np.random.Generator, steps: int, n: int, projective: bool = False
-    ) -> np.ndarray:
-        """Draw steps x n i.i.d. matrices as entry arrays, shape (2, 2, steps, n).
+    def sample_block(self, rng: np.random.Generator, steps: int, n: int) -> tuple:
+        """Draw steps x n i.i.d. factors e^log_scale * g as (g, log_scale,
+        log_det): g entry arrays of shape (2, 2, steps, n), the others
+        (steps, n).  A factor with its max-abs entry within e^-LOG_SAFE..
+        e^LOG_SAFE has log_scale 0 and comes bit for bit as drawn; any
+        other is scaled to the nearer end.  log_det is log|det| from the law,
+        as det(g) can underflow: log|a| (triangular), 0 (rotgain), per atom.
 
         Uniforms are consumed step after step, field-major within a step:
         atoms use one stream of n uniforms; triangular draws all a then all
-        b; rotgain all angles then all gains.  With ``projective``, a
-        triangular factor with log|b| > LOG_ENTRY_CAP comes divided by
-        e^(log|b| - LOG_ENTRY_CAP), which keeps its entries finite and the
-        lines of every product the same (not its norm or determinant); all
-        other factors are drawn bit for bit as without it."""
+        b; rotgain all angles then all gains."""
         if self.kind == "atoms":
-            w = np.asarray(self.weights, dtype=float)
-            idx = np.searchsorted(np.cumsum(w), rng.random((steps, n)), side="left")
-            idx = np.minimum(idx, len(w) - 1)
-            return np.asarray(self.matrices, dtype=float).transpose(1, 2, 0)[:, :, idx]
+            idx = np.searchsorted(np.cumsum(self.weights), rng.random((steps, n)), side="left")
+            idx = np.minimum(idx, len(self.weights) - 1)
+            g, log_scale, log_det = self._atoms
+            return g[:, :, idx], log_scale[idx], log_det[idx]
         u = rng.random((steps, 2, n))
         out = np.empty((2, 2, steps, n))
+        log_scale = np.zeros((steps, n))
         if self.kind == "triangular":
-            braw = self.b.icdf(u[:, 1])
-            out[0, 0] = self.a.icdf(u[:, 0])
-            out[1, 0], out[1, 1] = 0.0, 1.0
-            if self.log_scale_b:
-                if projective and (big := braw > LOG_ENTRY_CAP).any():
-                    shrink = np.exp(LOG_ENTRY_CAP - braw[big])
-                    out[0, 0][big] *= shrink
-                    out[1, 1][big] = shrink
-                    braw[big] = LOG_ENTRY_CAP
-                braw = np.exp(braw)
-            out[0, 1] = braw
-            return out
+            a, b = self.a.icdf(u[:, 0]), self.b.icdf(u[:, 1])
+            with np.errstate(divide="ignore"):  # a or b = 0 has log -inf
+                log_det = np.log(np.abs(a))
+                log_peak = np.maximum(log_det, b if self.log_scale_b else np.log(np.abs(b)))
+            unit = 1.0  # the (2, 2) entry, which keeps log_peak >= 0
+            if log_peak.max() > LOG_SAFE:
+                log_scale = np.maximum(log_peak - LOG_SAFE, 0.0)
+                unit = np.exp(-log_scale)
+                a = a * unit
+                b = b - log_scale if self.log_scale_b else b * unit
+            out[0, 0], out[0, 1] = a, np.exp(b) if self.log_scale_b else b
+            out[1, 0], out[1, 1] = 0.0, unit
+            return out, log_scale, log_det
         ang = self.angle.icdf(u[:, 0])
         np.cos(ang, out=out[0, 0])
         np.sin(ang, out=out[1, 0])
         out[0, 1], out[1, 1] = -out[1, 0], out[0, 0]
         t = self.log_gain.icdf(u[:, 1])
-        out[:, 0] *= np.exp(t)  # columns scale by e^t and e^-t
-        out[:, 1] *= np.exp(-t)
-        return out
+        up, down = t, -t
+        if np.abs(t).max() > LOG_SAFE:  # one test per block; scaling is rare
+            log_scale = np.maximum(np.abs(t) - LOG_SAFE, 0.0)
+            up, down = t - log_scale, -t - log_scale
+        out[:, 0] *= np.exp(up)  # columns scale by e^t and e^-t
+        out[:, 1] *= np.exp(down)
+        return out, log_scale, np.zeros((steps, n))
 
-    def sample_matrices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n i.i.d. matrices, shape (n, 2, 2): one step of sample_block."""
-        return np.ascontiguousarray(self.sample_block(rng, 1, n)[:, :, 0].transpose(2, 0, 1))
+    def sample_matrices(self, rng: np.random.Generator, n: int) -> tuple:
+        """One step of sample_block: g of shape (n, 2, 2), log_scale, log_det."""
+        g, log_scale, log_det = self.sample_block(rng, 1, n)
+        return np.ascontiguousarray(g[:, :, 0].transpose(2, 0, 1)), log_scale[0], log_det[0]
 
     # -- serialization ----------------------------------------------------
 
@@ -203,6 +211,21 @@ class MatrixDistribution:
         return MatrixDistribution.from_obj(json.loads(text))
 
 
+def _atom_factors(mats: np.ndarray) -> tuple:
+    """(g, log_scale, log_det) of a (k, 2, 2) atom stack as sample_block
+    draws it.  log|det| is read from det2 where its log is finite, else
+    from the matrix over its max-abs entry; -inf or nan marks a singular atom."""
+    log_peak = np.log(np.abs(mats).reshape(-1, 4).max(axis=1))
+    with np.errstate(all="ignore"):  # huge or tiny dets; a zero atom gives nan
+        log_det = np.log(np.abs(gl2.det2(mats)))
+        redo = ~np.isfinite(log_det)
+        unit = mats[redo] / np.exp(log_peak[redo])[:, None, None]
+        log_det[redo] = np.log(np.abs(gl2.det2(unit))) + 2.0 * log_peak[redo]
+        log_scale = log_peak - np.clip(log_peak, -LOG_SAFE, LOG_SAFE)
+        g = mats * np.exp(-log_scale)[:, None, None]
+    return g.transpose(1, 2, 0), log_scale, log_det
+
+
 def atoms_distribution(pairs) -> MatrixDistribution:
     """Atomic matrix law from (2x2 array-like, weight) pairs."""
     mats = tuple(tuple(tuple(float(v) for v in row) for row in np.asarray(m)) for m, _ in pairs)
@@ -226,9 +249,12 @@ def rotgain_distribution(angle: ScalarDist, log_gain: ScalarDist):
 class OrbitWindow:
     """One-step matrices along a finite orbit stretch.
 
-    ``matrices[j]`` is F(T^i omega) for i = offset + j.  ``prescribed_f``
-    (same length, pairs of line angles) and ``labels`` are optional extras
-    attached by constructions that know them.
+    F(T^i omega) for i = offset + j is e^log_scales[j] * matrices[j] with
+    log|det| log_dets[j], as ``MatrixDistribution.sample_block`` draws it.
+    ``log_scales`` None means zeros, and ``log_dets`` None means read off
+    the matrices, as for plain windows like the flexible construction's.
+    ``prescribed_f`` (same length, pairs of line angles) and ``labels`` are
+    optional extras attached by constructions that know them.
     """
 
     offset: int
@@ -236,13 +262,15 @@ class OrbitWindow:
     prescribed_f: np.ndarray | None = None
     labels: np.ndarray | None = None
     seed: int | None = None
+    log_scales: np.ndarray | None = None
+    log_dets: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=float)
         object.__setattr__(self, "matrices", m)
         if m.ndim != 3 or m.shape[1:] != (2, 2):
             raise ValueError("matrices must have shape (n, 2, 2)")
-        for name in ("prescribed_f", "labels"):
+        for name in ("prescribed_f", "labels", "log_scales", "log_dets"):
             arr = getattr(self, name)
             if arr is not None and len(arr) != len(m):
                 raise ValueError(f"{name} must match the matrix count")
@@ -272,8 +300,8 @@ def sample_onestep(
     if half_width < 1:
         raise ValueError("half_width must be at least 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    mats = nu.sample_matrices(rng, 2 * half_width)
-    return OrbitWindow(offset=-half_width, matrices=mats, seed=seed)
+    mats, log_scales, log_dets = nu.sample_matrices(rng, 2 * half_width)
+    return OrbitWindow(-half_width, mats, seed=seed, log_scales=log_scales, log_dets=log_dets)
 
 
 # ---------------------------------------------------------------------------
@@ -296,27 +324,24 @@ def _normalized(prods: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.n
     return prods / peaks[:, None, None], scales + np.log(peaks)
 
 
-def product_scaled(mats: np.ndarray) -> ScaledMat2:
-    """Ordered product mats[n-1] @ ... @ mats[0] as exp(log_scale) * mat.
+def product_scaled(mats: np.ndarray, log_scales: np.ndarray | None = None) -> ScaledMat2:
+    """Ordered product of e^log_scales[i] * mats[i] (zero scales if None),
+    later factors on the left, as exp(log_scale) * mat.
 
-    A pairwise tree at every length, bit-stable given the input: each pair
-    product is renormalized at once (the periodic renormalization of
-    Benettin et al., Meccanica 15, 1980), and so, before the first level, is
-    every factor with an entry past sqrt(DBL_MAX / 2), so no pair product
-    overflows; a single factor is renormalized alone.  A zero or non-finite
-    factor or product raises NotInvertible.
+    A pairwise tree at every length, bit-stable given the input, seeded
+    with the factor scales: each pair product is renormalized at once (the
+    periodic renormalization of Benettin et al., Meccanica 15, 1980); a
+    single factor is renormalized alone.  Factors as sample_block draws
+    them give finite pair products.  A zero or non-finite factor or
+    product raises NotInvertible.
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[0]
     if n == 0:
         return ScaledMat2(np.eye(2), 0.0)
-    cur, scales = mats, np.zeros(n)
+    cur, scales = mats, np.zeros(n) if log_scales is None else np.asarray(log_scales, float)
     if n == 1:
         cur, scales = _normalized(cur, scales)
-    elif mats.max() > _PAIR_SAFE or mats.min() < -_PAIR_SAFE:
-        big = np.abs(mats).reshape(n, 4).max(axis=1) > _PAIR_SAFE
-        cur = mats.copy()
-        cur[big], scales[big] = _normalized(mats[big], scales[big])
     while cur.shape[0] > 1:
         k = cur.shape[0]
         half = k // 2
@@ -351,8 +376,9 @@ def cocycle_product_scaled(
         raise WindowExhausted(
             f"product over [{lo}, {hi}) exceeds window [{window.offset}, {window.end})"
         )
-    mats = window.matrices[lo - window.offset : hi - window.offset]
-    fwd = product_scaled(mats)
+    lo, hi = lo - window.offset, hi - window.offset
+    scales = None if window.log_scales is None else window.log_scales[lo:hi]
+    fwd = product_scaled(window.matrices[lo:hi], scales)
     if n > 0:
         return fwd
     return ScaledMat2(gl2.inv2(fwd.mat), -fwd.log_scale)
@@ -368,60 +394,29 @@ class MomentEstimate(NamedTuple):
     exact: bool
 
 
-def _log_norm_max_triangular(a: np.ndarray, log_abs_b: np.ndarray) -> np.ndarray:
-    """log_norm_max of [[a, b], [0, 1]] from a and log|b|, overflow-safe.
-
-    For log|b| <= 300 the matrix is materialized and svd2 applies; beyond
-    that, s1 = |b| to within less than a unit in the last place, so
-    log s1 = log|b| and log s2 = log|a| - log|b|.
-    """
-    shape = np.broadcast(np.asarray(a, dtype=float), np.asarray(log_abs_b, dtype=float)).shape
-    a = np.broadcast_to(np.asarray(a, dtype=float), shape)
-    lb = np.broadcast_to(np.asarray(log_abs_b, dtype=float), shape)
-    out = np.empty(shape)
-    big = lb > 300.0
-    small = ~big
-    if np.any(small):
-        mats = np.zeros((int(small.sum()), 2, 2))
-        mats[:, 0, 0] = a[small]
-        mats[:, 0, 1] = np.exp(lb[small])
-        mats[:, 1, 1] = 1.0
-        out[small] = gl2.log_norm_max(mats)
-    if np.any(big):
-        la = np.log(np.abs(a[big]))
-        out[big] = np.maximum(lb[big], lb[big] - la)
-    return out
-
-
 def moment(
     nu: MatrixDistribution,
     order: int,
     trials: int = 10_000,
     seed: int = 0,
 ) -> MomentEstimate:
-    """Mean of log_norm_max(g)^order under nu.
+    """Mean of log_norm_max(g)^order under nu, read off scaled factors as
+    max(log s1, log s1 - log|det g|).
 
     Atomic nu: exact weighted sum, zero standard error.  Otherwise Monte
-    Carlo with the stated trial count; a heavy-tailed law shows up as an
-    estimate that keeps growing with trials (reported, never raised).
+    Carlo over one sample_block step of the stated trial count; a
+    heavy-tailed law shows up as an estimate that keeps growing with trials
+    (reported, never raised).
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
     if nu.kind == "atoms":
-        vals = gl2.log_norm_max(np.asarray(nu.matrices, dtype=float))
-        value = float(np.dot(vals**order, nu.weights))
-        return MomentEstimate(value, 0.0, True)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if nu.kind == "triangular":
-        a = nu.a.sample(rng, trials)
-        braw = nu.b.sample(rng, trials)
-        lb = braw if nu.log_scale_b else np.log(np.abs(braw))
-        vals = _log_norm_max_triangular(a, lb)
-    else:  # rotgain: rotations are isometries, so log_norm_max = |log gain|
-        rng.random(trials)  # angle draws, consumed to keep the stream layout fixed
-        t = nu.log_gain.sample(rng, trials)
-        vals = np.abs(t)
-    vals = vals**order
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials))
-    return MomentEstimate(value, stderr, False)
+        g, log_scale, log_det = nu._atoms
+    else:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        g, log_scale, log_det = nu.sample_block(rng, 1, trials)
+    log_s1 = log_scale + np.log(gl2.top_singular(np.moveaxis(g, (0, 1), (-2, -1))))
+    vals = np.maximum(log_s1, log_s1 - log_det) ** order
+    if nu.kind == "atoms":
+        return MomentEstimate(float(np.dot(vals, nu.weights)), 0.0, True)
+    return MomentEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)), False)

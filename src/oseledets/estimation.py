@@ -119,12 +119,11 @@ def lyapunov_estimates(window: OrbitWindow) -> LyapunovPair:
     scaled = cocycle_product_scaled(window, 0, n)
     log_s1 = scaled.log_scale + math.log(float(gl2.top_singular(scaled.mat)))
     top = log_s1 / n
-    mats = window.matrices[window.slot(0) : window.slot(n - 1) + 1]
-    log_det = np.log(np.abs(gl2.det2(mats)))
-    bad = np.flatnonzero(~np.isfinite(log_det))  # a det past the float range, or inf - inf
-    scale = np.abs(mats[bad]).max(axis=(1, 2), initial=0.0)
-    scale[scale == 0.0] = 1.0  # a zero factor keeps log 0 = -inf
-    log_det[bad] = np.log(np.abs(gl2.det2(mats[bad] / scale[:, None, None]))) + 2 * np.log(scale)
+    lo, hi = window.slot(0), window.slot(n - 1) + 1
+    if window.log_dets is None:
+        log_det = np.log(np.abs(gl2.det2(window.matrices[lo:hi])))
+    else:
+        log_det = window.log_dets[lo:hi]
     return LyapunovPair(top, float(np.sum(log_det)) / n - top)
 
 
@@ -242,10 +241,10 @@ def _product_right_lines(
     """s1 right lines of g_d ... g_1 (each g transposed if asked), trials at once.
 
     The product, a (2, 2, trials) entry array, takes each new factor on the
-    left and is renormalized by its max-abs entry every step.  For a law of
-    bounded condition it stops at the first multiple of STOP_EVERY steps
-    where every line moved less than STOP_TOL since the previous multiple;
-    otherwise it runs to depth.
+    left, without its scale, which moves no line, and is renormalized by its
+    max-abs entry every step.  For a law of bounded condition it stops at
+    the first multiple of STOP_EVERY steps where every line moved less than
+    STOP_TOL since the previous multiple; otherwise it runs to depth.
     """
     settles = nu.bounded_condition
     prod = np.eye(2)[:, :, None].repeat(trials, axis=2)
@@ -254,7 +253,7 @@ def _product_right_lines(
         block = min(block, STOP_EVERY)
     last = None
     for start in range(0, depth, block):
-        g = nu.sample_block(rng, min(block, depth - start), trials, projective=True)
+        g = nu.sample_block(rng, min(block, depth - start), trials)[0]
         if transpose:
             g = g.swapaxes(0, 1)
         for s in range(g.shape[2]):  # g[s] @ prod: later factors act on the left

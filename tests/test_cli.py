@@ -10,15 +10,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from oseledets import cli, scalars
+from oseledets import cli, gl2, scalars
 from oseledets.cocycle import MatrixDistribution, atoms_distribution, triangular_distribution
 from oseledets.estimation import build_counterexample_cocycle
 from oseledets.flexible import EtaSpec, atom_cell, decompose_eta, piece_cost_caps, uniform_cell
 from oseledets.gl2 import NotInvertible
-from oseledets.scalars import BadTerm
 
 DIAG = atoms_distribution([(((2.0, 0.0), (0.0, 0.5)), 1.0)])
 
@@ -249,26 +251,96 @@ def _rotgain(log_gain):
     )
 
 
-# Known fault (ROADMAP open item 1): accepted specs whose factors pass e^709
-# end in a traceback.  Each reproducer is pinned, so a fix shows as XPASS.
+def _onestep_exponents(nu, steps, trials, tmp_path):
+    spec = write_spec(tmp_path, "nu.json", nu)
+    argv = ["onestep", "--spec", spec, "--steps", str(steps), "--trials", str(trials),
+            "--jobs", "1", "--seed", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    lam = json.loads((tmp_path / "onestep_report.json").read_text())["lambda_hat"]
+    return float(lam["top"]), float(lam["bottom"])
+
+
+# log-gains past ln(DBL_MAX) = 709.8: each factor is drawn as a scaled matrix
+@pytest.mark.parametrize("log_gain,steps,trials,lo,hi", [
+    ({"kind": "uniform", "lo": "710.0", "hi": "720.0"}, 2000, 400, 710.0, 720.0),
+    ({"kind": "exponential", "rate": "0.01"}, 500, 200, 0.0, math.inf),
+], ids=["rotgain-gain-past-709", "rotgain-exponential-gain"])
+def test_onestep_factors_past_the_float_range_exit_zero(log_gain, steps, trials, lo, hi,
+                                                        tmp_path):
+    top, bottom = _onestep_exponents(_rotgain(log_gain), steps, trials, tmp_path)
+    assert lo < top < hi
+    assert bottom == pytest.approx(-top, rel=1e-12)
+
+
+# Known fault (ROADMAP open item 1): a triangular law with a heavy log b
+# still ends in a traceback.  Its factors are drawn finite, but the
+# max-normalised product tree underflows the diagonal of a product whose
+# b entry passes about e^745 and annihilates two such products.  Each
+# reproducer is pinned, so a fix shows as XPASS.
 @pytest.mark.xfail(
-    strict=True, raises=(NotInvertible, BadTerm),
-    reason="factors are stored as raw float matrices, which overflow past e^709",
+    strict=True, raises=NotInvertible,
+    reason="the product tree underflows a triangular product's diagonal and collapses",
 )
 @pytest.mark.parametrize("nu,steps,trials", [
     pytest.param(build_counterexample_cocycle(), 100000, 2000, id="heavy-long-window"),
-    pytest.param(_rotgain({"kind": "uniform", "lo": "710.0", "hi": "720.0"}), 2000, 400,
-                 id="rotgain-gain-past-709"),
-    pytest.param(_rotgain({"kind": "exponential", "rate": "0.01"}), 500, 200,
-                 id="rotgain-exponential-gain"),
     pytest.param(triangular_distribution(scalars.constant(2.0), scalars.exponential(0.01),
                                          log_scale_b=True), 500, 200,
                  id="expanding-a-heavy-log-b"),
 ])
-def test_onestep_factors_past_the_float_range_exit_zero(nu, steps, trials, tmp_path):
-    spec = write_spec(tmp_path, "nu.json", nu)
-    argv = ["onestep", "--spec", spec, "--steps", str(steps), "--trials", str(trials)]
-    assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 0
+def test_onestep_heavy_triangular_products_exit_zero(nu, steps, trials, tmp_path):
+    _onestep_exponents(nu, steps, trials, tmp_path)
+
+
+@pytest.mark.parametrize("entries,code", [
+    (((1e300, 1e300), (1e300, 1e300)), 64),  # det2 is inf - inf = nan
+    (((1.0, 1.0), (1.0, 1.0)), 64),
+    (((1e300, 0.0), (0.0, 1e-300)), 0),  # det 1, condition 1e600
+    (((1e300, 1e300), (1e300, 2e300)), 0),  # det 1e600 past the float range
+    (((1e-200, 0.0), (0.0, 1e-200)), 0),  # det 1e-400 below it
+], ids=["huge-rank-1", "rank-1", "ill-conditioned", "huge-det", "tiny-det"])
+def test_onestep_atom_singularity_reads_log_det(entries, code, tmp_path, capsys):
+    # written by hand: a singular atom fails already in atoms_distribution
+    spec = tmp_path / "nu.json"
+    spec.write_text(json.dumps({"kind": "atoms", "atoms": [
+        {"m": [[repr(v) for v in row] for row in entries], "w": "1.0"}]}))
+    argv = ["onestep", "--spec", str(spec), "--steps", "1000", "--trials", "50", "--seed", "1"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "singular" in err
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@seed(20262)
+@given(
+    law=st.one_of(
+        st.tuples(st.just("rotgain"),
+                  st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=2, unique=True)),
+        st.tuples(st.just("conformal"), st.integers(-300, 300)),
+    ),
+    steps=st.integers(1, 500),
+    trials=st.integers(1, 200),
+)
+def test_onestep_huge_and_tiny_factors_exit_zero(law, steps, trials, tmp_path_factory):
+    # rotgain with log-gains up to 1e4, and atoms c R(0.7) with c = 10^k:
+    # bottom = -top for rotgain (det 1), bottom = top = log c for c R
+    kind, arg = law
+    tmp_path = tmp_path_factory.mktemp("onestep")
+    if kind == "rotgain":
+        lo, hi = sorted(arg)
+        nu = _rotgain({"kind": "uniform", "lo": repr(lo), "hi": repr(hi)})
+    else:
+        nu = atoms_distribution([(10.0**arg * gl2.rotation(0.7), 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # short windows warn on purpose
+        top, bottom = _onestep_exponents(nu, steps, trials, tmp_path)
+    if kind == "rotgain":
+        assert -1e-9 <= top <= max(-lo, hi) + 1e-9
+        assert bottom == pytest.approx(-top, rel=1e-12, abs=1e-12)
+    else:
+        assert top == pytest.approx(arg * math.log(10.0), rel=1e-12, abs=1e-12)
+        assert bottom == pytest.approx(top, rel=1e-12, abs=1e-12)
 
 
 def test_onestep_env_seed(tmp_path, monkeypatch):

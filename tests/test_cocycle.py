@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oseledets import gl2, scalars
+from oseledets import cocycle, gl2, scalars
 from oseledets.cocycle import (
     MatrixDistribution,
     OrbitWindow,
@@ -149,14 +149,18 @@ def test_single_degenerate_factor_is_not_invertible(bad):
         product_scaled(np.full((1, 2, 2), bad))
 
 
-def test_factors_past_pair_range_are_renormalized_first():
-    # a raw pair of entries near e^700 overflows; each is renormalized alone
-    big = np.diag([math.exp(700.0), math.exp(-700.0)])
-    prod = product_scaled(np.stack([big, 2.0 * np.eye(2), big]))
-    assert prod.log_scale == pytest.approx(1400.0 + math.log(2.0), rel=1e-15)
+def test_factor_scales_seed_the_product_tree():
+    # diag(e^1000, e^-1000) as sample_block stores it: diag(e^354, 0) at scale 646
+    big = np.diag([math.exp(cocycle.LOG_SAFE), 0.0])
+    scales = [1000.0 - cocycle.LOG_SAFE, 0.0, 1000.0 - cocycle.LOG_SAFE]
+    prod = product_scaled(np.stack([big, 2.0 * np.eye(2), big]), scales)
+    assert prod.log_scale == pytest.approx(2000.0 + math.log(2.0), rel=1e-15)
     np.testing.assert_array_equal(prod.mat, np.diag([1.0, 0.0]))
-    with pytest.raises(gl2.NotInvertible):
-        product_scaled(np.stack([big, np.full((2, 2), np.inf), big]))
+    with pytest.raises(gl2.NotInvertible), np.errstate(invalid="ignore"):  # inf * 0
+        product_scaled(np.stack([big, np.full((2, 2), np.inf), big]), scales)
+    # a window carries the scales into its products
+    w = OrbitWindow(offset=0, matrices=np.stack([big, big]), log_scales=np.array(scales[::2]))
+    assert cocycle_product_scaled(w, 0, 2).log_scale == pytest.approx(2000.0, rel=1e-15)
 
 
 def test_window_exhausted():

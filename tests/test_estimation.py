@@ -213,7 +213,7 @@ def _stack_angle_samples(nu, trials, depth, seed):
     def right_lines(rng, transpose):
         prod = np.tile(np.eye(2), (trials, 1, 1))
         for _ in range(depth):
-            g = nu.sample_matrices(rng, trials)
+            g, _, _ = nu.sample_matrices(rng, trials)
             prod = (g.transpose(0, 2, 1) if transpose else g) @ prod
             prod /= np.abs(prod).reshape(trials, 4).max(axis=1)[:, None, None]
         return gl2.singular_lines(prod)[1]
@@ -281,19 +281,21 @@ def _rotgain_block_oracle(nu, rng, steps, n):
 def test_rotgain_block_matches_stacked_oracle(log_gain, steps, n):
     nu = cocycle.rotgain_distribution(scalars.uniform(0, 2 * math.pi), log_gain)
     want = _rotgain_block_oracle(nu, np.random.default_rng(6), steps, n)
-    for projective in (False, True):
-        got = nu.sample_block(np.random.default_rng(6), steps, n, projective=projective)
-        np.testing.assert_array_equal(got, want)
+    got, log_scale, log_det = nu.sample_block(np.random.default_rng(6), steps, n)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(log_scale, np.zeros((steps, n)))
+    np.testing.assert_array_equal(log_det, np.zeros((steps, n)))
 
 
 def test_sample_block_steps_match_sample_matrices():
     for nu in KERNEL_LAWS.values():
-        block = nu.sample_block(np.random.default_rng(4), 3, 50)
+        block, log_scale, log_det = nu.sample_block(np.random.default_rng(4), 3, 50)
         rng = np.random.default_rng(4)
         for s in range(3):
-            np.testing.assert_array_equal(
-                block[:, :, s].transpose(2, 0, 1), nu.sample_matrices(rng, 50)
-            )
+            mats, step_scale, step_det = nu.sample_matrices(rng, 50)
+            np.testing.assert_array_equal(block[:, :, s].transpose(2, 0, 1), mats)
+            np.testing.assert_array_equal(log_scale[s], step_scale)
+            np.testing.assert_array_equal(log_det[s], step_det)
 
 
 def _count_steps(monkeypatch):
@@ -301,9 +303,9 @@ def _count_steps(monkeypatch):
     steps = []
     draw = cocycle.MatrixDistribution.sample_block
 
-    def counting(self, rng, n_steps, n, projective=False):
+    def counting(self, rng, n_steps, n):
         steps.append(n_steps)
-        return draw(self, rng, n_steps, n, projective)
+        return draw(self, rng, n_steps, n)
 
     monkeypatch.setattr(cocycle.MatrixDistribution, "sample_block", counting)
     return steps
@@ -390,21 +392,42 @@ def test_bounded_condition_from_supports():
     assert nu == tri(pos, b)
 
 
-def test_projective_draws_keep_lines_and_finite_entries():
+def test_draws_past_the_safe_range_come_scaled():
+    nu = cocycle.rotgain_distribution(
+        scalars.uniform(0, 2 * math.pi), scalars.uniform(350.0, 705.0)
+    )
+    raw = _rotgain_block_oracle(nu, np.random.default_rng(6), 5, 400)  # finite below 709.8
+    g, log_scale, log_det = nu.sample_block(np.random.default_rng(6), 5, 400)
+    assert np.all(np.abs(g) <= math.exp(cocycle.LOG_SAFE) * (1 + 1e-15))
+    np.testing.assert_array_equal(log_det, 0.0)
+    kept = log_scale == 0.0
+    assert 0 < kept.sum() < kept.size
+    np.testing.assert_array_equal(g[:, :, kept], raw[:, :, kept])
+    # e^log_scale g is the raw draw: its e^t column entry for entry, the
+    # whole matrix to 1e-14 of its largest entry (the e^-t column underflows)
+    scaled = np.exp(log_scale) * g
+    np.testing.assert_allclose(scaled[:, 0], raw[:, 0], rtol=1e-14)
+    assert np.all(np.abs(scaled - raw) <= 1e-14 * np.abs(raw).max(axis=(0, 1)))
+
+
+def test_triangular_draws_past_the_safe_range_keep_a_and_log_b():
     nu = cocycle.triangular_distribution(
-        scalars.uniform(0.2, 0.5), scalars.uniform(600.0, 900.0), log_scale_b=True
+        scalars.uniform(0.2, 0.5), scalars.uniform(300.0, 900.0), log_scale_b=True
     )
     u = np.random.default_rng(6).random((5, 2, 400))
-    log_b = 600.0 + 300.0 * u[:, 1]
-    g = nu.sample_block(np.random.default_rng(6), 5, 400, projective=True)
-    assert np.all(np.isfinite(g))
-    small = log_b <= cocycle.LOG_ENTRY_CAP
-    with np.errstate(over="ignore"):
-        plain = nu.sample_block(np.random.default_rng(6), 5, 400)
-    np.testing.assert_array_equal(g[:, :, small], plain[:, :, small])
-    # a big factor is the plain one divided by b / e^cap: same a, same log b
-    np.testing.assert_allclose(g[0, 0] / g[1, 1], plain[0, 0], rtol=1e-14)
-    np.testing.assert_allclose(np.log(g[0, 1]) - np.log(g[1, 1]), log_b, rtol=1e-14)
+    a, log_b = nu.a.icdf(u[:, 0]), nu.b.icdf(u[:, 1])
+    g, log_scale, log_det = nu.sample_block(np.random.default_rng(6), 5, 400)
+    assert np.all(np.abs(g) <= math.exp(cocycle.LOG_SAFE) * (1 + 1e-15))
+    np.testing.assert_array_equal(log_det, np.log(a))
+    kept = log_b <= cocycle.LOG_SAFE
+    assert 0 < kept.sum() < kept.size
+    np.testing.assert_array_equal(log_scale[kept], 0.0)
+    np.testing.assert_array_equal(g[0, 1][kept], np.exp(log_b[kept]))
+    np.testing.assert_array_equal(g[1, 1][kept], 1.0)
+    # a scaled factor is the raw one over e^log_scale: same a, same log b
+    np.testing.assert_allclose(g[0, 0] / g[1, 1], a, rtol=1e-14)
+    np.testing.assert_allclose(log_scale + np.log(g[0, 1]), log_b, rtol=1e-14)
+    np.testing.assert_allclose(-np.log(g[1, 1]), log_scale, rtol=1e-14)
 
 
 def test_rank_one_factors_give_zero_angles_without_nan():
