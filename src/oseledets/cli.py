@@ -33,7 +33,7 @@ import numpy as np
 from . import estimation, flexible, gl2
 from .cocycle import MatrixDistribution, sample_onestep
 from .flexible import EtaSpec
-from .scalars import BadTerm, float_str
+from .scalars import BadTerm, encode
 
 DEFAULT_THRESHOLDS = (4.0, 8.0, 16.0, 32.0)
 SAMPLE_CHUNKS = 8  # fixed, so reports do not depend on --jobs
@@ -52,16 +52,8 @@ class _Parser(argparse.ArgumentParser):
 def _config(args) -> dict:
     """The report's config block: every parsed option but the plumbing (the
     output directory, --jobs), so the same experiment gives the same bytes anywhere."""
-    obj = {}
-    for key, value in vars(args).items():
-        if key in ("out", "jobs") or value is None:
-            continue
-        if isinstance(value, tuple):  # --thresholds, --rates
-            value = [float_str(v) for v in value]
-        elif isinstance(value, float):
-            value = float_str(value)
-        obj[key] = str(value) if key == "seed" else value
-    return obj
+    obj = {k: v for k, v in vars(args).items() if k not in ("out", "jobs") and v is not None}
+    return encode({**obj, "seed": str(args.seed)})
 
 
 def _write_report(out_dir: str, name: str, obj: dict) -> Path:
@@ -88,7 +80,7 @@ def _load(path: str, parse, what: str):
         return parse(Path(path).read_text())
     except OSError as err:
         raise _UsageError(f"cannot read spec {path}: {err}") from err
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
         raise _UsageError(f"malformed {what}: {err}") from err
 
 
@@ -131,18 +123,18 @@ def cmd_onestep(args) -> int:
     e2 = estimation.estimate_E2_forward(window, depth)
     theta = float(gl2.line_angle(e1, e2))
     tail = _angle_tail(nu, args)
-    obj = {
+    obj = encode({
         "config": _config(args),
         "seed": str(args.seed),
-        "lambda_hat": {"top": float_str(lam.top), "bottom": float_str(lam.bottom)},
+        "lambda_hat": {"top": lam.top, "bottom": lam.bottom},
         "directions": {
             "depth": depth,
-            "expanding_line": float_str(e1),
-            "contracting_line": float_str(e2),
-            "gap_angle": float_str(theta),
+            "expanding_line": e1,
+            "contracting_line": e2,
+            "gap_angle": theta,
         },
-        "angle_tail": tail.to_obj(),
-    }
+        "angle_tail": tail,
+    })
     report = _write_report(args.out, "onestep_report.json", obj)
     csv = _write_text(args.out, "onestep_tail.csv", tail.to_csv())
     print(f"exponents ({lam.top!r}, {lam.bottom!r})")
@@ -180,7 +172,7 @@ def cmd_flexible(args) -> int:
         return 2
     rep = flexible.verify_flexible(window, eta, r1, r2, mode=args.mode)
     del window  # the report keeps its step columns, so the CSV string peaks alone
-    obj = {"config": _config(args), "seed": str(args.seed), "report": rep.to_obj()}
+    obj = encode({"config": _config(args), "seed": str(args.seed), "report": rep})
     report = _write_report(args.out, "flexible_report.json", obj)
     csv = _write_text(args.out, "flexible_steps.csv", rep.to_csv())
     print(f"mode {rep.mode}  steps {rep.steps}  rates ({r1!r}, {r2!r})")

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gl2
-from .scalars import ScalarDist, Unsupported, float_str
+from .scalars import ScalarDist, Unsupported, encode
 
 # drawn factors keep their max-abs entry within e^-LOG_SAFE..e^LOG_SAFE, so
 # a pair product is finite: a margin below log sqrt(DBL_MAX / 2) = 354.54
@@ -54,6 +54,10 @@ class MatrixDistribution:
     numbers below a fixed bound.
     """
 
+    # the scalar-law fields of each parametric kind; a triangular b given as
+    # log|b| is written as log_b
+    LAWS = {"triangular": ("a", "b"), "rotgain": ("angle", "log_gain")}
+
     kind: str
     matrices: tuple = ()          # atoms: tuple of 2x2 tuples
     weights: tuple = ()           # atoms
@@ -68,9 +72,13 @@ class MatrixDistribution:
 
     def __post_init__(self):
         if self.kind == "atoms":
+            object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+            object.__setattr__(self, "matrices", tuple(
+                tuple(tuple(map(float, row)) for row in m) for m in self.matrices
+            ))
             if len(self.matrices) == 0 or len(self.matrices) != len(self.weights):
                 raise ValueError("atoms need matching matrix and weight lists")
-            w = np.asarray(self.weights, dtype=float)
+            w = np.asarray(self.weights)
             if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
                 raise ValueError("atom weights must be finite, nonnegative and sum to 1")
             mats = np.asarray(self.matrices, dtype=float)
@@ -158,24 +166,10 @@ class MatrixDistribution:
 
     def to_obj(self) -> dict:
         if self.kind == "atoms":
-            return {
-                "kind": "atoms",
-                "atoms": [
-                    {
-                        "m": [[float_str(v) for v in row] for row in m],
-                        "w": float_str(w),
-                    }
-                    for m, w in zip(self.matrices, self.weights)
-                ],
-            }
-        if self.kind == "triangular":
-            key = "log_b" if self.log_scale_b else "b"
-            return {"kind": "triangular", "a": self.a.to_obj(), key: self.b.to_obj()}
-        return {
-            "kind": "rotgain",
-            "angle": self.angle.to_obj(),
-            "log_gain": self.log_gain.to_obj(),
-        }
+            atoms = [{"m": m, "w": w} for m, w in zip(self.matrices, self.weights)]
+            return encode({"kind": "atoms", "atoms": atoms})
+        laws = {_spec_key(f, self.log_scale_b): getattr(self, f) for f in self.LAWS[self.kind]}
+        return encode({"kind": self.kind, **laws})
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True)
@@ -184,39 +178,29 @@ class MatrixDistribution:
     def from_obj(obj: dict) -> "MatrixDistribution":
         kind = obj["kind"]
         if kind == "atoms":
-            mats = tuple(
-                tuple(tuple(float(v) for v in row) for row in entry["m"])
-                for entry in obj["atoms"]
-            )
-            wts = tuple(float(entry["w"]) for entry in obj["atoms"])
+            mats = tuple(entry["m"] for entry in obj["atoms"])
+            wts = tuple(entry["w"] for entry in obj["atoms"])
             return MatrixDistribution(kind="atoms", matrices=mats, weights=wts)
-        if kind == "triangular":
-            log_form = "log_b" in obj
-            return MatrixDistribution(
-                kind="triangular",
-                a=ScalarDist.from_obj(obj["a"]),
-                b=ScalarDist.from_obj(obj["log_b" if log_form else "b"]),
-                log_scale_b=log_form,
-            )
-        if kind == "rotgain":
-            return MatrixDistribution(
-                kind="rotgain",
-                angle=ScalarDist.from_obj(obj["angle"]),
-                log_gain=ScalarDist.from_obj(obj["log_gain"]),
-            )
-        raise Unsupported(f"unknown matrix distribution kind {kind!r}")
+        log_form = kind == "triangular" and "log_b" in obj
+        keys = {f: _spec_key(f, log_form) for f in MatrixDistribution.LAWS.get(kind, ())}
+        laws = {f: ScalarDist.from_obj(obj[key]) for f, key in keys.items()}
+        return MatrixDistribution(kind=kind, log_scale_b=log_form, **laws)
 
     @staticmethod
     def from_json(text: str) -> "MatrixDistribution":
         return MatrixDistribution.from_obj(json.loads(text))
 
 
+def _spec_key(name: str, log_scale_b: bool) -> str:
+    return "log_b" if name == "b" and log_scale_b else name
+
+
 def _atom_factors(mats: np.ndarray) -> tuple:
     """(g, log_scale, log_det) of a (k, 2, 2) atom stack as sample_block
     draws it.  log|det| is read from det2 where its log is finite, else
     from the matrix over its max-abs entry; -inf or nan marks a singular atom."""
-    log_peak = np.log(np.abs(mats).reshape(-1, 4).max(axis=1))
     with np.errstate(all="ignore"):  # huge or tiny dets; a zero atom gives nan
+        log_peak = np.log(np.abs(mats).reshape(-1, 4).max(axis=1))
         log_det = np.log(np.abs(gl2.det2(mats)))
         redo = ~np.isfinite(log_det)
         unit = mats[redo] / np.exp(log_peak[redo])[:, None, None]
@@ -228,8 +212,7 @@ def _atom_factors(mats: np.ndarray) -> tuple:
 
 def atoms_distribution(pairs) -> MatrixDistribution:
     """Atomic matrix law from (2x2 array-like, weight) pairs."""
-    mats = tuple(tuple(tuple(float(v) for v in row) for row in np.asarray(m)) for m, _ in pairs)
-    wts = tuple(float(w) for _, w in pairs)
+    mats, wts = zip(*pairs)
     return MatrixDistribution(kind="atoms", matrices=mats, weights=wts)
 
 
@@ -299,7 +282,7 @@ def sample_onestep(
     """I.i.d. window over [-half_width, half_width); deterministic in seed."""
     if half_width < 1:
         raise ValueError("half_width must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     mats, log_scales, log_dets = nu.sample_matrices(rng, 2 * half_width)
     return OrbitWindow(-half_width, mats, seed=seed, log_scales=log_scales, log_dets=log_dets)
 
@@ -413,7 +396,7 @@ def moment(
     if nu.kind == "atoms":
         g, log_scale, log_det = nu._atoms
     else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng = np.random.default_rng(seed)
         g, log_scale, log_det = nu.sample_block(rng, 1, trials)
     log_s1 = log_scale + np.log(gl2.top_singular(np.moveaxis(g, (0, 1), (-2, -1))))
     vals = np.maximum(log_s1, log_s1 - log_det) ** order

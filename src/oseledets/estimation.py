@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,7 @@ from .cocycle import (
     cocycle_product_scaled,
     triangular_distribution,
 )
-from .scalars import BadTerm, ScalarDist, Unsupported, constant, dyadic, float_str
+from .scalars import BadTerm, ScalarDist, Unsupported, constant, dyadic, encode, float_str
 from .skyscraper import ensure
 
 # row chunk for the big vectorized Monte Carlo loops; fixed so a given seed
@@ -208,8 +208,7 @@ def triangular_series(
 
 
 def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(count)]
 
 
 def _right_lines(prod: np.ndarray) -> np.ndarray:
@@ -304,13 +303,21 @@ def oseledets_angle_samples(
 
 def log_domain_supported(nu: MatrixDistribution) -> bool:
     """Triangular, with a (and b unless given as log|b|) supported in [0, inf),
-    and a not supported in [1, inf): the series needs a contracting first axis."""
+    and E log a < 0 for certain.  The series sum b_k a_0 ... a_(k-1) is the
+    expanding line only when the first axis contracts: the exponents of
+    [[a, b], [0, 1]] products are E log a and 0 (Furstenberg and Kesten,
+    Ann. Math. Statist. 31, 1960).  E log a < 0 is read off the closed-form
+    ``mean_log``, or for an affine a off a support in [0, 1] other than {1}."""
+    if nu.kind != "triangular":
+        return False
     laws = (nu.a,) if nu.log_scale_b else (nu.a, nu.b)
-    return (
-        nu.kind == "triangular"
-        and all(law.support()[0] >= 0 for law in laws)
-        and nu.a.support()[0] < 1.0
-    )
+    if any(law.support()[0] < 0 for law in laws):
+        return False
+    try:
+        return nu.a.mean_log() < 0.0
+    except Unsupported:
+        lo, hi = nu.a.support()
+        return lo < 1.0 and hi <= 1.0
 
 
 def gap_neglog_samples(nu: MatrixDistribution, trials: int, seed: int = 0) -> np.ndarray:
@@ -474,13 +481,7 @@ class AngleTailReport:
     verdict: str
 
     def to_obj(self) -> dict:
-        return {
-            "thresholds": [float_str(t) for t in self.thresholds],
-            "truncated_means": [float_str(v) for v in self.truncated_means],
-            "stderrs": [float_str(v) for v in self.stderrs],
-            "sample_count": self.sample_count,
-            "verdict": self.verdict,
-        }
+        return encode({f.name: getattr(self, f.name) for f in fields(self)})
 
     def to_csv(self) -> str:
         lines = ["threshold,truncated_mean,stderr"]

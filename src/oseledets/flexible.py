@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,7 @@ from .estimation import (
     estimate_E2_forward,
     lyapunov_estimates,
 )
-from .scalars import float_str, float_strs
+from .scalars import encode, float_strs
 from .skyscraper import ensure
 
 # a declarative tail is expanded until its remaining mass drops below this
@@ -172,16 +172,13 @@ class Cell:
         )
 
     def to_obj(self) -> dict:
-        return {
-            "alpha": [float_str(self.alpha_lo), float_str(self.alpha_hi)],
-            "theta": [float_str(self.theta_lo), float_str(self.theta_hi)],
-        }
+        alpha, theta = (self.alpha_lo, self.alpha_hi), (self.theta_lo, self.theta_hi)
+        return encode({"alpha": alpha, "theta": theta})
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Cell":
-        a = [float(x) for x in obj["alpha"]]
-        t = [float(x) for x in obj["theta"]]
-        return cls(a[0], a[1], t[0], t[1])
+        (alpha_lo, alpha_hi), (theta_lo, theta_hi) = obj["alpha"], obj["theta"]
+        return cls(alpha_lo, alpha_hi, theta_lo, theta_hi)
 
 
 def uniform_cell(alpha_lo, alpha_hi, theta_lo, theta_hi) -> Cell:
@@ -249,21 +246,12 @@ class TailRule:
             scale *= self.theta_ratio
 
     def to_obj(self) -> dict:
-        return {
-            "first_weight": float_str(self.first_weight),
-            "weight_ratio": float_str(self.weight_ratio),
-            "theta_ratio": float_str(self.theta_ratio),
-            "cell": self.cell.to_obj(),
-        }
+        return encode({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TailRule":
-        return cls(
-            float(obj["first_weight"]),
-            float(obj["weight_ratio"]),
-            Cell.from_obj(obj["cell"]),
-            float(obj.get("theta_ratio", 1.0)),
-        )
+        cell = Cell.from_obj(obj["cell"])
+        return cls(obj["first_weight"], obj["weight_ratio"], cell, obj.get("theta_ratio", 1.0))
 
 
 @dataclass(frozen=True)
@@ -290,14 +278,10 @@ class EtaSpec:
             raise BadEtaSpec(f"mixture mass {total!r} is not 1")
 
     def to_obj(self) -> dict:
-        obj = {
-            "pieces": [
-                {"weight": float_str(w), "cell": cell.to_obj()} for w, cell in self.pieces
-            ]
-        }
+        obj = {"pieces": [{"weight": w, "cell": cell} for w, cell in self.pieces]}
         if self.tail_rule is not None:
-            obj["tail_rule"] = self.tail_rule.to_obj()
-        return obj
+            obj["tail_rule"] = self.tail_rule
+        return encode(obj)
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2, sort_keys=True)
@@ -729,19 +713,7 @@ class ConstructionReport:
             raise ValueError("ks_theta must lie in [0, 1]")
 
     def to_obj(self) -> dict:
-        return {
-            "lambda_hat": [float_str(v) for v in self.lambda_hat],
-            "tv_distance": float_str(self.tv_distance),
-            "ks_theta": float_str(self.ks_theta),
-            "max_cost": float_str(self.max_cost),
-            "mean_cost": float_str(self.mean_cost),
-            "agreement_fraction": float_str(self.agreement_fraction),
-            "steps": int(self.steps),
-            "offset": int(self.offset),
-            "mode": self.mode,
-            "rates": [float_str(v) for v in self.rates],
-            "seed": None if self.seed is None else int(self.seed),
-        }
+        return encode({f.name: getattr(self, f.name) for f in fields(self) if f.repr})
 
     def to_csv(self) -> str:
         """One row per stored transition: absolute step, its travel cost,

@@ -11,9 +11,10 @@ run is bit-reproducible given its seed.  Supported kinds:
 - ``affine``: shift + scale * base for another law (scale != 0), e.g. a
   heavy tail pushed to the negative axis
 
-Every float that reaches a spec, report or CSV is written by ``float_str``
-(or ``float_strs`` for a column) as its shortest round-trip decimal string,
-so save/load is bit-exact.
+Every float that reaches a spec, report or CSV is written as its shortest
+round-trip decimal string, so save/load is bit-exact: ``encode`` writes the
+JSON objects (each class lists its fields, ``encode`` formats them),
+``float_str`` a single float and ``float_strs`` a CSV column.
 """
 
 from __future__ import annotations
@@ -38,6 +39,21 @@ def float_strs(values) -> list[str]:
     return strs[np.cumsum(starts) - 1].tolist()
 
 
+def encode(value):
+    """value as JSON data: a float by float_str, a dict, tuple or list item
+    by item, an object with to_obj through it and a numpy integer as an int;
+    ints, strings and None pass through."""
+    if isinstance(value, (float, np.floating)):
+        return float_str(value)
+    if isinstance(value, dict):
+        return {key: encode(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [encode(v) for v in value]
+    if isinstance(value, np.integer):
+        return int(value)
+    return value.to_obj() if hasattr(value, "to_obj") else value
+
+
 class BadTerm(ValueError):
     """A list entry violates its documented range."""
 
@@ -49,6 +65,15 @@ class Unsupported(ValueError):
 @dataclass(frozen=True)
 class ScalarDist:
     """A scalar law with a closed-form inverse CDF."""
+
+    # the spec fields of each kind; numeric ones are stored as floats
+    FIELDS = {
+        "atoms": ("values", "weights"),
+        "uniform": ("lo", "hi"),
+        "exponential": ("rate",),
+        "dyadic": (),
+        "affine": ("base", "scale", "shift"),
+    }
 
     kind: str
     values: tuple[float, ...] = ()
@@ -63,6 +88,10 @@ class ScalarDist:
     _cum: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("lo", "hi", "rate", "scale", "shift"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("values", "weights"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         params = (*self.values, *self.weights, self.lo, self.hi, self.rate, self.scale, self.shift)
         if not all(map(math.isfinite, params)):
             raise BadTerm("scalar law parameters must be finite")
@@ -80,7 +109,7 @@ class ScalarDist:
         elif self.kind == "affine":
             if self.base is None or self.scale == 0.0:
                 raise BadTerm("affine law needs a base law and nonzero scale")
-        elif self.kind != "dyadic":
+        elif self.kind not in self.FIELDS:
             raise Unsupported(f"unknown scalar law kind {self.kind!r}")
 
     # -- sampling ---------------------------------------------------------
@@ -201,6 +230,22 @@ class ScalarDist:
             return self.shift + self.scale * self.base.mean()
         return 1.5  # dyadic: (3/4) sum 2^k 4^-k = (3/4) sum 2^-k
 
+    def mean_log(self) -> float:
+        """E log X in closed form for a law on [0, inf) (-inf if an atom at 0
+        carries weight); Unsupported for an affine law or one reaching below 0."""
+        if self.kind == "affine" or self.support()[0] < 0:
+            raise Unsupported("mean_log needs a non-affine law on [0, inf)")
+        if self.kind == "atoms":
+            v, w = np.asarray(self.values), np.asarray(self.weights)
+            with np.errstate(divide="ignore"):
+                return float(np.dot(np.log(v[w > 0]), w[w > 0]))
+        if self.kind == "uniform":  # (x log x - x) between lo and hi, 0 log 0 = 0
+            xlogx = [x * math.log(x) if x > 0 else 0.0 for x in (self.lo, self.hi)]
+            return (xlogx[1] - xlogx[0]) / (self.hi - self.lo) - 1.0
+        if self.kind == "exponential":
+            return -np.euler_gamma - math.log(self.rate)
+        return math.log(2.0) / 3.0  # dyadic: log 2 (3/4) sum k 4^-k
+
     def support(self) -> tuple[float, float]:
         """Closed interval [lo, hi] holding every draw; hi may be inf."""
         if self.kind == "atoms":
@@ -237,54 +282,20 @@ class ScalarDist:
     # -- serialization ----------------------------------------------------
 
     def to_obj(self) -> dict:
-        if self.kind == "atoms":
-            return {
-                "kind": "atoms",
-                "values": [float_str(v) for v in self.values],
-                "weights": [float_str(w) for w in self.weights],
-            }
-        if self.kind == "uniform":
-            return {"kind": "uniform", "lo": float_str(self.lo), "hi": float_str(self.hi)}
-        if self.kind == "exponential":
-            return {"kind": "exponential", "rate": float_str(self.rate)}
-        if self.kind == "affine":
-            return {
-                "kind": "affine",
-                "base": self.base.to_obj(),
-                "scale": float_str(self.scale),
-                "shift": float_str(self.shift),
-            }
-        return {"kind": "dyadic"}
+        return encode({"kind": self.kind, **{f: getattr(self, f) for f in self.FIELDS[self.kind]}})
 
     @staticmethod
     def from_obj(obj: dict) -> "ScalarDist":
-        kind = obj["kind"]
-        if kind == "atoms":
-            return ScalarDist(
-                kind="atoms",
-                values=tuple(float(v) for v in obj["values"]),
-                weights=tuple(float(w) for w in obj["weights"]),
-            )
-        if kind == "uniform":
-            return ScalarDist(kind="uniform", lo=float(obj["lo"]), hi=float(obj["hi"]))
-        if kind == "exponential":
-            return ScalarDist(kind="exponential", rate=float(obj["rate"]))
-        if kind == "affine":
-            return ScalarDist(
-                kind="affine",
-                base=ScalarDist.from_obj(obj["base"]),
-                scale=float(obj["scale"]),
-                shift=float(obj["shift"]),
-            )
-        if kind == "dyadic":
-            return ScalarDist(kind="dyadic")
-        raise Unsupported(f"unknown scalar law kind {kind!r}")
+        spec = {f: obj[f] for f in ScalarDist.FIELDS.get(obj["kind"], ())}
+        if "base" in spec:
+            spec["base"] = ScalarDist.from_obj(spec["base"])
+        return ScalarDist(kind=obj["kind"], **spec)
 
 
 def atoms(pairs) -> ScalarDist:
     """Finite atomic law from (value, weight) pairs."""
     vals, wts = zip(*pairs)
-    return ScalarDist(kind="atoms", values=tuple(map(float, vals)), weights=tuple(map(float, wts)))
+    return ScalarDist(kind="atoms", values=vals, weights=wts)
 
 
 def constant(value: float) -> ScalarDist:

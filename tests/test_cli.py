@@ -638,6 +638,42 @@ def test_malformed_specs_exit_sixtyfour(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", [["0.1"], ["0.1", "0.2", "0.9"]])
+def test_cell_edges_must_be_pairs(alpha, tmp_path, capsys):
+    # a one-edge list was an IndexError traceback; three edges dropped the last
+    spec = tmp_path / "eta.json"
+    cell = {"alpha": alpha, "theta": ["0.3", "0.5"]}
+    spec.write_text(json.dumps({"pieces": [{"weight": "1.0", "cell": cell}]}))
+    argv = ["flexible", "--spec", str(spec), "--mode", "bounded", "--budget", "0.5",
+            "--steps", "2000", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: malformed mixture spec") and err.count("\n") == 1
+
+
+def test_integer_past_the_float_range_exits_sixtyfour(tmp_path, capsys):
+    # float() of a JSON integer like 10**400 raises OverflowError, not ValueError
+    law = {"kind": "rotgain", "angle": {"kind": "uniform", "lo": "0.0", "hi": "1.0"},
+           "log_gain": {"kind": "exponential", "rate": 10**400}}
+    spec = tmp_path / "nu.json"
+    spec.write_text(json.dumps(law))
+    assert cli.main(["onestep", "--spec", str(spec), "--out", str(tmp_path / "r")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: malformed matrix law spec") and err.count("\n") == 1
+
+
+def test_zero_atom_exits_sixtyfour_with_one_line(tmp_path, capsys):
+    # the log of its zero max-abs entry warned on stderr on the way
+    zero = {"kind": "atoms", "atoms": [{"m": [["0.0", "0.0"], ["0.0", "0.0"]], "w": "1.0"}]}
+    spec = tmp_path / "nu.json"
+    spec.write_text(json.dumps(zero))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["onestep", "--spec", str(spec), "--out", str(tmp_path / "r")]) == 64
+    err = capsys.readouterr().err
+    assert err == "usage error: malformed matrix law spec: atom matrix is singular\n"
+
+
 def test_env_seed_must_be_integer(tmp_path, monkeypatch, capsys):
     spec = write_spec(tmp_path, "nu.json", DIAG)
     monkeypatch.setenv("OSL_DEFAULT_SEED", "not-a-number")

@@ -288,6 +288,15 @@ def test_scalar_dist_json_roundtrip_bit_exact():
         assert json.dumps(back.to_obj(), sort_keys=True) == text
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_window_stream_is_the_seed_sequence_pcg64(seed):
+    # np.random.default_rng(seed) spelled out
+    nu = rotgain_distribution(scalars.uniform(0, math.pi), scalars.constant(1.0))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    want = nu.sample_matrices(rng, 8)[0]
+    np.testing.assert_array_equal(sample_onestep(nu, 4, seed).matrices, want)
+
+
 def test_window_extras_validated():
     with pytest.raises(ValueError):
         OrbitWindow(offset=0, matrices=np.tile(np.eye(2), (4, 1, 1)), labels=np.zeros(3))

@@ -615,6 +615,7 @@ def test_log_domain_support_predicate():
         (scalars.atoms([(0.0, 0.5), (0.5, 0.5)]), pos, False),  # a = 0 drops later terms
         (pos, scalars.atoms([(0.0, 0.5), (1.0, 0.5)]), False),  # b = 0 drops its term
         (pos, rare_negative, True),  # log|b| may take any sign
+        (scalars.affine(scalars.uniform(0.0, 1.0), 0.5, 0.5), pos, False),  # on [0.5, 1]
     ]:
         assert est.log_domain_supported(cocycle.triangular_distribution(a, b, log_scale_b=log_b))
     for a, b, log_b in [
@@ -623,11 +624,39 @@ def test_log_domain_support_predicate():
         (scalars.affine(scalars.dyadic(), -1.0, 3.0), pos, False),  # unbounded below
         (scalars.constant(2.0), pos, False),  # a >= 1: the first axis is not contracting
         (scalars.uniform(1.0, 2.0), pos, True),
+        # E log a >= 0 though a reaches below 1: the products expand on average
+        (scalars.uniform(0.5, 5.0), pos, False),
+        (scalars.uniform(0.9, 1.3), pos, False),
+        (scalars.exponential(0.5), pos, False),  # E log a = 0.116
+        (scalars.atoms([(0.5, 0.0), (1.0, 1.0)]), pos, False),  # the point 1
+        (scalars.affine(scalars.uniform(0.0, 1.0), 1.5, 0.5), pos, False),  # on [0.5, 2]
     ]:
         nu = cocycle.triangular_distribution(a, b, log_scale_b=log_b)
         assert not est.log_domain_supported(nu)
         with pytest.raises(Unsupported):
             triangular_gap_neglog_samples(nu, trials=10, depth=4)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_spawned_streams_are_seed_sequence_children(seed):
+    # np.random.default_rng(child) spelled out
+    children = np.random.SeedSequence(seed).spawn(2)
+    for rng, child in zip(est._spawn_rngs(seed, 2), children):
+        want = np.random.Generator(np.random.PCG64(child)).random(16)
+        np.testing.assert_array_equal(rng.random(16), want)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 5.0), (0.9, 1.3)])
+def test_expanding_on_average_a_reads_the_product_sampler_tail(lo, hi):
+    # the series read m(4) = 4 +- 0, "growing", for these laws: it summed a
+    # diverging sum b_k a_0 ... a_(k-1)
+    nu = cocycle.triangular_distribution(scalars.uniform(lo, hi), scalars.uniform(0.0, 1.0))
+    rep = est.angle_tail_report_neglog(est.gap_neglog_samples(nu, 4000, seed=3), (4.0, 8.0))
+    theta = oseledets_angle_samples(nu, 4000, est.PRODUCT_DEPTH, seed=11)
+    ref = est.angle_tail_report_neglog(-np.log(np.sin(theta)), (4.0, 8.0))
+    assert rep.verdict == "converging"
+    se = math.hypot(rep.stderrs[0], ref.stderrs[0])
+    assert abs(rep.truncated_means[0] - ref.truncated_means[0]) < 5.0 * se
 
 
 def test_gap_neglog_samples_picks_the_sampler_and_its_depth():

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
-from oseledets import scalars
+from oseledets import cocycle, flexible, gl2, scalars
 from oseledets.scalars import BadTerm, ScalarDist, Unsupported
 
 
@@ -299,8 +301,10 @@ def test_float_strs_match_float_str():
 
 def test_float_format_lives_in_one_helper():
     # every float reaches a spec, report or CSV through scalars.float_str or
-    # float_strs, so repr is named nowhere else in the package
-    found = []
+    # float_strs, so repr is named nowhere else in the package; and the JSON
+    # writers (every to_obj and cli._config) list their fields and leave the
+    # format to scalars.encode, so none of them names float_str
+    found, by_hand = [], []
     for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         helpers = [
@@ -314,4 +318,156 @@ def test_float_format_lives_in_one_helper():
             if isinstance(node, ast.Name) and node.id == "repr":
                 if not any(node.lineno in lines for lines in helpers):
                     found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name in ("to_obj", "_config"):
+                if any(
+                    isinstance(inner, ast.Name) and inner.id == "float_str"
+                    or isinstance(inner, ast.Attribute) and inner.attr == "float_str"
+                    for inner in ast.walk(node)
+                ):
+                    by_hand.append(f"{path.name}:{node.lineno}")
     assert not found, f"repr outside the float helper at {found}"
+    assert not by_hand, f"a JSON writer formats floats by hand at {by_hand}"
+
+
+def test_encode_formats_floats_and_passes_the_rest():
+    obj = {
+        "f": 0.1, "np": np.float64(-0.0), "tuple": (1.0, 2), "n": np.int64(7),
+        "law": scalars.uniform(0, 1), "s": "x", "none": None, "i": 3, "flag": True,
+    }
+    assert scalars.encode(obj) == {
+        "f": "0.1", "np": "-0.0", "tuple": ["1.0", 2], "n": 7,
+        "law": {"kind": "uniform", "lo": "0.0", "hi": "1.0"}, "s": "x", "none": None, "i": 3,
+        "flag": True,
+    }
+    assert type(scalars.encode(np.int64(7))) is int
+
+
+# ---------------------------------------------------------------------------
+# E log X
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        scalars.atoms([(0.5, 0.25), (3.0, 0.75)]),
+        scalars.uniform(0.5, 1.5),
+        scalars.uniform(0.0, 2.0),
+        scalars.exponential(1.0),
+        scalars.exponential(0.25),
+        scalars.dyadic(),
+    ],
+)
+def test_mean_log_matches_the_inverse_cdf_integral(law):
+    # E log X = integral of log icdf(u) over [0, 1), by the midpoint rule
+    u = (np.arange(2_000_000) + 0.5) / 2_000_000
+    assert law.mean_log() == pytest.approx(np.log(law.icdf(u)).mean(), abs=2e-4)
+
+
+def test_mean_log_values_and_unsupported_laws():
+    assert scalars.uniform(0.5, 1.5).mean_log() == pytest.approx(-0.0452287, abs=1e-7)
+    assert scalars.exponential(1.0).mean_log() == -np.euler_gamma
+    assert scalars.dyadic().mean_log() == math.log(2.0) / 3.0
+    assert scalars.atoms([(0.0, 0.5), (2.0, 0.5)]).mean_log() == -math.inf
+    assert scalars.atoms([(0.0, 0.0), (2.0, 1.0)]).mean_log() == math.log(2.0)
+    for law in (scalars.affine(scalars.uniform(0, 1), 0.5, 0.0), scalars.uniform(-1.0, 1.0)):
+        with pytest.raises(Unsupported):
+            law.mean_log()
+
+
+# ---------------------------------------------------------------------------
+# the JSON codec: every spec reloads to the same bytes
+
+
+_NUMBERS = st.one_of(st.integers(-1000, 1000), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _atom_law(draw):
+    values = draw(st.lists(_NUMBERS, min_size=1, max_size=4))
+    if len(values) == 1:
+        return scalars.atoms([(values[0], 1)])
+    parts = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+    return scalars.atoms([(v, k / sum(parts)) for v, k in zip(values, parts)])
+
+
+@st.composite
+def _uniform_law(draw):
+    lo, hi = sorted(draw(st.lists(_NUMBERS, min_size=2, max_size=2, unique=True)))
+    assume(lo < hi)  # 0 and -0.0 are distinct floats but equal numbers
+    return scalars.uniform(lo, hi)
+
+
+_SCALAR_LAWS = st.recursive(
+    st.one_of(
+        _atom_law(),
+        _uniform_law(),
+        st.builds(scalars.exponential, st.one_of(st.integers(1, 100), st.floats(1e-300, 1e300))),
+        st.just(scalars.dyadic()),
+    ),
+    lambda base: st.builds(scalars.affine, base, _NUMBERS.filter(bool), _NUMBERS),
+    max_leaves=3,
+)
+
+
+@st.composite
+def _matrix_law(draw):
+    kind = draw(st.sampled_from(["atoms", "triangular", "rotgain"]))
+    if kind == "triangular":
+        return cocycle.triangular_distribution(
+            draw(_SCALAR_LAWS), draw(_SCALAR_LAWS), log_scale_b=draw(st.booleans())
+        )
+    if kind == "rotgain":
+        return cocycle.rotgain_distribution(draw(_SCALAR_LAWS), draw(_SCALAR_LAWS))
+    entries = st.one_of(st.integers(-9, 9), st.floats(-1e6, 1e6, allow_nan=False))
+    mats = draw(st.lists(st.lists(entries, min_size=4, max_size=4), min_size=1, max_size=3))
+    try:
+        return cocycle.atoms_distribution(
+            [(np.reshape(m, (2, 2)), 1 if len(mats) == 1 else 1 / len(mats)) for m in mats]
+        )
+    except gl2.NotInvertible:
+        return reject()
+
+
+@st.composite
+def _eta_spec(draw):
+    def edges(choices):
+        return sorted(draw(st.lists(st.sampled_from(choices), min_size=2, max_size=2)))
+
+    def cell():
+        return flexible.uniform_cell(*edges([0, 0.25, 1, 3]), *edges([1e-12, 0.5, 1, 1.5]))
+
+    tail = None
+    if draw(st.booleans()):
+        ratio = draw(st.sampled_from([0.25, 0.5, 0.9]))
+        tail = flexible.TailRule(0.5 * (1 - ratio), ratio, cell(), draw(st.sampled_from([1, 0.5])))
+    rest = 1 - (0.5 if tail else 0)
+    n = draw(st.integers(1, 3))
+    weights = [1] if n == 1 and tail is None else [rest / n] * n
+    return flexible.EtaSpec([(w, cell()) for w in weights], tail)
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        return [leaf for v in obj.values() for leaf in _leaves(v)]
+    if isinstance(obj, list):
+        return [leaf for v in obj for leaf in _leaves(v)]
+    return [obj]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCALAR_LAWS)
+def test_scalar_law_json_reloads_to_the_same_bytes(law):
+    text = json.dumps(law.to_obj(), sort_keys=True)
+    back = ScalarDist.from_obj(json.loads(text))
+    assert json.dumps(back.to_obj(), sort_keys=True) == text
+    assert back == law
+    assert all(isinstance(leaf, str) for leaf in _leaves(json.loads(text)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrix_law(), _eta_spec()))
+def test_spec_json_reloads_to_the_same_bytes(spec):
+    text = spec.to_json()
+    assert type(spec).from_json(text).to_json() == text
+    # every number of a spec is a string: an int parameter writes as "0.0"
+    assert all(isinstance(leaf, str) for leaf in _leaves(json.loads(text)))
