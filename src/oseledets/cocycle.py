@@ -7,10 +7,10 @@ with those scales, and every pair product is divided by its max-abs entry,
 whose log moves into a separate accumulator, so window lengths of 10^6 and
 matrix norms like e^500000 stay representable.
 
-Seed discipline: all randomness flows through numpy SeedSequence children
-spawned from the master seed in a fixed documented order, one stream per
-logical field, and scalar laws are sampled by inverse CDF only (one
-uniform per draw).
+Seed discipline: sample_onestep draws every field from one default_rng(seed),
+step after step and field-major within a step (sample_block).  Only
+estimation's Monte Carlo samplers spawn SeedSequence children (_spawn_rngs),
+e.g. one per product half.  Scalar laws are sampled by inverse CDF only.
 """
 
 from __future__ import annotations

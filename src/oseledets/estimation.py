@@ -46,16 +46,17 @@ NEGLOG_BLOCK_ELEMENTS = 1 << 13
 
 # explicit head terms of the log-domain series for a point-mass a; the
 # exceedance rounds after it stop at the term index NEGLOG_HORIZON, where
-# float positions stop being exact integers.  A point a whose head would
-# pass NEGLOG_HEAD_MAX terms (a above about 0.924) is summed to ``depth``
+# float positions stop being exact integers
 NEGLOG_HEAD = 64
-NEGLOG_HEAD_MAX = 512
 NEGLOG_HORIZON = 2.0**53
 
-# depths of gap_neglog_samples: terms of the log-domain series for an a it
-# does not sum whole, and factors per half of the product sampler
+# depths of gap_neglog_samples: the explicit terms of one log-domain row (a
+# point a past 0.924 and a drawn a are cut here), and factors per product half
 NEGLOG_DEPTH = 512
 PRODUCT_DEPTH = 256
+
+# triangular_series gives up once more than this many prefix products exceed 1
+SERIES_DIVERGE_CAP = 1000
 
 # a product sampler of bounded condition checks its lines every STOP_EVERY
 # steps and stops once none moved by STOP_TOL radians since the last check
@@ -157,22 +158,16 @@ def suggested_depth(gap: float, target: float = 1e-8) -> int:
 # the invariant series of upper-triangular cocycles
 
 
-def triangular_series(
-    a_vals,
-    b_vals,
-    tol: float,
-    b_bound: float | None = None,
-    diverge_cap: int = 1000,
-) -> float:
+def triangular_series(a_vals, b_vals, tol: float) -> float:
     """Sum of b[n] * prod(a[:n]) truncated once certified below tol.
 
     a_vals[j] and b_vals[j] are the entries one-step-deeper in the past; the
     series value is the cotangent coordinate of the expanding line.  The
     truncation rule: stop at the first n whose running |a|-prefix-product
-    times b_bound (max |b| seen if not supplied) drops below tol.  A prefix
-    product that stays above 1 for more than diverge_cap indices raises
-    SeriesDiverging; running out of terms before certification raises
-    NeedMoreSamples with a decay-extrapolated sufficient length.
+    times the max |b| seen drops below tol.  A prefix product that stays
+    above 1 for more than SERIES_DIVERGE_CAP indices raises SeriesDiverging;
+    running out of terms before certification raises NeedMoreSamples with
+    a decay-extrapolated sufficient length.
     """
     a = np.asarray(a_vals, dtype=float)
     b = np.asarray(b_vals, dtype=float)
@@ -180,11 +175,9 @@ def triangular_series(
         raise ValueError("a_vals and b_vals must be equal-length 1d lists")
     if b.size == 0:
         raise NeedMoreSamples("empty series input", required=1)
-    if b_bound is None:
-        b_bound = float(np.abs(b).max())
     prefix = np.concatenate([[1.0], np.cumprod(a[:-1])])
-    decay = np.abs(prefix) * b_bound
-    if int((np.abs(prefix) > 1.0).sum()) > diverge_cap:
+    decay = np.abs(prefix) * float(np.abs(b).max())
+    if int((np.abs(prefix) > 1.0).sum()) > SERIES_DIVERGE_CAP:
         raise SeriesDiverging("prefix products stay above 1 beyond the cap")
     certified = np.nonzero(decay < tol)[0]
     if certified.size == 0:
@@ -192,7 +185,7 @@ def triangular_series(
         n = a.size
         rate = np.abs(prefix[-1]) ** (1.0 / max(n - 1, 1))
         if rate >= 1.0:
-            required = n + diverge_cap
+            required = n + SERIES_DIVERGE_CAP
         else:
             extra = math.log(tol / max(decay[-1], 1e-300)) / math.log(rate)
             required = n + max(math.ceil(extra), 1)
@@ -366,7 +359,7 @@ def triangular_gap_neglog_samples(
 
     Each chunk of CHUNK rows draws its explicit terms row block by row block.
     For a point a = e^-kappa in [0, 1) whose head (``_exact_plan``) fits in
-    NEGLOG_HEAD_MAX terms, the series is summed whole and ``depth`` plays
+    NEGLOG_DEPTH terms, the series is summed whole and ``depth`` plays
     no part.  Term k is z_k = psi_k - kappa k, psi = log b; after the head,
     the exceedance rounds (``_add_exceedances``) add a term k only when
     psi_k passes tau_k = M - c + kappa (k + head) / 2, with M the row's
@@ -387,7 +380,7 @@ def triangular_gap_neglog_samples(
     (rng,) = _spawn_rngs(seed, 1)
     point = nu.a.kind == "atoms" and len(nu.a.values) == 1  # in [0, 1): supported
     kappa, c, head = _exact_plan(float(nu.a.values[0])) if point else (0.0, 0.0, math.inf)
-    exact = head <= NEGLOG_HEAD_MAX
+    exact = head <= NEGLOG_DEPTH
     if exact:
         depth = head
         lag = -kappa * np.arange(1, head)  # log(a^k) of the terms k >= 1

@@ -81,8 +81,8 @@ class BadEtaSpec(ValueError):
 
 
 class BuildTooLarge(ValueError):
-    """The budget or epsilon is so small that the build needs more gap-angle
-    bands, or tower levels, than a window of its length affords (SIZE_FLOOR)."""
+    """The budget or epsilon is so small, or the chain masses so uneven, that
+    the build needs more bands or tower levels than its window affords."""
 
 
 class UnboundedGap(ValueError):
@@ -159,11 +159,12 @@ class Cell:
         theta = rng.uniform(self.theta_lo, self.theta_hi, size=n)
         return alpha, theta
 
-    def contains(self, alpha, theta, tol: float = 1e-12) -> np.ndarray:
+    def contains(self, alpha, theta) -> np.ndarray:
         """Whether (alpha, theta) lies in the cell, alpha read modulo pi: a
         line angle in [0, pi) near 0 also matches a range that reaches pi."""
         alpha = np.asarray(alpha, dtype=float)
         theta = np.asarray(theta, dtype=float)
+        tol = 1e-12  # angles recomputed from stored lines can land an ulp off an edge
         return (
             (((alpha >= self.alpha_lo - tol) & (alpha <= self.alpha_hi + tol))
              | (alpha <= self.alpha_hi + tol - math.pi))
@@ -222,9 +223,9 @@ class TailRule:
     def total_mass(self) -> float:
         return self.first_weight / (1.0 - self.weight_ratio)
 
-    def expand(self, residual: float = TAIL_RESIDUAL) -> list[Piece]:
+    def expand(self) -> list[Piece]:
         """Truncate once the undistributed mass certifiably drops below
-        ``residual``; that remainder is folded into the last retained piece
+        TAIL_RESIDUAL; that remainder is folded into the last retained piece
         so the expansion carries exactly total_mass."""
         out: list[Piece] = []
         w = self.first_weight
@@ -238,7 +239,7 @@ class TailRule:
                 self.cell.theta_lo * scale,
                 self.cell.theta_hi * scale,
             )
-            if remaining < residual:
+            if remaining < TAIL_RESIDUAL:
                 out.append(Piece(w + remaining, cell))
                 return out
             out.append(Piece(w, cell))
@@ -568,7 +569,7 @@ def simulate_flexible(
     heights k and k + 1, for gcd 1), and hold f constant up each tower;
     travel is paid only at tower changes, so the mean step cost is below
     epsilon (statistical).  Either mode raises BuildTooLarge before it
-    allocates more than max(steps, SIZE_FLOOR) / 16 bands or tower levels.
+    builds bands or a tower past max(steps, SIZE_FLOOR) / 16.
 
     prescribed_f[i] is (x1, x2) line angles at time offset + i; labels[i]
     is the tower label (bounded) or the piece index (lowcost); the window
@@ -594,7 +595,12 @@ def simulate_flexible(
         if span > size_limit * SLICE_SPAN_FRACTION * budget:
             raise BuildTooLarge(f"budget {budget!r} cuts over {size_limit} gap-angle bands")
         chain = march_chain(pieces, budget)
-        values, owners = skyscraper.refine_weights([c.mass for c in chain])
+        masses = [c.mass for c in chain]
+        labels = skyscraper.refined_size(masses)
+        if 2 * labels > size_limit:  # the tallest tower is 2 x labels high
+            raise BuildTooLarge(
+                f"budget {budget!r} needs {labels} labels, past the limit {size_limit // 2}")
+        values, owners = skyscraper.refine_weights(masses)
         pi = skyscraper.bounded_tower_vector(values)
         heights, levels = skyscraper.renewal_trajectory(pi, steps + 1, rng)
         labels_all = skyscraper.trajectory_labels(heights, levels)
@@ -608,13 +614,9 @@ def simulate_flexible(
         # the costliest piece's tower is at least 2 C / epsilon + 1 high
         if 2.0 * caps[-1] >= size_limit * epsilon:
             raise BuildTooLarge(f"epsilon {epsilon!r} needs a tower of over {size_limit} levels")
-        weights = [p.weight for p in pieces]
-        if len(pieces) == 1:
-            # a lone tower has gcd 1 only at height 1; past that the piece
-            # takes the coprime heights k and k + 1, half its weight on each
-            caps = np.repeat(caps, 2)
         ks = skyscraper.lowcost_heights(caps, epsilon)
-        if len(weights) == 1 and ks[0] > 1:
+        weights = [p.weight for p in pieces]
+        if len(ks) > len(pieces):  # a lone piece on heights k and k + 1
             weights = [weights[0] / 2.0] * 2
         pi = skyscraper.TowerVector(dict(zip(ks, weights)))
         heights, levels = skyscraper.renewal_trajectory(pi, steps + 1, rng)

@@ -137,10 +137,9 @@ class ScalarDist:
         k = np.maximum((1022 - ((1.0 - u).view(np.int64) >> 52)) >> 1, 0)
         return ((k + 1023) << 52).view(float)  # 2^k from its exponent bits
 
-    def sample(self, rng: np.random.Generator, n: int | None = None):
-        """Draw via the inverse CDF; consumes one uniform per sample."""
-        u = rng.random() if n is None else rng.random(n)
-        return self.icdf(u)
+    def sample(self, rng: np.random.Generator, n: int):
+        """n draws via the inverse CDF; consumes one uniform per sample."""
+        return self.icdf(rng.random(n))
 
     # -- tail functions ---------------------------------------------------
 

@@ -199,6 +199,22 @@ def label_measures(p) -> dict[int, float]:
     return dict(sorted(out.items()))
 
 
+def _splits(p):
+    """(w, k, prev) for each weight w of p: refine_weights cuts w into k
+    pieces strictly below prev, the last piece before it (inf at first)."""
+    prev = math.inf
+    for w in p:
+        k = int(min(w / prev, 2.0**62)) + 1  # a count past 2^62 is moot
+        yield w, k, prev
+        mean = w / k
+        prev = mean + min(prev - mean, mean) / k * ((k - 1) / 2.0 - (k - 1))
+
+
+def refined_size(p) -> int:
+    """How many values refine_weights(p) returns, without allocating them."""
+    return sum(k for _, k, _ in _splits(p))
+
+
 def refine_weights(p) -> tuple[np.ndarray, np.ndarray]:
     """Split weights into a strictly decreasing sequence, preserving mass.
 
@@ -216,19 +232,11 @@ def refine_weights(p) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"weights sum to {math.fsum(p)!r}, not 1")
     values: list[float] = []
     owners: list[int] = []
-    prev = math.inf
-    for idx, w in enumerate(p):
-        pieces = int(w / prev) + 1 if math.isfinite(prev) else 1
-        mean = w / pieces
-        if pieces == 1:
-            values.append(w)
-        else:
-            # top piece stays below prev, bottom stays positive; slack 1/k
-            gap = min(prev - mean, mean) / pieces
-            offs = gap * ((pieces - 1) / 2.0 - np.arange(pieces))
-            values.extend(mean + offs)
-        owners.extend([idx] * pieces)
-        prev = values[-1]
+    for idx, (w, k, prev) in enumerate(_splits(p.tolist())):
+        mean = w / k
+        # top piece stays below prev, bottom stays positive; slack 1/k
+        values.extend(mean + min(prev - mean, mean) / k * ((k - 1) / 2.0 - np.arange(k)))
+        owners.extend([idx] * k)
     return np.asarray(values), np.asarray(owners, dtype=np.int64)
 
 
@@ -238,7 +246,8 @@ def lowcost_heights(costs, epsilon: float) -> list[int]:
     Heights are chosen minimally subject to the strict rate bound and the
     strict increase; if the resulting set has a common factor, the last
     height is bumped upward until the gcd is 1 (bumping can only improve
-    the rate bound).  A single piece only works when height 1 does.
+    the rate bound).  A lone tower has gcd 1 only at height 1, so a single
+    cost whose height k is above 1 gets the coprime pair k, k + 1.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 1 or costs.size == 0:
@@ -255,11 +264,8 @@ def lowcost_heights(costs, epsilon: float) -> list[int]:
         k = max(prev + 1, int(2.0 * c / epsilon) + 1)
         heights.append(k)
         prev = k
-    if math.gcd(*heights) != 1:
-        if len(heights) == 1:
-            raise ValueError(
-                "a single piece admits no gcd-1 height set unless height 1 works"
-            )
-        while math.gcd(*heights) != 1:
-            heights[-1] += 1
+    if len(heights) == 1 and k > 1:
+        heights.append(k + 1)
+    while math.gcd(*heights) != 1:
+        heights[-1] += 1
     return heights

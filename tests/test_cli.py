@@ -5,6 +5,8 @@ failure, 2 infeasible construction, 64 usage error); diagonal-atom
 exponents against the closed form; byte determinism by running twice.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -19,7 +21,15 @@ from hypothesis import strategies as st
 from oseledets import cli, gl2, scalars
 from oseledets.cocycle import MatrixDistribution, atoms_distribution, triangular_distribution
 from oseledets.estimation import build_counterexample_cocycle
-from oseledets.flexible import EtaSpec, atom_cell, decompose_eta, piece_cost_caps, uniform_cell
+from oseledets.flexible import (
+    EtaSpec,
+    TailRule,
+    atom_cell,
+    decompose_eta,
+    direction_depth,
+    piece_cost_caps,
+    uniform_cell,
+)
 from oseledets.gl2 import NotInvertible
 
 DIAG = atoms_distribution([(((2.0, 0.0), (0.0, 0.5)), 1.0)])
@@ -272,20 +282,30 @@ def test_onestep_factors_past_the_float_range_exit_zero(log_gain, steps, trials,
     assert bottom == pytest.approx(-top, rel=1e-12)
 
 
-# Known fault (ROADMAP open item 1): a triangular law with a heavy log b
-# still ends in a traceback.  Its factors are drawn finite, but the
-# max-normalised product tree underflows the diagonal of a product whose
-# b entry passes about e^745 and annihilates two such products.  Each
-# reproducer is pinned, so a fix shows as XPASS.
+# Known fault (ROADMAP open item 1): factors whose entries span more than
+# about e^700 can end in a traceback.  Each factor is drawn finite, but the
+# product tree keeps one scale per product: dividing by the max-abs entry
+# underflows the small entries, and two such products can multiply to the
+# zero matrix.  A triangular law with a heavy log b does it once a
+# product's b entry passes about e^745; so do one atom with entries 1e200
+# and 1e-200, and rotgain gains e^300 and e^-300 in crossing directions
+# (both exit 0 at --steps 2).  Each reproducer is pinned, so a fix shows
+# as XPASS.
 @pytest.mark.xfail(
     strict=True, raises=NotInvertible,
-    reason="the product tree underflows a triangular product's diagonal and collapses",
+    reason="the one-scale product tree underflows a product's small entries and collapses",
 )
 @pytest.mark.parametrize("nu,steps,trials", [
     pytest.param(build_counterexample_cocycle(), 100000, 2000, id="heavy-long-window"),
     pytest.param(triangular_distribution(scalars.constant(2.0), scalars.exponential(0.01),
                                          log_scale_b=True), 500, 200,
                  id="expanding-a-heavy-log-b"),
+    pytest.param(atoms_distribution([(((-1.0, 1e200), (1e-200, 0.5)), 1.0)]), 10, 50,
+                 id="atom-spanning-e400"),
+    pytest.param(MatrixDistribution.from_obj({
+        "kind": "rotgain", "angle": {"kind": "atoms", "values": ["0.0"], "weights": ["1.0"]},
+        "log_gain": {"kind": "atoms", "values": ["-300.0", "300.0"], "weights": ["0.5", "0.5"]},
+    }), 10, 50, id="rotgain-gains-e300-crossing"),
 ])
 def test_onestep_heavy_triangular_products_exit_zero(nu, steps, trials, tmp_path):
     _onestep_exponents(nu, steps, trials, tmp_path)
@@ -624,6 +644,113 @@ def test_flexible_lowcost_one_piece_builds(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "flexible_report.json").read_text())["report"]
     assert float(report["mean_cost"]) < 0.1
+
+
+# chains whose refined labels outgrow the window: a heavy mass after a
+# light one splits into int(heavy / light) + 1 labels
+LABEL_BLOWUPS = {
+    "two-atoms": ({"pieces": [
+        {"weight": "1e-09", "cell": {"alpha": ["0.2", "0.2"], "theta": ["1.0", "1.0"]}},
+        {"weight": "0.999999999", "cell": {"alpha": ["1.0", "1.0"], "theta": ["0.5", "0.5"]}},
+    ]}, ["--budget", "3.0", "--steps", "2000"]),
+    "tail-rule": ({
+        "pieces": [{"weight": "0.8888888888888888",
+                    "cell": {"alpha": ["0.001", "3.0"], "theta": ["0.01", "1.5"]}}],
+        "tail_rule": {"first_weight": "0.1", "weight_ratio": "0.1", "theta_ratio": "1.0",
+                      "cell": {"alpha": ["0.5", "1.2"], "theta": ["0.1", "1.5707963267948966"]}},
+    }, ["--budget", "3.0", "--rates", "1.0,-9.0", "--steps", "500", "--seed", "245"]),
+    # a label count past the float range: 1.0 / 1e-320 overflows
+    "subnormal-weight": ({"pieces": [
+        {"weight": "1e-320", "cell": {"alpha": ["0.2", "0.2"], "theta": ["1.0", "1.0"]}},
+        {"weight": "1.0", "cell": {"alpha": ["1.0", "1.0"], "theta": ["0.5", "0.5"]}},
+    ]}, ["--budget", "3.0", "--steps", "2000"]),
+    # found by test_flexible_exit_contract: a band 1e-9 wide in gap angle
+    "thin-band": ({"pieces": [
+        {"weight": "0.3333333333333333", "cell": {"alpha": ["0.0", "0.0"], "theta": ["1.0", "1.0"]}},
+        {"weight": "0.3333333333333333",
+         "cell": {"alpha": ["0.0", "0.0"], "theta": ["1.000000001", "1.000000001"]}},
+        {"weight": "0.3333333333333333",
+         "cell": {"alpha": ["0.0", "0.0"], "theta": ["1.0", "1.5707963267948966"]}},
+    ]}, ["--budget", "1.0", "--rates", "1.0,0.0", "--steps", "410"]),
+}
+
+
+@pytest.mark.parametrize("name", list(LABEL_BLOWUPS))
+def test_flexible_label_blowup_exits_sixtyfour(name, tmp_path, capsys):
+    obj, extra = LABEL_BLOWUPS[name]
+    spec = tmp_path / "eta.json"
+    spec.write_text(json.dumps(obj))
+    argv = ["flexible", "--spec", str(spec), "--mode", "bounded", *extra]
+    assert cli.main([*argv, "--out", str(tmp_path / "r")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: budget {extra[1]} needs ")
+    assert err.endswith("labels, past the limit 32768\n") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _flexible_cells(draw):
+    """An atom or rectangle with gap angles down to 1e-12, most of them above
+    1e-3, where rates 1 apart are carried accurately."""
+    t0 = draw(st.one_of(_log_uniform(1e-3, math.pi / 2), _log_uniform(1e-12, math.pi / 2)))
+    t0 = min(t0, math.pi / 2)
+    a0 = draw(st.floats(0.0, math.pi))
+    if draw(st.booleans()):
+        return atom_cell(a0, t0)
+    t1 = min(math.pi / 2, t0 * draw(_log_uniform(1.0, 100.0)))
+    return uniform_cell(a0, draw(st.floats(a0, math.pi)), t0, t1)
+
+
+@st.composite
+def _flexible_runs(draw):
+    """A mixture of 1-4 cells with weights down to 1e-9 and an optional tail
+    rule, a mode with its bound in [1e-3, 50], rates 1 or more apart with
+    magnitudes up to 1e3, and at most 600 steps.  Most draws pass the
+    up-front checks: rates near 0 and a few apart, and enough steps for the
+    direction estimates."""
+    tail = None
+    if draw(st.booleans()):
+        ratio = draw(st.floats(0.01, 0.5))
+        mass = draw(_log_uniform(1e-9, 0.5))
+        tail = TailRule(mass * (1.0 - ratio), ratio, draw(_flexible_cells()),
+                        draw(st.floats(0.1, 1.0)))
+    cells = draw(st.lists(_flexible_cells(), min_size=1, max_size=4))
+    raw = [draw(_log_uniform(1e-9, 1.0)) for _ in cells]
+    rest = 1.0 - (tail.total_mass if tail else 0.0)
+    eta = EtaSpec(tuple((rest * w / math.fsum(raw), c) for w, c in zip(raw, cells)), tail)
+    mode = draw(st.sampled_from(["bounded", "lowcost"]))
+    flag = "--budget" if mode == "bounded" else "--epsilon"
+    gap = draw(st.one_of(st.floats(1.0, 8.0), st.floats(1.0, 2000.0)))
+    r2 = min(draw(st.one_of(st.floats(-8.0, 8.0), st.floats(-1000.0, 1000.0))), 1000.0 - gap)
+    least = min(2 * direction_depth(r2 + gap, r2) + 10, 600)
+    steps = draw(st.one_of(st.integers(least, 600), st.integers(1, 600)))
+    argv = ["--mode", mode, flag, repr(draw(_log_uniform(1e-3, 50.0))),
+            f"--rates={r2 + gap!r},{r2!r}", "--steps", str(steps)]
+    return eta, argv
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@seed(20263)
+@given(run=_flexible_runs())
+def test_flexible_exit_contract(run, tmp_path_factory):
+    # every accepted spec ends in a report (0), an infeasible bipartition
+    # (2) or a one-line usage error (64), never in a traceback
+    eta, argv = run
+    tmp_path = tmp_path_factory.mktemp("flexible")
+    spec = write_spec(tmp_path, "eta.json", eta)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore", UserWarning)  # short windows warn on purpose
+        code = cli.main(["flexible", "--spec", spec, *argv, "--seed", "1",
+                         "--out", str(tmp_path / "r")])
+    assert code in (0, 2, 64)
+    if code == 64:
+        assert err.getvalue().startswith("usage error") and err.getvalue().count("\n") == 1
 
 
 def test_malformed_specs_exit_sixtyfour(tmp_path, capsys):

@@ -494,7 +494,7 @@ NEGLOG_DEPTH = 512
 NEGLOG_ROWS = est.NEGLOG_BLOCK_ELEMENTS // NEGLOG_DEPTH
 
 
-# a point a this close to 1 is past NEGLOG_HEAD_MAX and is summed to depth
+# a point a this close to 1 is past NEGLOG_DEPTH and is summed to depth
 @pytest.mark.parametrize(
     "a", [scalars.constant(0.9999), scalars.uniform(0.0, 0.5)], ids=["point", "uniform"]
 )
@@ -517,17 +517,17 @@ def test_neglog_row_blocks_match_chunk_oracle(a, b, log_b, trials):
 @pytest.mark.parametrize("a", [1.0 - 1e-12, math.nextafter(1.0, 0.0)])
 def test_neglog_point_a_near_one_sums_to_depth(a):
     # the exact head of a point a near 1 would hold c / kappa, over
-    # 46 / (1 - a) terms; past NEGLOG_HEAD_MAX the series is cut at depth
+    # 46 / (1 - a) terms; past NEGLOG_DEPTH the series is cut at depth
     # like a drawn a's
-    assert est._exact_plan(a)[2] > est.NEGLOG_HEAD_MAX
+    assert est._exact_plan(a)[2] > est.NEGLOG_DEPTH
     nu = cocycle.triangular_distribution(scalars.constant(a), scalars.dyadic(), log_scale_b=True)
     got = triangular_gap_neglog_samples(nu, 300, depth=NEGLOG_DEPTH, seed=5)
     np.testing.assert_array_equal(got, _chunk_neglog_samples(nu, 300, NEGLOG_DEPTH, seed=5))
 
 
 def test_exact_head_cap_boundary():
-    # NEGLOG_HEAD_MAX = 512 admits a up to about 0.9248
-    assert est._exact_plan(0.92)[2] <= est.NEGLOG_HEAD_MAX < est._exact_plan(0.93)[2]
+    # NEGLOG_DEPTH = 512 admits a up to about 0.9248
+    assert est._exact_plan(0.92)[2] <= est.NEGLOG_DEPTH < est._exact_plan(0.93)[2]
     assert est._exact_plan(0.0)[2] == 1
     assert est._exact_plan(0.5)[2] == est.NEGLOG_HEAD
 
@@ -557,7 +557,7 @@ EXACT_PSI_LAWS = [
 def test_neglog_exact_path_properties(a, law, trials):
     b, log_b = EXACT_PSI_LAWS[law]
     nu = cocycle.triangular_distribution(scalars.constant(a), b, log_scale_b=log_b)
-    assert est._exact_plan(a)[2] <= est.NEGLOG_HEAD_MAX
+    assert est._exact_plan(a)[2] <= est.NEGLOG_DEPTH
     got = triangular_gap_neglog_samples(nu, trials, seed=law)
     assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
     with pytest.MonkeyPatch.context() as mp:

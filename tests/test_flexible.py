@@ -315,19 +315,6 @@ WIDE_TINY = EtaSpec(
 )
 
 
-def refined_piece_count(masses):
-    """How many pieces skyscraper.refine_weights makes of these masses, by its
-    own arithmetic (int(w / prev) + 1 per mass, prev the last piece before)
-    but without allocating them."""
-    count, prev = 0, math.inf
-    for w in masses:
-        k = int(w / prev) + 1 if math.isfinite(prev) else 1
-        mean = w / k
-        prev = w if k == 1 else mean + min(prev - mean, mean) / k * ((k - 1) / 2.0 - (k - 1))
-        count += k
-    return count
-
-
 def test_march_wide_tiny_angle_chain_refines_to_few_labels():
     b = 0.5
     pieces = decompose_eta(WIDE_TINY)
@@ -336,7 +323,7 @@ def test_march_wide_tiny_angle_chain_refines_to_few_labels():
     masses = [c.mass for c in chain]
     # counted first: a chain that refines into millions of labels fails here
     # instead of exhausting memory in refine_weights
-    count = refined_piece_count(masses)
+    count = skyscraper.refined_size(masses)
     assert count < 1000
     values, _ = skyscraper.refine_weights(masses)
     assert len(values) == count

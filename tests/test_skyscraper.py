@@ -329,6 +329,18 @@ def test_refine_random_property():
             assert math.fsum(v[o == idx]) == pytest.approx(w[idx], abs=1e-12)
 
 
+def test_refined_size_counts_without_allocating():
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        w = rng.random(int(rng.integers(1, 12)))
+        w = w / w.sum()
+        assert sky.refined_size(w) == len(refine_weights(w)[0])
+    # a heavy weight after a light one splits into int(heavy / light) + 1 pieces
+    assert sky.refined_size([1e-9, 1.0 - 1e-9]) == 1 + int((1.0 - 1e-9) / 1e-9) + 1
+    # a quotient past the float range still counts
+    assert sky.refined_size([1e-320, 1.0]) > 2**62
+
+
 def test_refine_rejects_bad_weights():
     with pytest.raises(ValueError):
         refine_weights([0.5, 0.0, 0.5])
@@ -341,6 +353,7 @@ def test_lowcost_heights_fixtures():
     assert lowcost_heights([1.0, 2.0, 3.0], 1e9) == [1, 2, 3]
     assert lowcost_heights([1.0, 100.0], 1.0) == [3, 202]  # 201 shares factor 3
     assert lowcost_heights([0.0], 5.0) == [1]
+    assert lowcost_heights([3.0], 1.0) == [7, 8]  # a lone tower takes k and k + 1 for gcd 1
 
 
 def test_lowcost_heights_contract():
@@ -355,8 +368,6 @@ def test_lowcost_heights_contract():
 
 
 def test_lowcost_heights_errors():
-    with pytest.raises(ValueError):
-        lowcost_heights([3.0], 1.0)  # single piece cannot reach gcd 1
     with pytest.raises(ValueError):
         lowcost_heights([2.0, 1.0], 1.0)  # decreasing costs
     with pytest.raises(ValueError):
