@@ -63,14 +63,16 @@ def _write_report(out_dir: str, name: str, obj: dict) -> Path:
     return path
 
 
-def _write_text(out_dir: str, name: str, text: str) -> Path:
-    """Write text in WRITE_SLICE slices, so no encoded copy of a whole
-    multi-megabyte CSV sits beside the text."""
+def _write_text(out_dir: str, name: str, parts) -> Path:
+    """Write an iterable of text parts, each in WRITE_SLICE slices, so no
+    encoded copy of a whole multi-megabyte CSV sits beside the text; a lazy
+    iterable keeps only one part in memory."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
-        for start in range(0, len(text), WRITE_SLICE):
-            f.write(text[start : start + WRITE_SLICE])
+        for text in parts:
+            for start in range(0, len(text), WRITE_SLICE):
+                f.write(text[start : start + WRITE_SLICE])
     return path
 
 
@@ -136,7 +138,7 @@ def cmd_onestep(args) -> int:
         "angle_tail": tail,
     })
     report = _write_report(args.out, "onestep_report.json", obj)
-    csv = _write_text(args.out, "onestep_tail.csv", tail.to_csv())
+    csv = _write_text(args.out, "onestep_tail.csv", [tail.to_csv()])
     print(f"exponents ({lam.top!r}, {lam.bottom!r})")
     print(f"splitting gap angle {theta!r} at depth {depth}")
     print(f"angle-tail verdict {tail.verdict} ({tail.sample_count} samples)")
@@ -171,10 +173,12 @@ def cmd_flexible(args) -> int:
             )
         return 2
     rep = flexible.verify_flexible(window, eta, r1, r2, mode=args.mode)
-    del window  # the report keeps its step columns, so the CSV string peaks alone
+    del window  # the report keeps its step columns, and the CSV holds one part at a time
     obj = encode({"config": _config(args), "seed": str(args.seed), "report": rep})
     report = _write_report(args.out, "flexible_report.json", obj)
-    csv = _write_text(args.out, "flexible_steps.csv", rep.to_csv())
+    rows = range(0, max(len(rep.step_cost), 1), flexible.CSV_ROWS)  # 0 rows: the header
+    parts = (rep.to_csv(lo, lo + flexible.CSV_ROWS) for lo in rows)
+    csv = _write_text(args.out, "flexible_steps.csv", parts)
     print(f"mode {rep.mode}  steps {rep.steps}  rates ({r1!r}, {r2!r})")
     print(f"exponents ({rep.lambda_hat[0]!r}, {rep.lambda_hat[1]!r})")
     print(

@@ -29,6 +29,9 @@ from .scalars import ScalarDist, Unsupported, encode
 # a pair product is finite: a margin below log sqrt(DBL_MAX / 2) = 354.54
 LOG_SAFE = 354.0
 
+# product_scaled's tree reduces aligned blocks of this many factors first
+TREE_BLOCK = 1 << 12
+
 
 class WindowExhausted(IndexError):
     """Requested product range leaves the stored window."""
@@ -307,24 +310,9 @@ def _normalized(prods: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.n
     return prods / peaks[:, None, None], scales + np.log(peaks)
 
 
-def product_scaled(mats: np.ndarray, log_scales: np.ndarray | None = None) -> ScaledMat2:
-    """Ordered product of e^log_scales[i] * mats[i] (zero scales if None),
-    later factors on the left, as exp(log_scale) * mat.
-
-    A pairwise tree at every length, bit-stable given the input, seeded
-    with the factor scales: each pair product is renormalized at once (the
-    periodic renormalization of Benettin et al., Meccanica 15, 1980); a
-    single factor is renormalized alone.  Factors as sample_block draws
-    them give finite pair products.  A zero or non-finite factor or
-    product raises NotInvertible.
-    """
-    mats = np.asarray(mats, dtype=float)
-    n = mats.shape[0]
-    if n == 0:
-        return ScaledMat2(np.eye(2), 0.0)
-    cur, scales = mats, np.zeros(n) if log_scales is None else np.asarray(log_scales, float)
-    if n == 1:
-        cur, scales = _normalized(cur, scales)
+def _pairwise(cur: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce a stack level by level, later factors on the left, to a stack
+    of one; an odd last entry is carried up unnormalized."""
     while cur.shape[0] > 1:
         k = cur.shape[0]
         half = k // 2
@@ -337,6 +325,33 @@ def product_scaled(mats: np.ndarray, log_scales: np.ndarray | None = None) -> Sc
             prod = np.concatenate([prod, cur[-1:]], axis=0)
             new_scales = np.concatenate([new_scales, scales[-1:]])
         cur, scales = prod, new_scales
+    return cur, scales
+
+
+def product_scaled(mats: np.ndarray, log_scales: np.ndarray | None = None) -> ScaledMat2:
+    """Ordered product of e^log_scales[i] * mats[i] (zero scales if None),
+    later factors on the left, as exp(log_scale) * mat.
+
+    A pairwise tree at every length, bit-stable given the input, seeded
+    with the factor scales: each pair product is renormalized at once (the
+    periodic renormalization of Benettin et al., Meccanica 15, 1980); a
+    single factor is renormalized alone.  The tree's first log2(TREE_BLOCK)
+    levels never pair across a block edge, so it reduces one block at a
+    time, then the block results.  Factors as sample_block draws them give
+    finite pair products.  A zero or non-finite factor or product raises
+    NotInvertible.
+    """
+    mats = np.asarray(mats, dtype=float)
+    n = mats.shape[0]
+    if n == 0:
+        return ScaledMat2(np.eye(2), 0.0)
+    blocks = []
+    for lo in range(0, n, TREE_BLOCK):
+        block = mats[lo : lo + TREE_BLOCK]
+        scales = (np.zeros(len(block)) if log_scales is None
+                  else np.asarray(log_scales[lo : lo + TREE_BLOCK], float))
+        blocks.append(_normalized(block, scales) if n == 1 else _pairwise(block, scales))
+    cur, scales = _pairwise(*map(np.concatenate, zip(*blocks)))
     return ScaledMat2(cur[0], float(scales[0]))
 
 

@@ -62,7 +62,7 @@ COVARIANCE_TOL = 1e-9
 # an estimated direction agrees with the prescribed one below this angle
 AGREEMENT_TOL = 1e-3
 
-CSV_ROWS = 1 << 16  # rows per chunk in ConstructionReport.to_csv, bounding its memory
+CSV_ROWS = 1 << 16  # rows per ConstructionReport.to_csv chunk, and per part osl writes
 
 # steps per block in simulate_flexible and verify_flexible's KS statistic:
 # 800k lowcost steps built in 0.48 s at 2^13 or 2^14, 0.54 s at 2^12, 0.64 s at
@@ -455,42 +455,37 @@ def march_chain(pieces: list[Piece], b: float) -> list[SubCell]:
 # travel costs
 
 
-def _pair_cost_cap(cell_x: Cell, cell_y: Cell, r1: float, r2: float) -> float:
-    """Certified upper bound for the worst-lift cost from any splitting in
-    cell_x to any in cell_y; exact when both cells are atoms.
-
-    The bound: ||M|| <= e^r1 * cos(theta'/2) / sin(theta/2) and
-    ||M^-1|| <= e^-r2 * cos(theta/2) / sin(theta'/2), both maximized at the
-    cells' lower theta edges.
-    """
-    if cell_x.is_atom and cell_y.is_atom:
-        same = (
-            cell_x.alpha_lo == cell_y.alpha_lo
-            and cell_x.theta_lo == cell_y.theta_lo
-        )
-        if same:
-            return 0.0  # identical splittings travel for free
-        return float(gl2.transfer_cost_general(cell_x.theta_lo, cell_y.theta_lo, r1, r2))
-    lsin_x = math.log(math.sin(cell_x.theta_lo / 2.0))
-    lcos_x = math.log(math.cos(cell_x.theta_lo / 2.0))
-    lsin_y = math.log(math.sin(cell_y.theta_lo / 2.0))
-    lcos_y = math.log(math.cos(cell_y.theta_lo / 2.0))
-    return max(r1 + lcos_y - lsin_x, -r2 + lcos_x - lsin_y)
-
-
 def piece_cost_caps(pieces: list[Piece], r1: float, r2: float) -> np.ndarray:
     """Nondecreasing caps C_n for the worst travel cost within the union of
-    cells 0..n; the lowcost height schedule divides epsilon by these."""
+    cells 0..n; the lowcost height schedule divides epsilon by these.
+
+    A pair cap bounds the worst-lift cost from any splitting in cell x to
+    any in cell y: ||M|| <= e^r1 * cos(theta'/2) / sin(theta/2) and
+    ||M^-1|| <= e^-r2 * cos(theta/2) / sin(theta'/2), both maximized at the
+    cells' lower theta edges; between two atoms it is the exact
+    gl2.transfer_cost_general, 0 for identical ones.  C_n is the running
+    max of the caps between cell n and each cell i <= n, both ways, taken
+    one numpy row per n.
+    """
     cells = [p.cell for p in pieces]
-    caps = []
+    lsin = np.array([math.log(math.sin(c.theta_lo / 2.0)) for c in cells])
+    lcos = np.array([math.log(math.cos(c.theta_lo / 2.0)) for c in cells])
+    theta = np.array([c.theta_lo for c in cells])
+    alpha = np.array([c.alpha_lo for c in cells])
+    atom = np.array([c.is_atom for c in cells], dtype=bool)
+    caps = np.empty(len(cells))
     best = 0.0
     for n in range(len(cells)):
-        for i in range(n + 1):
-            best = max(best, _pair_cost_cap(cells[i], cells[n], r1, r2))
-            if i < n:
-                best = max(best, _pair_cost_cap(cells[n], cells[i], r1, r2))
-        caps.append(best)
-    return np.asarray(caps)
+        into = np.maximum(r1 + lcos[n] - lsin[: n + 1], -r2 + lcos[: n + 1] - lsin[n])
+        out = np.maximum(r1 + lcos[:n] - lsin[n], -r2 + lcos[n] - lsin[:n])
+        if atom[n]:
+            both = np.flatnonzero(atom[: n + 1])
+            fresh = both[(alpha[both] != alpha[n]) | (theta[both] != theta[n])]
+            into[both] = out[both[:-1]] = 0.0  # identical splittings travel for free
+            into[fresh] = gl2.transfer_cost_general(theta[fresh], theta[n], r1, r2)
+            out[fresh] = gl2.transfer_cost_general(theta[n], theta[fresh], r1, r2)
+        best = caps[n] = max(best, into.max(), out.max(initial=0.0))
+    return caps
 
 
 def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float, theta=None) -> np.ndarray:
@@ -619,19 +614,14 @@ def simulate_flexible(
         if len(ks) > len(pieces):  # a lone piece on heights k and k + 1
             weights = [weights[0] / 2.0] * 2
         pi = skyscraper.TowerVector(dict(zip(ks, weights)))
-        heights, levels = skyscraper.renewal_trajectory(pi, steps + 1, rng)
-        piece_idx = np.searchsorted(np.asarray(ks), heights)
-        np.minimum(piece_idx, len(pieces) - 1, out=piece_idx)  # a split lone piece reads 0
-        # segments of constant f: from each tower base to the next
-        seg = np.cumsum(levels == 0)
-        seg -= seg[0]  # a walk that starts on a base has no empty segment 0
-        seg_piece = np.empty(int(seg[-1]) + 1, dtype=np.int64)
-        seg_piece[seg] = piece_idx  # constant within a segment
+        # f is constant up each tower: one draw per tower entered
+        heights, lengths, _ = skyscraper.renewal_towers(pi, steps + 1, rng)
+        seg_piece = np.searchsorted(np.asarray(ks), heights)
+        np.minimum(seg_piece, len(pieces) - 1, out=seg_piece)  # a split lone piece reads 0
         seg_alpha, seg_theta = _draw_cells([p.cell for p in pieces], seg_piece, rng)
-        alpha = seg_alpha[seg]
-        theta = seg_theta[seg]
-        labels = piece_idx[:steps]
-        del heights, levels, seg, seg_piece, seg_alpha, seg_theta
+        alpha = np.repeat(seg_alpha, lengths)
+        theta = np.repeat(seg_theta, lengths)
+        labels = np.repeat(seg_piece, lengths)[:steps]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -717,12 +707,15 @@ class ConstructionReport:
     def to_obj(self) -> dict:
         return encode({f.name: getattr(self, f.name) for f in fields(self) if f.repr})
 
-    def to_csv(self) -> str:
-        """One row per stored transition: absolute step, its travel cost,
-        the label at the step's source, and the source gap angle."""
-        parts = ["step,cost,label,theta\n"]
-        for lo in range(0, len(self.step_cost), CSV_ROWS):
-            part = slice(lo, lo + CSV_ROWS)
+    def to_csv(self, start: int = 0, stop: int | None = None) -> str:
+        """Rows [start, stop) of the CSV, the header first when start is 0:
+        one row per stored transition, with the absolute step, its travel
+        cost, the label at the step's source, and the source gap angle.
+        The whole text by default, formatted CSV_ROWS rows at a time."""
+        stop = len(self.step_cost) if stop is None else min(stop, len(self.step_cost))
+        parts = ["step,cost,label,theta\n"] if start == 0 else []
+        for lo in range(start, stop, CSV_ROWS):
+            part = slice(lo, min(lo + CSV_ROWS, stop))
             cost, theta = float_strs(self.step_cost[part]), float_strs(self.step_theta[part])
             steps = range(self.offset + lo, self.offset + lo + len(cost))
             rows = zip(steps, cost, self.step_label[part].tolist(), theta)

@@ -33,8 +33,8 @@ MASS_TOL = 1e-12
 # fold the residual into the last retained piece.
 FOLD_TOL = 1e-9
 
-# renewal_trajectory draws this many towers beyond its estimate whenever the
-# walk runs short, so the tallest tower can cost this many times its height
+# renewal_towers draws this many towers beyond its estimate whenever the
+# walk runs short
 OVERDRAW_TOWERS = 16
 
 
@@ -95,15 +95,15 @@ def kac_base_measures(pi: TowerVector) -> dict[int, float]:
     return {k: w / k for k, w in pi.entries.items()}
 
 
-def renewal_trajectory(pi: TowerVector, steps: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized stationary trajectory: (heights, levels), each of length steps.
+def renewal_towers(pi: TowerVector, steps: int, seed=0) -> tuple[np.ndarray, np.ndarray, int]:
+    """Stationary walk of steps steps as (heights, lengths, start): each
+    tower entered, the steps spent in it, and the level the walk starts on.
 
     The start is stationary: height k with probability mass(k), level
     uniform below it.  Each step climbs one level; from the top it enters a
     fresh tower whose height is drawn proportional to mass(k)/k, the
-    base-cell law, which preserves the stationary law.  Whole towers are
-    drawn at once and unrolled with repeat / arange, so a million steps cost
-    a handful of array operations.
+    base-cell law, which preserves the stationary law.  Towers are drawn in
+    batches, and the last one entered is cut where the walk ends.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -116,17 +116,25 @@ def renewal_trajectory(pi: TowerVector, steps: int, seed=0) -> tuple[np.ndarray,
     q = ws / ks  # height of the next tower entered from a base cell
     q = q / q.sum()
     mean_return = float(ks @ q)
-    hs = [np.full(k0 - i0, k0, dtype=np.int64)]
-    ls = [np.arange(i0, k0, dtype=np.int64)]
+    hs = [np.array([k0], dtype=np.int64)]
     total = k0 - i0
     while total < steps:
         m = int((steps - total) / mean_return * 1.2) + OVERDRAW_TOWERS
-        draw = rng.choice(ks, p=q, size=m)
-        hs.append(np.repeat(draw, draw))
-        csum = np.cumsum(draw)
-        ls.append(np.arange(csum[-1], dtype=np.int64) - np.repeat(csum - draw, draw))
-        total += int(csum[-1])
-    return np.concatenate(hs)[:steps], np.concatenate(ls)[:steps]
+        hs.append(rng.choice(ks, p=q, size=m))
+        total += int(hs[-1].sum())
+    heights = np.concatenate(hs)
+    ends = np.minimum(np.cumsum(heights) - i0, steps)  # the step that leaves each tower
+    count = int(np.searchsorted(ends, steps)) + 1
+    return heights[:count], np.diff(ends[:count], prepend=0), i0
+
+
+def renewal_trajectory(pi: TowerVector, steps: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """The walk of renewal_towers step by step: (heights, levels), each of
+    length steps, from the same generator calls."""
+    heights, lengths, start = renewal_towers(pi, steps, seed)
+    levels = np.arange(steps, dtype=np.int64) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    levels[: lengths[0]] += start
+    return np.repeat(heights, lengths), levels
 
 
 def trajectory_labels(heights, levels) -> np.ndarray:

@@ -14,11 +14,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from oseledets import cli, gl2, scalars
+from oseledets import cli, flexible, gl2, scalars
 from oseledets.cocycle import MatrixDistribution, atoms_distribution, triangular_distribution
 from oseledets.estimation import build_counterexample_cocycle
 from oseledets.flexible import (
@@ -408,6 +409,27 @@ def test_flexible_bounded_report(tmp_path, capsys):
     assert "max step cost" in capsys.readouterr().out
 
 
+def test_flexible_asks_for_its_csv_part_by_part(tmp_path, monkeypatch):
+    calls, to_csv = [], flexible.ConstructionReport.to_csv
+
+    def recording(rep, start=0, stop=None):
+        calls.append((start, stop))
+        return to_csv(rep, start, stop)
+
+    monkeypatch.setattr(flexible, "CSV_ROWS", 1000)
+    monkeypatch.setattr(flexible.ConstructionReport, "to_csv", recording)
+    spec = write_spec(tmp_path, "eta.json", TWO_CELL)
+    code = cli.main(
+        ["flexible", "--spec", spec, "--mode", "lowcost", "--epsilon", "0.3",
+         "--steps", "2500", "--seed", "2", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert calls == [(0, 1000), (1000, 2000), (2000, 3000)]
+    rows = (tmp_path / "flexible_steps.csv").read_text().splitlines()
+    assert rows[0] == "step,cost,label,theta"
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(-1250, 1249))
+
+
 def test_flexible_config_block_in_full(tmp_path, monkeypatch):
     # both bounds are recorded, whichever the mode reads; the seed comes
     # from the environment and is written as a string
@@ -455,12 +477,41 @@ def test_text_is_written_in_slices(tmp_path):
     text = "0.1,2,3\n" * (6 * cli.WRITE_SLICE // 8 + 1)
     tracemalloc.start()
     try:
-        path = cli._write_text(str(tmp_path / "d"), "steps.csv", text)
+        path = cli._write_text(str(tmp_path / "d"), "steps.csv", [text])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert path.read_text() == text
     assert peak < 3 * cli.WRITE_SLICE
+
+
+def test_flexible_csv_is_written_part_by_part(tmp_path):
+    # what osl flexible passes: one lazy to_csv call per CSV_ROWS rows
+    import tracemalloc
+
+    rows, k = 200_000, flexible.CSV_ROWS
+    rng = np.random.default_rng(4)
+    rep = flexible.ConstructionReport(
+        lambda_hat=(0.5, -0.5), tv_distance=0.0, ks_theta=0.0, max_cost=0.0,
+        mean_cost=0.0, agreement_fraction=1.0, steps=rows + 1, offset=-(rows // 2),
+        mode="bounded", rates=(0.5, -0.5), seed=None, step_cost=rng.random(rows),
+        step_label=rng.integers(0, 40, rows), step_theta=rng.uniform(0.3, 1.4, rows),
+    )
+    text = rep.to_csv(k, 2 * k)
+    tracemalloc.start()
+    try:
+        rep.to_csv(k, 2 * k)
+        one = tracemalloc.get_traced_memory()[1]  # formatting one part
+        tracemalloc.reset_peak()
+        parts = (rep.to_csv(lo, lo + k) for lo in range(0, rows, k))
+        path = cli._write_text(str(tmp_path / "d"), "steps.csv", parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == rep.to_csv()
+    # beside the part being formatted, at most two parts of text; the whole
+    # CSV (about 3 parts) joined from its chunks would hold twice that
+    assert peak < one + 2 * len(text), (peak, one, len(text))
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,58 @@ def test_factor_scales_seed_the_product_tree():
     assert cocycle_product_scaled(w, 0, 2).log_scale == pytest.approx(2000.0, rel=1e-15)
 
 
+def levelwise_product(mats, log_scales=None):
+    """Reference tree over the whole stack: pair neighbours level by level,
+    later on the left, renormalize each pair product, carry an odd last
+    entry up as it is; a single factor is renormalized alone."""
+    cur = np.asarray(mats, dtype=float)
+    scales = np.zeros(len(cur)) if log_scales is None else np.asarray(log_scales, float)
+    if len(cur) == 1:
+        return cocycle._normalized(cur, scales)
+    while len(cur) > 1:
+        half = len(cur) // 2
+        prod, new = cocycle._normalized(
+            cur[1 : 2 * half : 2] @ cur[0 : 2 * half : 2],
+            scales[0 : 2 * half : 2] + scales[1 : 2 * half : 2],
+        )
+        if len(cur) % 2:
+            prod, new = np.concatenate([prod, cur[-1:]]), np.concatenate([new, scales[-1:]])
+        cur, scales = prod, new
+    return cur, scales
+
+
+B = cocycle.TREE_BLOCK
+TREE_LENGTHS = [1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7]
+
+
+@pytest.mark.parametrize(
+    "n", TREE_LENGTHS + np.random.default_rng(12).integers(3, 6 * B, 4).tolist())
+@pytest.mark.parametrize("scaled", [False, True])
+def test_blocked_tree_is_the_levelwise_tree(n, scaled):
+    rng = np.random.default_rng(n)
+    mats = rng.normal(size=(n, 2, 2))
+    scales = rng.normal(scale=50.0, size=n) if scaled else None
+    got = product_scaled(mats, scales)
+    want_mat, want_scale = levelwise_product(mats, scales)
+    np.testing.assert_array_equal(got.mat, want_mat[0])
+    assert got.log_scale == float(want_scale[0])
+
+
+def test_long_product_holds_a_block_of_temporaries():
+    import tracemalloc
+
+    mats = np.random.default_rng(5).normal(size=(1 << 20, 2, 2))
+    product_scaled(mats[: 2 * B])  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        product_scaled(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-window tree held about 26 bytes per factor (26 MB here)
+    assert peak < 2e6, peak
+
+
 def test_window_exhausted():
     w = random_window(10, seed=6, offset=-5)
     with pytest.raises(WindowExhausted):

@@ -437,6 +437,55 @@ def test_piece_cost_caps_exact_for_atoms():
     assert caps[1] == expect
 
 
+def pairwise_cost_cap(x: Cell, y: Cell, r1: float, r2: float) -> float:
+    """Reference cap from cell x to cell y, one pair at a time: the exact
+    cost between atoms (0 between identical ones), else the bound at the
+    cells' lower gap angles."""
+    if x.is_atom and y.is_atom:
+        if x.alpha_lo == y.alpha_lo and x.theta_lo == y.theta_lo:
+            return 0.0
+        return float(gl2.transfer_cost_general(x.theta_lo, y.theta_lo, r1, r2))
+    lsin_x, lcos_x = math.log(math.sin(x.theta_lo / 2.0)), math.log(math.cos(x.theta_lo / 2.0))
+    lsin_y, lcos_y = math.log(math.sin(y.theta_lo / 2.0)), math.log(math.cos(y.theta_lo / 2.0))
+    return max(r1 + lcos_y - lsin_x, -r2 + lcos_x - lsin_y)
+
+
+def pairwise_cost_caps(cells, r1, r2) -> list[float]:
+    caps, best = [], 0.0
+    for n, y in enumerate(cells):
+        for x in cells[: n + 1]:
+            best = max(best, pairwise_cost_cap(x, y, r1, r2), pairwise_cost_cap(y, x, r1, r2))
+        caps.append(best)
+    return caps
+
+
+@st.composite
+def cells_with_repeats(draw):
+    """1-12 cells: atoms, rectangles, and repeats of earlier cells."""
+    cells = []
+    for _ in range(draw(st.integers(1, 12))):
+        if cells and draw(st.booleans()):
+            cells.append(cells[draw(st.integers(0, len(cells) - 1))])
+            continue
+        t0 = math.exp(draw(st.floats(math.log(1e-6), math.log(math.pi / 2))))
+        a0 = draw(st.floats(0.0, math.pi))
+        if draw(st.booleans()):
+            cells.append(atom_cell(a0, t0))
+        else:
+            cells.append(uniform_cell(a0, draw(st.floats(a0, math.pi)), t0,
+                                      draw(st.floats(t0, math.pi / 2))))
+    return cells
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), database=None)
+@seed(20264)
+@given(cells_with_repeats(), st.floats(-3.0, 3.0), st.floats(0.0, 4.0))
+def test_piece_cost_caps_match_pairwise_reference(cells, r2, gap):
+    pieces = [fx.Piece(1.0, cell) for cell in cells]
+    got = piece_cost_caps(pieces, r2 + gap, r2)
+    assert got.tolist() == pairwise_cost_caps(cells, r2 + gap, r2)
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -802,6 +851,23 @@ def _per_row_csv(rep) -> str:
             f"{int(rep.step_label[j])},{float(rep.step_theta[j])!r}"
         )
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows,part", [(0, fx.CSV_ROWS), (1, fx.CSV_ROWS), (1, 1), (9, 1)]
+                         + [(2 * k + 1, k) for k in (fx.CSV_ROWS - 1, fx.CSV_ROWS, fx.CSV_ROWS + 1)])
+def test_report_csv_parts_join_to_the_whole(rows, part):
+    rng = np.random.default_rng(rows)
+    rep = ConstructionReport(
+        lambda_hat=(0.5, -0.5), tv_distance=0.0, ks_theta=0.0, max_cost=0.0,
+        mean_cost=0.0, agreement_fraction=1.0, steps=rows + 1, offset=-(rows // 2),
+        mode="lowcost", rates=(0.5, -0.5), seed=None, step_cost=rng.random(rows),
+        step_label=rng.integers(0, 4, rows), step_theta=rng.uniform(0.3, 1.4, rows),
+    )
+    whole = rep.to_csv()
+    parts = [rep.to_csv(lo, lo + part) for lo in range(0, max(rows, 1), part)]
+    assert parts[0].startswith("step,cost,label,theta\n")
+    assert "".join(parts) == whole
+    assert whole.count("\n") == rows + 1
 
 
 @pytest.mark.parametrize("rows", [0, 1, 7, fx.CSV_ROWS + 5])

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oseledets import flexible as fx
+from oseledets import gl2
 from oseledets import skyscraper as sky
 from oseledets.skyscraper import (
     BadHeightForLabels,
@@ -213,6 +215,66 @@ def test_trajectory_occupancy_matches_kac():
         assert abs(mean - want) < 3 * max(se, 1e-4)
 
 
+def overdrawn_trajectory(pi: TowerVector, steps: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Reference walk, unrolled step by step as it is drawn: every batch of
+    towers becomes per-step heights and levels before the cut at steps."""
+    ks = np.array(list(pi.entries), dtype=np.int64)
+    ws = np.array(list(pi.entries.values()))
+    ws = ws / ws.sum()
+    k0 = int(rng.choice(ks, p=ws))
+    i0 = int(rng.integers(0, k0))
+    q = ws / ks
+    q = q / q.sum()
+    mean_return = float(ks @ q)
+    hs, ls = [np.full(k0 - i0, k0, dtype=np.int64)], [np.arange(i0, k0, dtype=np.int64)]
+    total = k0 - i0
+    while total < steps:
+        m = int((steps - total) / mean_return * 1.2) + sky.OVERDRAW_TOWERS
+        draw = rng.choice(ks, p=q, size=m)
+        hs.append(np.repeat(draw, draw))
+        csum = np.cumsum(draw)
+        ls.append(np.arange(csum[-1], dtype=np.int64) - np.repeat(csum - draw, draw))
+        total += int(csum[-1])
+    return np.concatenate(hs)[:steps], np.concatenate(ls)[:steps]
+
+
+TOWER_VECTORS = [
+    {1: 1.0},
+    {1: 0.25, 4: 0.25, 6: 0.5},
+    {2: 0.5, 3: 0.5},
+    {7: 0.5, 8: 0.5},
+    {1: 0.1, 4: 0.2, 6: 0.3, 100: 0.4},
+]
+
+
+@pytest.mark.parametrize("entries", TOWER_VECTORS)
+@pytest.mark.parametrize("steps", [1, 2, 5, 99, 5000])
+def test_towers_unroll_to_the_reference_walk(entries, steps):
+    pi = TowerVector(entries)
+    for seed in range(8):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = overdrawn_trajectory(pi, steps, want_rng)
+        got = renewal_trajectory(pi, steps, got_rng)
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        heights, lengths, start = sky.renewal_towers(pi, steps, seed)
+        assert lengths.sum() == steps and np.all(lengths >= 1)
+        assert np.all(lengths[1:-1] == heights[1:-1])
+        assert start == want[1][0]
+
+
+def test_walk_that_ends_inside_its_first_tower():
+    # towers of 99 and 100 levels: seed 0 starts low enough that 5 steps stay inside one
+    pi = TowerVector({99: 0.5, 100: 0.5})
+    heights, lengths, start = sky.renewal_towers(pi, 5, 0)
+    assert len(heights) == 1 and lengths.tolist() == [5] and start + 5 <= heights[0]
+    h, l = renewal_trajectory(pi, 5, 0)
+    assert h.tolist() == [heights[0]] * 5 and l.tolist() == list(range(start, start + 5))
+
+
+
 # ---------------------------------------------------------------------------
 # labels
 
@@ -374,3 +436,55 @@ def test_lowcost_heights_errors():
         lowcost_heights([1.0], 0.0)
     with pytest.raises(ValueError):
         lowcost_heights([], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the lowcost schedule, tower by tower
+
+
+def per_step_lowcost_schedule(eta, steps: int, seed: int, epsilon: float):
+    """simulate_flexible's lowcost (alpha, theta, labels) through the
+    reference walk: per-step heights and levels, a segment index that
+    counts tower bases, one draw per segment, read back per step."""
+    pieces = fx.decompose_eta(eta)
+    ks = lowcost_heights(fx.piece_cost_caps(pieces, 0.5, -0.5), epsilon)
+    weights = [p.weight for p in pieces]
+    if len(ks) > len(pieces):
+        weights = [weights[0] / 2.0] * 2
+    rng = np.random.default_rng(seed)
+    heights, levels = overdrawn_trajectory(TowerVector(dict(zip(ks, weights))), steps + 1, rng)
+    piece_idx = np.minimum(np.searchsorted(np.asarray(ks), heights), len(pieces) - 1)
+    seg = np.cumsum(levels == 0)
+    seg -= seg[0]
+    seg_piece = np.zeros(int(seg[-1]) + 1, dtype=np.int64)
+    seg_piece[seg] = piece_idx
+    seg_alpha, seg_theta = fx._draw_cells([p.cell for p in pieces], seg_piece, rng)
+    return seg_alpha[seg], seg_theta[seg], piece_idx[:steps], levels[0]
+
+
+MIXTURES = {
+    "two_cell": fx.EtaSpec(pieces=(
+        (0.6, fx.uniform_cell(0.2, 0.9, 0.4, 0.6)),
+        (0.4, fx.uniform_cell(1.5, 2.2, 0.9, 1.1)),
+    )),
+    "four_cell": fx.EtaSpec(pieces=(
+        (0.4, fx.uniform_cell(0.1, 0.8, 0.30, 0.50)),
+        (0.3, fx.uniform_cell(1.0, 1.7, 0.50, 0.70)),
+        (0.2, fx.uniform_cell(1.9, 2.6, 0.80, 1.00)),
+        (0.1, fx.uniform_cell(2.7, 3.1, 1.20, 1.40)),
+    )),
+    "one_piece": fx.EtaSpec(pieces=((1.0, fx.uniform_cell(0.1, 0.8, 0.3, 0.5)),)),
+}
+
+
+@pytest.mark.parametrize("name", MIXTURES)
+@pytest.mark.parametrize("seed", [3, 23, 80])
+def test_lowcost_build_matches_the_per_step_schedule(name, seed):
+    eta, steps = MIXTURES[name], 3000
+    w = fx.simulate_flexible(eta, 0.5, -0.5, "lowcost", steps, seed=seed, epsilon=0.1)
+    alpha, theta, labels, first_level = per_step_lowcost_schedule(eta, steps, seed, 0.1)
+    if (name, seed) == ("four_cell", 80):
+        assert first_level == 0  # this walk starts on a tower base
+    np.testing.assert_array_equal(w.labels, labels)
+    np.testing.assert_array_equal(w.prescribed_f[:, 0], gl2.canon_line(alpha[:-1]))
+    np.testing.assert_array_equal(w.prescribed_f[:, 1], gl2.canon_line(alpha[:-1] + theta[:-1]))
