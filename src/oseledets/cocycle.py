@@ -236,11 +236,12 @@ class OrbitWindow:
     """One-step matrices along a finite orbit stretch.
 
     F(T^i omega) for i = offset + j is e^log_scales[j] * matrices[j] with
-    log|det| log_dets[j], as ``MatrixDistribution.sample_block`` draws it.
-    ``log_scales`` None means zeros, and ``log_dets`` None means read off
-    the matrices, as for plain windows like the flexible construction's.
-    ``prescribed_f`` (same length, pairs of line angles) and ``labels`` are
-    optional extras attached by constructions that know them.
+    log|det| log_dets[j], as ``MatrixDistribution.sample_block`` and
+    ``flexible.simulate_flexible`` build it.  A hand-built window may leave
+    both out: its scales are then zeros and its log-dets are read off the
+    matrices, here and nowhere else.  ``prescribed_f`` (same length, pairs
+    of line angles) and ``labels`` are optional extras attached by
+    constructions that know them.
     """
 
     offset: int
@@ -248,14 +249,20 @@ class OrbitWindow:
     prescribed_f: np.ndarray | None = None
     labels: np.ndarray | None = None
     seed: int | None = None
-    log_scales: np.ndarray | None = None
-    log_dets: np.ndarray | None = None
+    log_scales: np.ndarray = None
+    log_dets: np.ndarray = None
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=float)
         object.__setattr__(self, "matrices", m)
         if m.ndim != 3 or m.shape[1:] != (2, 2):
             raise ValueError("matrices must have shape (n, 2, 2)")
+        if self.log_scales is None:  # zeros in 0 bytes
+            object.__setattr__(self, "log_scales", np.broadcast_to(0.0, len(m)))
+        if self.log_dets is None:
+            with np.errstate(all="ignore"):  # a singular or huge matrix: -inf, inf or nan
+                log_dets = np.log(np.abs(gl2.det2(m))) + 2.0 * self.log_scales
+            object.__setattr__(self, "log_dets", log_dets)
         for name in ("prescribed_f", "labels", "log_scales", "log_dets"):
             arr = getattr(self, name)
             if arr is not None and len(arr) != len(m):
@@ -328,9 +335,9 @@ def _pairwise(cur: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return cur, scales
 
 
-def product_scaled(mats: np.ndarray, log_scales: np.ndarray | None = None) -> ScaledMat2:
-    """Ordered product of e^log_scales[i] * mats[i] (zero scales if None),
-    later factors on the left, as exp(log_scale) * mat.
+def product_scaled(mats: np.ndarray, log_scales: np.ndarray) -> ScaledMat2:
+    """Ordered product of e^log_scales[i] * mats[i], later factors on the
+    left, as exp(log_scale) * mat.
 
     A pairwise tree at every length, bit-stable given the input, seeded
     with the factor scales: each pair product is renormalized at once (the
@@ -348,8 +355,7 @@ def product_scaled(mats: np.ndarray, log_scales: np.ndarray | None = None) -> Sc
     blocks = []
     for lo in range(0, n, TREE_BLOCK):
         block = mats[lo : lo + TREE_BLOCK]
-        scales = (np.zeros(len(block)) if log_scales is None
-                  else np.asarray(log_scales[lo : lo + TREE_BLOCK], float))
+        scales = np.asarray(log_scales[lo : lo + TREE_BLOCK], float)
         blocks.append(_normalized(block, scales) if n == 1 else _pairwise(block, scales))
     cur, scales = _pairwise(*map(np.concatenate, zip(*blocks)))
     return ScaledMat2(cur[0], float(scales[0]))
@@ -375,8 +381,7 @@ def cocycle_product_scaled(
             f"product over [{lo}, {hi}) exceeds window [{window.offset}, {window.end})"
         )
     lo, hi = lo - window.offset, hi - window.offset
-    scales = None if window.log_scales is None else window.log_scales[lo:hi]
-    fwd = product_scaled(window.matrices[lo:hi], scales)
+    fwd = product_scaled(window.matrices[lo:hi], window.log_scales[lo:hi])
     if n > 0:
         return fwd
     return ScaledMat2(gl2.inv2(fwd.mat), -fwd.log_scale)

@@ -120,12 +120,7 @@ def lyapunov_estimates(window: OrbitWindow) -> LyapunovPair:
     scaled = cocycle_product_scaled(window, 0, n)
     log_s1 = scaled.log_scale + math.log(float(gl2.top_singular(scaled.mat)))
     top = log_s1 / n
-    lo, hi = window.slot(0), window.slot(n - 1) + 1
-    if window.log_dets is None:
-        log_det = np.log(np.abs(gl2.det2(window.matrices[lo:hi])))
-    else:
-        log_det = window.log_dets[lo:hi]
-    return LyapunovPair(top, float(np.sum(log_det)) / n - top)
+    return LyapunovPair(top, float(np.sum(window.log_dets[window.slot(0) :])) / n - top)
 
 
 def estimate_E2_forward(window: OrbitWindow, depth: int) -> float:

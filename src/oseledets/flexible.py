@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -568,7 +568,9 @@ def simulate_flexible(
 
     prescribed_f[i] is (x1, x2) line angles at time offset + i; labels[i]
     is the tower label (bounded) or the piece index (lowcost); the window
-    is centered so both causal direction estimates have room.
+    is centered so both causal direction estimates have room.  Factors
+    carry one constant log-scale, 0 while max(r1, -r2) stays within half
+    the float range (at the smallest gap angle), else r1 / total weight.
     """
     if not r1 >= r2:
         raise ValueError("need r1 >= r2")
@@ -578,7 +580,13 @@ def simulate_flexible(
     # every splitting is drawn inside a mixture cell, where the log-gains are
     # the constants r_j / (total weight), so their mixture averages are r_j
     total = math.fsum(p.weight for p in pieces)
-    gains = np.exp([float(r1) / total, float(r2) / total])
+    # entries of a factor or its inverse reach e^max(r1, -r2) / sin t at the
+    # smallest gap angle t; past half the float range e^(r1 / total) moves
+    # into a constant log-scale, and the matrix part's entries stay bounded
+    theta_min = min(p.cell.theta_lo for p in pieces)
+    size = 0.5 * math.log(np.finfo(float).max) + math.log(math.sin(theta_min))
+    log_scale = 0.0 if max(r1, -r2) <= size else r1 / total
+    gains = np.exp([r1 / total - log_scale, r2 / total - log_scale])
     size_limit = max(steps, SIZE_FLOOR) // skyscraper.OVERDRAW_TOWERS
     rng = np.random.default_rng(seed)
 
@@ -628,6 +636,7 @@ def simulate_flexible(
     # steps [lo, hi) read the splittings at lo..hi, so neighbouring blocks
     # share one splitting and every move across a block edge is checked
     matrices = np.empty((steps, 2, 2))
+    log_dets = np.empty(steps)
     prescribed = np.empty((steps, 2))
     for lo in range(0, steps, STEP_BLOCK):
         hi = min(lo + STEP_BLOCK, steps)
@@ -639,6 +648,7 @@ def simulate_flexible(
         mats = gl2.inv2(frames[:-1])
         mats *= gains[:, None]
         mats = np.matmul(frames[1:], mats, out=matrices[lo:hi])
+        log_dets[lo:hi] = np.log(np.abs(gl2.det2(mats))) + 2.0 * log_scale
 
         # hard contracts: the cocycle carries each prescribed line to its
         # successor, and the bounded regime never exceeds its budget
@@ -657,6 +667,8 @@ def simulate_flexible(
         prescribed_f=prescribed,
         labels=np.asarray(labels, dtype=np.int64),
         seed=seed if isinstance(seed, (int, np.integer)) else None,
+        log_scales=np.broadcast_to(log_scale, steps),
+        log_dets=log_dets,
     )
 
 
@@ -756,27 +768,16 @@ def direction_depth(r1: float, r2: float) -> int:
 
 def rate_limit_error(eta: EtaSpec, r1: float, r2: float) -> str | None:
     """Why simulate_flexible cannot build rates (r1, r2) on this mixture, or
-    None when it can.  At the mixture's smallest gap angle t:
-
-    * carrying a line errs by about e^(r1 - r2) 2^-52 / sin t rad, so
-      r1 - r2 must stay below log(COVARIANCE_TOL sin(t) 2^52), 14.1 at
-      t = 0.3;
-    * the entries of a factor or of its inverse reach about e^r / sin t for
-      r = max(r1, -r2), and a product of two must stay a finite float, so r
-      must stay below log(DBL_MAX) / 2 + log(sin t), 353.7 at t = 0.3.
-    """
+    None when it can.  Carrying a line errs by about e^(r1 - r2) 2^-52 / sin t
+    rad at the mixture's smallest gap angle t, so r1 - r2 must stay below
+    log(COVARIANCE_TOL sin(t) 2^52), 14.1 at t = 0.3.  The rates' magnitude
+    is free: the build moves e^(r1 / total weight) into a log-scale."""
     sin_t = math.sin(min(p.cell.theta_lo for p in decompose_eta(eta)))
     gap = math.log(COVARIANCE_TOL * sin_t * 2.0**52)
     if r1 - r2 > gap:
         return (
             f"rates r1 - r2 = {r1 - r2:.4g} exceed {gap:.4g}, the most at which this "
             f"mixture's smallest gap angle keeps lines carried within {COVARIANCE_TOL:g}"
-        )
-    size = 0.5 * math.log(np.finfo(float).max) + math.log(sin_t)
-    if max(r1, -r2) > size:
-        return (
-            f"rates max(r1, -r2) = {max(r1, -r2):.4g} exceed {size:.4g}, the most at which "
-            f"products of this mixture's factors stay within the float range"
         )
     return None
 
@@ -793,8 +794,8 @@ def verify_flexible(
     and E2 forward with depth ceil(20 / (r1 - r2)) * 10 and comparing both
     to the prescribed splitting within 1e-3 rad.
     """
-    if window.prescribed_f is None:
-        raise ValueError("window carries no prescribed splittings")
+    if window.prescribed_f is None or window.labels is None:
+        raise ValueError("window lacks prescribed splittings or labels")
     if not r1 > r2:
         raise ValueError("need r1 > r2 for a direction-estimate depth")
     n = len(window)
@@ -826,7 +827,7 @@ def verify_flexible(
     times = dict.fromkeys(np.round(np.linspace(lo, hi, num=100)).astype(int).tolist())
     agree = 0
     for t in times:
-        shifted = OrbitWindow(offset=window.offset - t, matrices=window.matrices)
+        shifted = replace(window, offset=window.offset - t)
         e1 = estimate_E1_backward(shifted, depth)
         e2 = estimate_E2_forward(shifted, depth)
         slot = window.slot(t)
@@ -837,11 +838,6 @@ def verify_flexible(
         agree += bool(ok)
 
     cost = step_costs(window, mode, r1, r2, theta)
-    labels = (
-        window.labels[: n - 1]
-        if window.labels is not None
-        else np.full(n - 1, -1, dtype=np.int64)
-    )
     return ConstructionReport(
         lambda_hat=(float(lam.top), float(lam.bottom)),
         tv_distance=tv,
@@ -855,6 +851,6 @@ def verify_flexible(
         rates=(float(r1), float(r2)),
         seed=window.seed,
         step_cost=cost,
-        step_label=np.asarray(labels, dtype=np.int64),
+        step_label=window.labels[: n - 1],
         step_theta=theta[: n - 1],
     )

@@ -668,21 +668,29 @@ def test_flexible_rate_gap_limit_at_tiny_gap_angles(tmp_path, capsys):
         assert cli.main(argv) == code
 
 
-# at smallest gap angle 0.3 the magnitude limit log(DBL_MAX) / 2 + log sin(0.3) is 353.7
+# at smallest gap angle 0.3, max(r1, -r2) past log(DBL_MAX) / 2 + log sin(0.3) =
+# 353.7 is where the build moves e^r1 into a log-scale; old_code keeps each
+# case's id, the exit code of the usage error that stood at that limit
 @pytest.mark.parametrize("mode", [["bounded", "--budget", "0.5"], ["lowcost", "--epsilon", "0.1"]])
 @pytest.mark.parametrize(
-    "rates,code",
+    "rates,old_code",
     [("353,352", 0), ("-352,-353", 0), ("355,354", 64), ("800,799", 64), ("-375,-376", 64)],
 )
-def test_flexible_rate_magnitude_limit(mode, rates, code, tmp_path, capsys):
+def test_flexible_rate_magnitude_limit(mode, rates, old_code, tmp_path):
     spec = write_spec(tmp_path, "eta.json", NARROW)
     argv = ["flexible", "--spec", spec, "--mode", *mode, "--steps", "2000", "--seed", "1",
             f"--rates={rates}", "--out", str(tmp_path / "r")]
-    assert cli.main(argv) == code
-    if code == 64:
-        err = capsys.readouterr().err
-        assert err.startswith("usage error") and "353.7" in err and err.count("\n") == 1
-        assert not (tmp_path / "r").exists()
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "r" / "flexible_report.json").read_text())["report"]
+    r1, r2 = (float(r) for r in rates.split(","))
+    top, bottom = (float(v) for v in report["lambda_hat"])
+    assert abs(top - r1) < 0.05 and abs(bottom - r2) < 0.05
+    assert float(report["agreement_fraction"]) == 1.0
+    if mode[0] == "bounded":
+        assert float(report["tv_distance"]) < 0.03
+    bound = {"budget": 0.5} if mode[0] == "bounded" else {"epsilon": 0.1}
+    window = flexible.simulate_flexible(NARROW, r1, r2, mode[0], 2000, 1, **bound)
+    assert np.all(window.log_scales == (r1 if old_code == 64 else 0.0))
 
 
 def test_flexible_lowcost_one_piece_builds(tmp_path, capsys):
@@ -760,7 +768,7 @@ def _flexible_cells(draw):
 def _flexible_runs(draw):
     """A mixture of 1-4 cells with weights down to 1e-9 and an optional tail
     rule, a mode with its bound in [1e-3, 50], rates 1 or more apart with
-    magnitudes up to 1e3, and at most 600 steps.  Most draws pass the
+    magnitudes up to 1e6, and at most 600 steps.  Most draws pass the
     up-front checks: rates near 0 and a few apart, and enough steps for the
     direction estimates."""
     tail = None
@@ -776,7 +784,7 @@ def _flexible_runs(draw):
     mode = draw(st.sampled_from(["bounded", "lowcost"]))
     flag = "--budget" if mode == "bounded" else "--epsilon"
     gap = draw(st.one_of(st.floats(1.0, 8.0), st.floats(1.0, 2000.0)))
-    r2 = min(draw(st.one_of(st.floats(-8.0, 8.0), st.floats(-1000.0, 1000.0))), 1000.0 - gap)
+    r2 = min(draw(st.one_of(st.floats(-8.0, 8.0), st.floats(-1e6, 1e6))), 1e6 - gap)
     least = min(2 * direction_depth(r2 + gap, r2) + 10, 600)
     steps = draw(st.one_of(st.integers(least, 600), st.integers(1, 600)))
     argv = ["--mode", mode, flag, repr(draw(_log_uniform(1e-3, 50.0))),

@@ -125,7 +125,7 @@ def test_tree_and_sequential_products_agree(n):
     mats = rng.uniform(-3, 3, size=(300, 2, 2))
     mats = mats[np.abs(gl2.det2(mats)) > 1e-2][:n]
     assert len(mats) == n
-    tree = product_scaled(mats)
+    tree = product_scaled(mats, np.zeros(n))
     seq_mat, seq_scale = np.eye(2), 0.0
     for m in mats:
         seq_mat = m @ seq_mat
@@ -146,7 +146,7 @@ def test_tree_and_sequential_products_agree(n):
 @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
 def test_single_degenerate_factor_is_not_invertible(bad):
     with pytest.raises(gl2.NotInvertible):
-        product_scaled(np.full((1, 2, 2), bad))
+        product_scaled(np.full((1, 2, 2), bad), np.zeros(1))
 
 
 def test_factor_scales_seed_the_product_tree():
@@ -163,12 +163,12 @@ def test_factor_scales_seed_the_product_tree():
     assert cocycle_product_scaled(w, 0, 2).log_scale == pytest.approx(2000.0, rel=1e-15)
 
 
-def levelwise_product(mats, log_scales=None):
+def levelwise_product(mats, log_scales):
     """Reference tree over the whole stack: pair neighbours level by level,
     later on the left, renormalize each pair product, carry an odd last
     entry up as it is; a single factor is renormalized alone."""
     cur = np.asarray(mats, dtype=float)
-    scales = np.zeros(len(cur)) if log_scales is None else np.asarray(log_scales, float)
+    scales = np.asarray(log_scales, float)
     if len(cur) == 1:
         return cocycle._normalized(cur, scales)
     while len(cur) > 1:
@@ -193,7 +193,7 @@ TREE_LENGTHS = [1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7]
 def test_blocked_tree_is_the_levelwise_tree(n, scaled):
     rng = np.random.default_rng(n)
     mats = rng.normal(size=(n, 2, 2))
-    scales = rng.normal(scale=50.0, size=n) if scaled else None
+    scales = rng.normal(scale=50.0, size=n) if scaled else np.zeros(n)
     got = product_scaled(mats, scales)
     want_mat, want_scale = levelwise_product(mats, scales)
     np.testing.assert_array_equal(got.mat, want_mat[0])
@@ -204,10 +204,12 @@ def test_long_product_holds_a_block_of_temporaries():
     import tracemalloc
 
     mats = np.random.default_rng(5).normal(size=(1 << 20, 2, 2))
-    product_scaled(mats[: 2 * B])  # first-call allocations stay out of the count
+    scales = np.zeros(len(mats))
+    # first-call allocations stay out of the count
+    product_scaled(mats[: 2 * B], scales[: 2 * B])
     tracemalloc.start()
     try:
-        product_scaled(mats)
+        product_scaled(mats, scales)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
