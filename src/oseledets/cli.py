@@ -157,7 +157,7 @@ def cmd_flexible(args) -> int:
     if (why := flexible.rate_limit_error(eta, r1, r2)) is not None:
         raise _UsageError(why)
     try:
-        window = flexible.simulate_flexible(
+        blocks = flexible.simulate_blocks(
             eta, r1, r2, args.mode, args.steps, args.seed,
             budget=args.budget, epsilon=args.epsilon,
         )
@@ -172,8 +172,9 @@ def cmd_flexible(args) -> int:
                 file=sys.stderr,
             )
         return 2
-    rep = flexible.verify_flexible(window, eta, r1, r2, mode=args.mode)
-    del window  # the report keeps its step columns, and the CSV holds one part at a time
+    # each block is verified as it is built, so no window is ever held; the
+    # report keeps its step columns, and the CSV holds one part at a time
+    rep = flexible.verify_flexible(blocks, eta, r1, r2, mode=args.mode, steps=args.steps)
     obj = encode({"config": _config(args), "seed": str(args.seed), "report": rep})
     report = _write_report(args.out, "flexible_report.json", obj)
     rows = range(0, max(len(rep.step_cost), 1), flexible.CSV_ROWS)  # 0 rows: the header

@@ -236,12 +236,15 @@ class OrbitWindow:
     """One-step matrices along a finite orbit stretch.
 
     F(T^i omega) for i = offset + j is e^log_scales[j] * matrices[j] with
-    log|det| log_dets[j], as ``MatrixDistribution.sample_block`` and
-    ``flexible.simulate_flexible`` build it.  A hand-built window may leave
-    both out: its scales are then zeros and its log-dets are read off the
-    matrices, here and nowhere else.  ``prescribed_f`` (same length, pairs
-    of line angles) and ``labels`` are optional extras attached by
-    constructions that know them.
+    log|det| log_dets[j], as ``MatrixDistribution.sample_block`` and the
+    flexible build draw it.  A hand-built window may leave both out: its
+    scales are then zeros and its log-dets are read off the matrices, here
+    and nowhere else.  ``prescribed_f`` (same length, pairs of line angles)
+    and ``labels`` are optional extras attached by constructions that know
+    them.  A window may also be one block of a longer stretch:
+    ``flexible.simulate_blocks`` yields a build as consecutive blocks,
+    which ``flexible.verify_flexible`` consumes one at a time and
+    ``flexible.simulate_flexible`` joins into one window.
     """
 
     offset: int
@@ -335,6 +338,46 @@ def _pairwise(cur: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return cur, scales
 
 
+class ProductTree:
+    """product_scaled fed in time order, in chunks of any length.
+
+    Factors are regrouped into blocks of TREE_BLOCK counted from the first
+    one pushed, and each block is reduced by _pairwise as it fills, so only
+    the pending part of one block and one matrix per reduced block are held;
+    ``result`` then reduces the block results.  product_scaled is this tree
+    fed in one push, so any chunking gives product_scaled's bits.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self._pending: list = []  # (mats, scales) pieces of the open block
+        self._heads: list = []  # (mat, scale) stacks of one per reduced block
+
+    def push(self, mats: np.ndarray, log_scales: np.ndarray) -> None:
+        mats = np.asarray(mats, dtype=float)
+        lo = 0
+        while lo < len(mats):
+            hi = min(lo + TREE_BLOCK - self.count % TREE_BLOCK, len(mats))
+            self._pending.append((mats[lo:hi], np.asarray(log_scales[lo:hi], float)))
+            self.count += hi - lo
+            lo = hi
+            if self.count % TREE_BLOCK == 0:
+                self._reduce(_pairwise)
+
+    def _reduce(self, reduce) -> None:
+        block, scales = (p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*self._pending))
+        self._heads.append(reduce(block, scales))
+        self._pending = []
+
+    def result(self) -> ScaledMat2:
+        if self.count == 0:
+            return ScaledMat2(np.eye(2), 0.0)
+        if self._pending:  # a single factor is renormalized alone
+            self._reduce(_normalized if self.count == 1 else _pairwise)
+        cur, scales = _pairwise(*map(np.concatenate, zip(*self._heads)))
+        return ScaledMat2(cur[0], float(scales[0]))
+
+
 def product_scaled(mats: np.ndarray, log_scales: np.ndarray) -> ScaledMat2:
     """Ordered product of e^log_scales[i] * mats[i], later factors on the
     left, as exp(log_scale) * mat.
@@ -343,22 +386,14 @@ def product_scaled(mats: np.ndarray, log_scales: np.ndarray) -> ScaledMat2:
     with the factor scales: each pair product is renormalized at once (the
     periodic renormalization of Benettin et al., Meccanica 15, 1980); a
     single factor is renormalized alone.  The tree's first log2(TREE_BLOCK)
-    levels never pair across a block edge, so it reduces one block at a
-    time, then the block results.  Factors as sample_block draws them give
-    finite pair products.  A zero or non-finite factor or product raises
-    NotInvertible.
+    levels never pair across a block edge, so ProductTree reduces one block
+    at a time, then the block results.  Factors as sample_block draws them
+    give finite pair products.  A zero or non-finite factor or product
+    raises NotInvertible.
     """
-    mats = np.asarray(mats, dtype=float)
-    n = mats.shape[0]
-    if n == 0:
-        return ScaledMat2(np.eye(2), 0.0)
-    blocks = []
-    for lo in range(0, n, TREE_BLOCK):
-        block = mats[lo : lo + TREE_BLOCK]
-        scales = np.asarray(log_scales[lo : lo + TREE_BLOCK], float)
-        blocks.append(_normalized(block, scales) if n == 1 else _pairwise(block, scales))
-    cur, scales = _pairwise(*map(np.concatenate, zip(*blocks)))
-    return ScaledMat2(cur[0], float(scales[0]))
+    tree = ProductTree()
+    tree.push(mats, log_scales)
+    return tree.result()
 
 
 def cocycle_product_scaled(

@@ -27,6 +27,7 @@ from . import gl2
 from .cocycle import (
     MatrixDistribution,
     OrbitWindow,
+    ScaledMat2,
     WindowExhausted,
     cocycle_product_scaled,
     triangular_distribution,
@@ -113,14 +114,21 @@ def lyapunov_estimates(window: OrbitWindow) -> LyapunovPair:
     n = window.end
     if n < 1:
         raise WindowExhausted(f"window [{window.offset}, {window.end}) has no forward part")
+    scaled = cocycle_product_scaled(window, 0, n)
+    return exponents_of_product(scaled, window.log_dets[window.slot(0) :])
+
+
+def exponents_of_product(scaled: ScaledMat2, log_dets: np.ndarray) -> LyapunovPair:
+    """lyapunov_estimates from the scaled product of n factors and their n
+    log|det| values, for callers that stream the factors."""
+    n = len(log_dets)
     if n < 1000:
         warnings.warn("fewer than 1000 forward steps; exponent estimates are noisy")
     # top_singular, not svd2: the renormalized product of a long window
     # can be numerically singular (s2 underflows) while s1 stays exact
-    scaled = cocycle_product_scaled(window, 0, n)
     log_s1 = scaled.log_scale + math.log(float(gl2.top_singular(scaled.mat)))
     top = log_s1 / n
-    return LyapunovPair(top, float(np.sum(window.log_dets[window.slot(0) :])) / n - top)
+    return LyapunovPair(top, float(np.sum(log_dets)) / n - top)
 
 
 def estimate_E2_forward(window: OrbitWindow, depth: int) -> float:

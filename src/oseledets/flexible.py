@@ -28,21 +28,22 @@ Two scheduling regimes control how expensive the splitting's moves are:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import gl2, skyscraper
-from .cocycle import OrbitWindow
+from .cocycle import OrbitWindow, ProductTree, WindowExhausted
 from .estimation import (
     NoData,
     estimate_E1_backward,
     estimate_E2_forward,
-    lyapunov_estimates,
+    exponents_of_product,
 )
 from .scalars import encode, float_strs
 from .skyscraper import ensure
@@ -62,9 +63,10 @@ COVARIANCE_TOL = 1e-9
 # an estimated direction agrees with the prescribed one below this angle
 AGREEMENT_TOL = 1e-3
 
-CSV_ROWS = 1 << 16  # rows per ConstructionReport.to_csv chunk, and per part osl writes
+CSV_ROWS = 1 << 16  # rows per part osl writes
 
-# steps per block in simulate_flexible and verify_flexible's KS statistic:
+# steps per block in simulate_blocks and verify_flexible's KS statistic, and
+# rows per ConstructionReport.to_csv formatting chunk:
 # 800k lowcost steps built in 0.48 s at 2^13 or 2^14, 0.54 s at 2^12, 0.64 s at
 # 2^10 and 0.65 s in one block (best of 5, 2-core x86); largest array 256 KiB
 STEP_BLOCK = 1 << 13
@@ -502,6 +504,11 @@ def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float, theta=None)
     x1 = window.prescribed_f[:, 0]
     if theta is None:
         theta = gl2.line_angle(x1, window.prescribed_f[:, 1])
+    return _move_costs(x1, theta, mode, r1, r2)
+
+
+def _move_costs(x1, theta, mode: str, r1: float, r2: float) -> np.ndarray:
+    """step_costs of the splittings with expanding lines x1 and gap angles theta."""
     if mode == "bounded":
         return gl2.transfer_cost_bounded(theta[:-1], theta[1:])
     if mode == "lowcost":
@@ -534,7 +541,7 @@ def _draw_cells(cells: list[Cell], idx: np.ndarray, rng) -> tuple[np.ndarray, np
     return alpha, theta
 
 
-def simulate_flexible(
+def simulate_blocks(
     eta: EtaSpec,
     r1: float,
     r2: float,
@@ -544,33 +551,18 @@ def simulate_flexible(
     *,
     budget: float | None = None,
     epsilon: float | None = None,
-) -> OrbitWindow:
-    """Window of one-step matrices whose Oseledets data is prescribed.
+) -> Iterator[OrbitWindow]:
+    """The build of simulate_flexible as consecutive OrbitWindow blocks of
+    STEP_BLOCK steps (the last one shorter), made one at a time as they are
+    read.
 
-    A stationary skyscraper trajectory schedules which mixture component
-    the splitting f occupies at each time.  Each matrix composes the
-    eigen-matrix of f with the constant log-eigenvalues (r1, r2) / (total
-    weight) and the unit-frame map from f's canonical lift to its
-    successor's, so f is carried exactly onto its shift with log-gains
-    (r1, r2) and the exponents/directions are known in advance.
-
-    mode "bounded" (keyword budget): chain the mixture by march_chain,
-    refine the chain masses into label occupancies, and draw f fresh each
-    step from the chain element owning the current tower label; adjacent
-    labels own adjacent chain elements, so every per-step gap-ratio cost is
-    below the budget (asserted, hard).  mode "lowcost" (keyword epsilon):
-    park piece n on a tower of height k_n chosen so the certified cap C_n
-    satisfies 2 C_n / k_n < epsilon (a lone piece that needs k > 1 takes
-    heights k and k + 1, for gcd 1), and hold f constant up each tower;
-    travel is paid only at tower changes, so the mean step cost is below
-    epsilon (statistical).  Either mode raises BuildTooLarge before it
-    builds bands or a tower past max(steps, SIZE_FLOOR) / 16.
-
-    prescribed_f[i] is (x1, x2) line angles at time offset + i; labels[i]
-    is the tower label (bounded) or the piece index (lowcost); the window
-    is centered so both causal direction estimates have room.  Factors
-    carry one constant log-scale, 0 while max(r1, -r2) stays within half
-    the float range (at the smallest gap angle), else r1 / total weight.
+    Every check and random draw happens in this call, so BuildTooLarge,
+    UnboundedGap and ValueError are raised here, not while the blocks are
+    read.  Each block carries its matrices, log-scales, log-dets, prescribed
+    lines and labels, and is checked as it is made: every prescribed line is
+    carried to its successor, and in bounded mode every step stays below the
+    budget, across block edges too.  Lowcost mode keeps one splitting per
+    tower entered and expands a block's splittings when it is made.
     """
     if not r1 >= r2:
         raise ValueError("need r1 >= r2")
@@ -599,17 +591,12 @@ def simulate_flexible(
             raise BuildTooLarge(f"budget {budget!r} cuts over {size_limit} gap-angle bands")
         chain = march_chain(pieces, budget)
         masses = [c.mass for c in chain]
-        labels = skyscraper.refined_size(masses)
-        if 2 * labels > size_limit:  # the tallest tower is 2 x labels high
+        label_count = skyscraper.refined_size(masses)
+        if 2 * label_count > size_limit:  # the tallest tower is 2 x labels high
             raise BuildTooLarge(
-                f"budget {budget!r} needs {labels} labels, past the limit {size_limit // 2}")
+                f"budget {budget!r} needs {label_count} labels, past the limit {size_limit // 2}")
         values, owners = skyscraper.refine_weights(masses)
         pi = skyscraper.bounded_tower_vector(values)
-        heights, levels = skyscraper.renewal_trajectory(pi, steps + 1, rng)
-        labels_all = skyscraper.trajectory_labels(heights, levels)
-        del heights, levels
-        alpha, theta = _draw_cells([c.cell for c in chain], owners[labels_all], rng)
-        labels = labels_all[:steps]
     elif mode == "lowcost":
         if epsilon is None or not epsilon > 0.0:
             raise ValueError("lowcost mode needs a positive epsilon")
@@ -622,52 +609,140 @@ def simulate_flexible(
         if len(ks) > len(pieces):  # a lone piece on heights k and k + 1
             weights = [weights[0] / 2.0] * 2
         pi = skyscraper.TowerVector(dict(zip(ks, weights)))
-        # f is constant up each tower: one draw per tower entered
-        heights, lengths, _ = skyscraper.renewal_towers(pi, steps + 1, rng)
-        seg_piece = np.searchsorted(np.asarray(ks), heights)
-        np.minimum(seg_piece, len(pieces) - 1, out=seg_piece)  # a split lone piece reads 0
-        seg_alpha, seg_theta = _draw_cells([p.cell for p in pieces], seg_piece, rng)
-        alpha = np.repeat(seg_alpha, lengths)
-        theta = np.repeat(seg_theta, lengths)
-        labels = np.repeat(seg_piece, lengths)[:steps]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # steps [lo, hi) read the splittings at lo..hi, so neighbouring blocks
-    # share one splitting and every move across a block edge is checked
+    # the walk tower by tower; step k lies in the first tower ending past k
+    heights, lengths, start = skyscraper.renewal_towers(pi, steps + 1, rng)
+    tower_end = np.cumsum(lengths)
+
+    def towers(lo, hi):
+        return np.searchsorted(tower_end, np.arange(lo, hi), side="right")
+
+    if mode == "bounded":
+        def labels_at(lo, hi):  # tower labels of steps lo..hi - 1, checked from step lo - 1
+            k = np.arange(max(lo - 1, 0), hi)
+            seg = towers(k[0], hi)
+            levels = k - (tower_end[seg] - lengths[seg])
+            levels[seg == 0] += start
+            return skyscraper.trajectory_labels(heights[seg], levels)[lo - k[0] :]
+
+        # f is drawn fresh each step from the chain cell owning its label,
+        # one cell at a time, so the draws come before the first block
+        owner = np.empty(steps + 1, dtype=owners.dtype)
+        for lo in range(0, steps + 1, STEP_BLOCK):
+            owner[lo : lo + STEP_BLOCK] = owners[labels_at(lo, min(lo + STEP_BLOCK, steps + 1))]
+        alpha, theta = _draw_cells([c.cell for c in chain], owner, rng)
+        del owner
+
+        def splittings(lo, hi):  # (alpha, theta) at lo..hi, labels at lo..hi - 1
+            return alpha[lo : hi + 1], theta[lo : hi + 1], labels_at(lo, hi)
+    else:
+        # f is constant up each tower: one draw per tower entered
+        seg_piece = np.searchsorted(np.asarray(ks), heights)
+        np.minimum(seg_piece, len(pieces) - 1, out=seg_piece)  # a split lone piece reads 0
+        seg_alpha, seg_theta = _draw_cells([p.cell for p in pieces], seg_piece, rng)
+
+        def splittings(lo, hi):
+            seg = towers(lo, hi + 1)
+            return seg_alpha[seg], seg_theta[seg], seg_piece[seg[:-1]]
+
+    def blocks():
+        # steps [lo, hi) read the splittings at lo..hi, so neighbouring blocks
+        # share one splitting and every move across a block edge is checked
+        for lo in range(0, steps, STEP_BLOCK):
+            hi = min(lo + STEP_BLOCK, steps)
+            a, t, labels = splittings(lo, hi)
+            # canonical-lift frames: theta <= pi/2 makes (alpha, alpha + theta)
+            # the lift outright, no flip needed
+            frames = gl2._unit_columns(a, a + t)
+            # F = frames[1:] diag(gains) frames[:-1]^-1: the diagonal scales rows
+            mats = gl2.inv2(frames[:-1])
+            mats *= gains[:, None]
+            mats = np.matmul(frames[1:], mats)
+
+            # hard contracts: the cocycle carries each prescribed line to its
+            # successor, and the bounded regime never exceeds its budget
+            for angles in (a, a + t):
+                miss = gl2.line_angle(gl2.projective_action(mats, angles[:-1]), angles[1:])
+                ensure(np.all(miss < COVARIANCE_TOL), "prescribed line not carried")
+            if mode == "bounded":
+                moves = gl2.transfer_cost_bounded(t[:-1], t[1:])
+                ensure(np.all(moves < budget), "budget exceeded along the window")
+
+            prescribed = np.empty((hi - lo, 2))
+            prescribed[:, 0] = gl2.canon_line(a[:-1])
+            prescribed[:, 1] = gl2.canon_line(a[:-1] + t[:-1])
+            yield OrbitWindow(
+                offset=lo - steps // 2,
+                matrices=mats,
+                prescribed_f=prescribed,
+                labels=np.asarray(labels, dtype=np.int64),
+                seed=seed if isinstance(seed, (int, np.integer)) else None,
+                log_scales=np.broadcast_to(log_scale, hi - lo),
+                log_dets=np.log(np.abs(gl2.det2(mats))) + 2.0 * log_scale,
+            )
+
+    return blocks()
+
+
+def simulate_flexible(
+    eta: EtaSpec,
+    r1: float,
+    r2: float,
+    mode: str,
+    steps: int,
+    seed: int = 0,
+    *,
+    budget: float | None = None,
+    epsilon: float | None = None,
+) -> OrbitWindow:
+    """Window of one-step matrices whose Oseledets data is prescribed: the
+    blocks of simulate_blocks, joined as they are made.
+
+    A stationary skyscraper trajectory schedules which mixture component
+    the splitting f occupies at each time.  Each matrix composes the
+    eigen-matrix of f with the constant log-eigenvalues (r1, r2) / (total
+    weight) and the unit-frame map from f's canonical lift to its
+    successor's, so f is carried exactly onto its shift with log-gains
+    (r1, r2) and the exponents/directions are known in advance.
+
+    mode "bounded" (keyword budget): chain the mixture by march_chain,
+    refine the chain masses into label occupancies, and draw f fresh each
+    step from the chain element owning the current tower label; adjacent
+    labels own adjacent chain elements, so every per-step gap-ratio cost is
+    below the budget (asserted, hard).  mode "lowcost" (keyword epsilon):
+    park piece n on a tower of height k_n chosen so the certified cap C_n
+    satisfies 2 C_n / k_n < epsilon (a lone piece that needs k > 1 takes
+    heights k and k + 1, for gcd 1), and hold f constant up each tower;
+    travel is paid only at tower changes, so the mean step cost is below
+    epsilon (statistical).  Either mode raises BuildTooLarge before it
+    builds bands or a tower past max(steps, SIZE_FLOOR) / 16.
+
+    prescribed_f[i] is (x1, x2) line angles at time offset + i; labels[i]
+    is the tower label (bounded) or the piece index (lowcost); the window
+    is centered so both causal direction estimates have room.  Factors
+    carry one constant log-scale, 0 while max(r1, -r2) stays within half
+    the float range (at the smallest gap angle), else r1 / total weight.
+    The library, the battery and the demos join a window this way; osl
+    flexible hands the blocks to verify_flexible and never holds one.
+    """
+    blocks = simulate_blocks(eta, r1, r2, mode, steps, seed, budget=budget, epsilon=epsilon)
     matrices = np.empty((steps, 2, 2))
-    log_dets = np.empty(steps)
     prescribed = np.empty((steps, 2))
-    for lo in range(0, steps, STEP_BLOCK):
-        hi = min(lo + STEP_BLOCK, steps)
-        a, t = alpha[lo : hi + 1], theta[lo : hi + 1]
-        # canonical-lift frames: theta <= pi/2 makes (alpha, alpha + theta)
-        # the lift outright, no flip needed
-        frames = gl2._unit_columns(a, a + t)
-        # F = frames[1:] diag(gains) frames[:-1]^-1: the diagonal scales rows
-        mats = gl2.inv2(frames[:-1])
-        mats *= gains[:, None]
-        mats = np.matmul(frames[1:], mats, out=matrices[lo:hi])
-        log_dets[lo:hi] = np.log(np.abs(gl2.det2(mats))) + 2.0 * log_scale
-
-        # hard contracts: the cocycle carries each prescribed line to its
-        # successor, and the bounded regime never exceeds its budget
-        for angles in (a, a + t):
-            miss = gl2.line_angle(gl2.projective_action(mats, angles[:-1]), angles[1:])
-            ensure(np.all(miss < COVARIANCE_TOL), "prescribed line not carried")
-        if mode == "bounded":
-            moves = gl2.transfer_cost_bounded(t[:-1], t[1:])
-            ensure(np.all(moves < budget), "budget exceeded along the window")
-
-        prescribed[lo:hi, 0] = gl2.canon_line(a[:-1])
-        prescribed[lo:hi, 1] = gl2.canon_line(a[:-1] + t[:-1])
-    return OrbitWindow(
+    labels = np.empty(steps, dtype=np.int64)
+    log_dets = np.empty(steps)
+    for block in blocks:
+        j = slice(block.offset + steps // 2, block.end + steps // 2)
+        matrices[j], prescribed[j], labels[j] = block.matrices, block.prescribed_f, block.labels
+        log_dets[j] = block.log_dets
+    return OrbitWindow(  # every block carries the seed and the one log-scale
         offset=-(steps // 2),
         matrices=matrices,
         prescribed_f=prescribed,
-        labels=np.asarray(labels, dtype=np.int64),
-        seed=seed if isinstance(seed, (int, np.integer)) else None,
-        log_scales=np.broadcast_to(log_scale, steps),
+        labels=labels,
+        seed=block.seed,
+        log_scales=np.broadcast_to(block.log_scales[0], steps),
         log_dets=log_dets,
     )
 
@@ -723,11 +798,12 @@ class ConstructionReport:
         """Rows [start, stop) of the CSV, the header first when start is 0:
         one row per stored transition, with the absolute step, its travel
         cost, the label at the step's source, and the source gap angle.
-        The whole text by default, formatted CSV_ROWS rows at a time."""
+        The whole text by default, formatted STEP_BLOCK rows at a time: a
+        chunk takes about 316 bytes per row of Python strings."""
         stop = len(self.step_cost) if stop is None else min(stop, len(self.step_cost))
         parts = ["step,cost,label,theta\n"] if start == 0 else []
-        for lo in range(start, stop, CSV_ROWS):
-            part = slice(lo, min(lo + CSV_ROWS, stop))
+        for lo in range(start, stop, STEP_BLOCK):
+            part = slice(lo, min(lo + STEP_BLOCK, stop))
             cost, theta = float_strs(self.step_cost[part]), float_strs(self.step_theta[part])
             steps = range(self.offset + lo, self.offset + lo + len(cost))
             rows = zip(steps, cost, self.step_label[part].tolist(), theta)
@@ -782,75 +858,165 @@ def rate_limit_error(eta: EtaSpec, r1: float, r2: float) -> str | None:
     return None
 
 
+def _put(column, values: np.ndarray, lo: int, size: int) -> np.ndarray:
+    """column[lo : lo + len(values)] = values in a column of size entries,
+    made on the first write; values that fill it whole are the column
+    itself, so a window verified as one block is not copied."""
+    if column is None:
+        if len(values) == size:
+            return values
+        column = np.empty(size, values.dtype)
+    column[lo : lo + len(values)] = values
+    return column
+
+
+class _DirectionSpans:
+    """verify_flexible's direction agreement, counted as the blocks pass.
+
+    The estimates at time t read the factors over [t - depth, t + depth);
+    spans that overlap are merged.  A span inside one block is read there
+    in place; one that crosses a block edge is copied from the blocks it
+    meets.  Each span is estimated once its last block has been added, so
+    only the spans a block touches are held.
+    """
+
+    def __init__(self, times, depth: int):
+        self.depth, self.agree = depth, 0
+        self.todo = []  # [lo, hi, times] in reverse time order
+        for t in times:  # increasing
+            if self.todo and t - depth <= self.todo[-1][1]:
+                self.todo[-1][1] = t + depth
+                self.todo[-1][2].append(t)
+            else:
+                self.todo.append([t - depth, t + depth, [t]])
+        self.todo.reverse()
+        self.open = []  # (window, times) of spans begun
+
+    def add(self, block: OrbitWindow) -> None:
+        while self.todo and self.todo[-1][0] < block.end:
+            lo, hi, times = self.todo.pop()
+            if block.offset <= lo and hi <= block.end:
+                span = block
+            else:
+                span = OrbitWindow(lo, np.empty((hi - lo, 2, 2)), np.empty((hi - lo, 2)),
+                                   log_scales=np.empty(hi - lo), log_dets=np.empty(hi - lo))
+            self.open.append((span, times))
+        for span, _ in self.open:
+            if span is not block:
+                lo, hi = max(span.offset, block.offset), min(span.end, block.end)
+                for name in ("matrices", "prescribed_f", "log_scales", "log_dets"):
+                    part = getattr(block, name)[lo - block.offset : hi - block.offset]
+                    getattr(span, name)[lo - span.offset : hi - span.offset] = part
+        while self.open and self.open[0][0].end <= block.end:
+            span, times = self.open.pop(0)
+            for t in times:
+                shifted = replace(span, offset=span.offset - t)
+                e1 = estimate_E1_backward(shifted, self.depth)
+                e2 = estimate_E2_forward(shifted, self.depth)
+                x1, x2 = span.prescribed_f[span.slot(t)]
+                self.agree += bool(
+                    float(gl2.line_angle(e1, x1)) < AGREEMENT_TOL
+                    and float(gl2.line_angle(e2, x2)) < AGREEMENT_TOL
+                )
+
+
 def verify_flexible(
-    window: OrbitWindow, eta: EtaSpec, r1: float, r2: float, mode: str = "bounded"
+    blocks, eta: EtaSpec, r1: float, r2: float, mode: str = "bounded",
+    steps: int | None = None,
 ) -> ConstructionReport:
     """Close the loop: re-estimate everything the construction prescribed.
 
-    Exponents via lyapunov_estimates; the splitting's empirical law against
-    the mixture (total variation over the piece partition, KS on the
-    gap-angle marginal); step cost stats for the given mode; and direction
-    agreement at 100 evenly spread interior times, estimating E1 backward
-    and E2 forward with depth ceil(20 / (r1 - r2)) * 10 and comparing both
-    to the prescribed splitting within 1e-3 rad.
+    blocks is a window, or consecutive blocks of steps steps in total as
+    simulate_blocks yields them, read once each; a window is one block.
+    Exponents via exponents_of_product, the forward stretch streamed
+    through a ProductTree; the splitting's empirical law against the
+    mixture (total variation over the piece partition, counted per block,
+    KS on the gap-angle marginal); step cost stats for the given mode; and
+    direction agreement at 100 evenly spread interior times, estimating E1
+    backward and E2 forward with depth ceil(20 / (r1 - r2)) * 10 and
+    comparing both to the prescribed splitting within 1e-3 rad.  Beside
+    the report's columns (gap angle, cost and label per step) it keeps the
+    forward stretch's log|det| values, so np.sum reads them as one array,
+    and the direction spans the current block touches (_DirectionSpans);
+    no window of blocks is ever held.
     """
-    if window.prescribed_f is None or window.labels is None:
-        raise ValueError("window lacks prescribed splittings or labels")
+    if isinstance(blocks, OrbitWindow):
+        blocks, steps = [blocks], len(blocks)
     if not r1 > r2:
         raise ValueError("need r1 > r2 for a direction-estimate depth")
-    n = len(window)
+    n = steps
     depth = direction_depth(r1, r2)
     if n < 2 * depth + 10:
         raise NoData(f"window of {n} steps is too short for depth {depth}")
     pieces = decompose_eta(eta)
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        raise ValueError("no blocks to verify")
+    offset = first.offset
+    if not offset <= 0 < offset + n:
+        raise WindowExhausted(f"window [{offset}, {offset + n}) has no forward part")
 
-    lam = lyapunov_estimates(window)
+    # linspace is sorted, so dict keys dedupe it in order (np.unique imports numpy.ma)
+    times = dict.fromkeys(
+        np.round(np.linspace(offset + depth, offset + n - depth, num=100)).astype(int).tolist())
+    spans = _DirectionSpans(times, depth)
+    tree = ProductTree()
+    counts = np.zeros(len(pieces), dtype=np.int64)
+    theta_col = cost = labels = log_dets = None  # the forward log_dets start at time 0
+    end, last = offset, None
+    for block in itertools.chain([first], blocks):
+        if block.prescribed_f is None or block.labels is None:
+            raise ValueError("window lacks prescribed splittings or labels")
+        if block.offset != end:
+            raise ValueError(f"block at {block.offset} does not follow the steps before {end}")
+        end = block.end
+        x1, x2 = block.prescribed_f[:, 0], block.prescribed_f[:, 1]
+        theta = gl2.line_angle(x1, x2)
+        unassigned = np.ones(len(block), dtype=bool)
+        for idx, piece in enumerate(pieces):
+            hit = unassigned & piece.cell.contains(x1, theta)
+            counts[idx] += np.count_nonzero(hit)
+            unassigned &= ~hit
+        ensure(not unassigned.any(), "a prescribed splitting fell outside every cell")
+        lo = block.offset - offset
+        if last is None:
+            cost = _put(cost, _move_costs(x1, theta, mode, r1, r2), 0, n - 1)
+        else:  # the move into the block starts at the previous block's last step
+            moves = _move_costs(np.r_[last[0], x1], np.r_[last[1], theta], mode, r1, r2)
+            cost = _put(cost, moves, lo - 1, n - 1)
+        last = x1[-1], theta[-1]
+        theta_col = _put(theta_col, theta, lo, n)
+        labels = _put(labels, block.labels, lo, n)
 
-    x1 = window.prescribed_f[:, 0]
-    x2 = window.prescribed_f[:, 1]
-    theta = gl2.line_angle(x1, x2)
-    unassigned = np.ones(n, dtype=bool)
-    freqs = np.empty(len(pieces))
-    for idx, piece in enumerate(pieces):
-        hit = unassigned & piece.cell.contains(x1, theta)
-        freqs[idx] = hit.sum() / n
-        unassigned &= ~hit
-    ensure(not unassigned.any(), "a prescribed splitting fell outside every cell")
+        fwd = max(-block.offset, 0)  # the exponents read times 0 and on
+        if fwd < len(block):
+            tree.push(block.matrices[fwd:], block.log_scales[fwd:])
+            log_dets = _put(log_dets, block.log_dets[fwd:], block.offset + fwd, offset + n)
+        spans.add(block)
+    if end != offset + n:
+        raise ValueError(f"blocks hold {end - offset} steps, not {n}")
+
+    lam = exponents_of_product(tree.result(), log_dets)
+    del log_dets  # before the KS statistic's sorted copy
+    freqs = counts / n
     weights = np.asarray([p.weight for p in pieces])
     tv = 0.5 * float(np.abs(freqs - weights).sum())
+    ks = _ks_distance(pieces, theta_col)
 
-    ks = _ks_distance(pieces, theta)
-
-    lo = window.offset + depth
-    hi = window.end - depth
-    # linspace is sorted, so dict keys dedupe it in order (np.unique imports numpy.ma)
-    times = dict.fromkeys(np.round(np.linspace(lo, hi, num=100)).astype(int).tolist())
-    agree = 0
-    for t in times:
-        shifted = replace(window, offset=window.offset - t)
-        e1 = estimate_E1_backward(shifted, depth)
-        e2 = estimate_E2_forward(shifted, depth)
-        slot = window.slot(t)
-        ok = (
-            float(gl2.line_angle(e1, x1[slot])) < AGREEMENT_TOL
-            and float(gl2.line_angle(e2, x2[slot])) < AGREEMENT_TOL
-        )
-        agree += bool(ok)
-
-    cost = step_costs(window, mode, r1, r2, theta)
     return ConstructionReport(
         lambda_hat=(float(lam.top), float(lam.bottom)),
         tv_distance=tv,
         ks_theta=ks,
         max_cost=float(cost.max()) if cost.size else 0.0,
         mean_cost=float(cost.mean()) if cost.size else 0.0,
-        agreement_fraction=agree / len(times),
+        agreement_fraction=spans.agree / len(times),
         steps=n,
-        offset=window.offset,
+        offset=offset,
         mode=mode,
         rates=(float(r1), float(r2)),
-        seed=window.seed,
+        seed=first.seed,
         step_cost=cost,
-        step_label=window.labels[: n - 1],
-        step_theta=theta[: n - 1],
+        step_label=labels[: n - 1],
+        step_theta=theta_col[: n - 1],
     )

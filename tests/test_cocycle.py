@@ -200,6 +200,24 @@ def test_blocked_tree_is_the_levelwise_tree(n, scaled):
     assert got.log_scale == float(want_scale[0])
 
 
+@pytest.mark.parametrize("n", TREE_LENGTHS)
+def test_streamed_tree_is_the_tree(n):
+    # pushed in chunks of any length, the factors regroup into the same
+    # tree blocks, counted from the first one
+    rng = np.random.default_rng(n + 1)
+    mats = rng.normal(size=(n, 2, 2))
+    scales = rng.normal(scale=50.0, size=n)
+    want = product_scaled(mats, scales)
+    tree = cocycle.ProductTree()
+    edges = np.unique(np.clip(np.r_[0, rng.integers(0, n, 5), 1, B - 1, n], 0, n))
+    for a, b in zip(edges, edges[1:]):
+        tree.push(mats[a:b], scales[a:b])
+    got = tree.result()
+    np.testing.assert_array_equal(got.mat, want.mat)
+    assert got.log_scale == want.log_scale
+    assert tree.count == n
+
+
 def test_long_product_holds_a_block_of_temporaries():
     import tracemalloc
 

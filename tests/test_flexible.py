@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from oseledets import flexible as fx
 from oseledets import gl2, skyscraper, verify
-from oseledets.cocycle import OrbitWindow
+from oseledets.cocycle import TREE_BLOCK, OrbitWindow
 from oseledets.estimation import NoData
 from oseledets.flexible import (
     BadEtaSpec,
@@ -37,6 +37,7 @@ from oseledets.flexible import (
     decompose_eta,
     march_chain,
     piece_cost_caps,
+    simulate_blocks,
     simulate_flexible,
     step_costs,
     uniform_cell,
@@ -737,11 +738,98 @@ def test_flexible_peak_is_the_kept_window_plus_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = w.matrices.nbytes + w.prescribed_f.nbytes + w.labels.nbytes
-    # besides the window: 32 bytes per step (the drawn alpha and theta while
-    # building; the exponent estimate's product tree, or the gap angles, step
-    # costs and one difference, while verifying) and 2 MB of per-block arrays
-    assert peak < kept + 4 * 8 * steps + 2e6, (peak, kept)
+    kept = w.matrices.nbytes + w.prescribed_f.nbytes + w.labels.nbytes + w.log_dets.nbytes
+    # besides the window: 24 bytes per step (the gap angles, step costs and
+    # one difference, or the KS statistic's sorted copy, while verifying)
+    # and 2 MB of per-block arrays
+    assert peak < kept + 3 * 8 * steps + 2e6, (peak, kept)
+
+
+def test_block_path_peak_is_the_report_columns():
+    # what osl flexible runs: no window is joined, only the blocks pass
+    steps = 200_000
+    bound = MODE_BOUNDS["lowcost"]
+
+    def run(n):
+        blocks = simulate_blocks(FOUR_CELL, 0.5, -0.5, "lowcost", n, seed=23, **bound)
+        return verify_flexible(blocks, FOUR_CELL, 0.5, -0.5, mode="lowcost", steps=n)
+
+    run(20_000)  # lazy imports and first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        run(steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # gap angle, cost and label per step (24 bytes), the forward half's
+    # log|det| (4) and the KS statistic's sorted copy (8), beside 2 MB of
+    # blocks and direction spans
+    assert peak < 40 * steps + 2e6, peak
+
+
+def window_blocks(w: OrbitWindow, edges):
+    """The window as consecutive blocks [edges[i], edges[i + 1])."""
+    for a, b in zip(edges, edges[1:]):
+        yield OrbitWindow(w.offset + a, w.matrices[a:b], w.prescribed_f[a:b], w.labels[a:b],
+                          w.seed, w.log_scales[a:b], w.log_dets[a:b])
+
+
+BLOCK_MIXTURES = {
+    "four_cell": FOUR_CELL,
+    "one_piece": EtaSpec(pieces=((1.0, uniform_cell(0.1, 0.8, 0.3, 0.5)),)),
+    # the atom's expanding line reads back as the line angle 0
+    "atom_at_pi": EtaSpec(pieces=(
+        (0.5, atom_cell(math.pi, 0.4)), (0.5, uniform_cell(0.1, 0.8, 0.3, 0.5)))),
+}
+# 410 = 2 depth + 10 at rates 1 apart; 2 TREE_BLOCK + 1555 steps start their
+# forward half 777 factors into a tree block
+BLOCK_STEPS = [410, fx.STEP_BLOCK - 1, fx.STEP_BLOCK, fx.STEP_BLOCK + 1, 2 * TREE_BLOCK + 1555]
+
+
+@pytest.mark.filterwarnings("ignore:fewer than 1000 forward steps")
+@settings(max_examples=30, deadline=None, database=None)
+@seed(20221)
+@given(
+    name=st.sampled_from(sorted(BLOCK_MIXTURES)),
+    mode=st.sampled_from(sorted(MODE_BOUNDS)),
+    rates=st.sampled_from([(0.5, -0.5), (800.0, 799.0)]),
+    steps=st.sampled_from(BLOCK_STEPS) | st.integers(410, 2 * fx.STEP_BLOCK + 99),
+    build_seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+def test_block_path_is_the_window_path(name, mode, rates, steps, build_seed, cuts):
+    # the report of the blocks osl flexible verifies, and of the joined
+    # window cut anywhere, is the report of the window, bit for bit
+    eta, (r1, r2), bound = BLOCK_MIXTURES[name], rates, MODE_BOUNDS[mode]
+    w = simulate_flexible(eta, r1, r2, mode, steps, build_seed, **bound)
+    want = verify_flexible(w, eta, r1, r2, mode=mode)
+    built = simulate_blocks(eta, r1, r2, mode, steps, build_seed, **bound)
+    edges = sorted({0, steps, *(int(c * steps) for c in cuts)})
+    for blocks in (built, window_blocks(w, edges)):
+        got = verify_flexible(blocks, eta, r1, r2, mode=mode, steps=steps)
+        assert got.to_obj() == want.to_obj()
+        assert got.to_csv() == want.to_csv()
+        for column in ("step_cost", "step_label", "step_theta"):
+            assert np.array_equal(getattr(got, column), getattr(want, column))
+
+
+def test_block_build_raises_before_its_first_block():
+    # osl flexible maps these to exit codes before it verifies anything
+    with pytest.raises(fx.BuildTooLarge):
+        simulate_blocks(FOUR_CELL, 0.5, -0.5, "lowcost", 1000, epsilon=1e-9)
+    with pytest.raises(UnboundedGap):
+        simulate_blocks(TWO_CELL, 0.5, -0.5, "bounded", 1000, budget=0.1)
+    with pytest.raises(ValueError):
+        simulate_blocks(TWO_CELL, 0.5, -0.5, "nonsense", 1000, budget=1.0)
+
+
+def test_verify_rejects_blocks_that_do_not_join():
+    w = simulate_flexible(TWO_CELL, 0.5, -0.5, "bounded", 2000, seed=1, budget=0.5)
+    blocks = list(window_blocks(w, [0, 1200, 2000]))
+    with pytest.raises(ValueError, match="does not follow"):
+        verify_flexible([blocks[0], blocks[0]], TWO_CELL, 0.5, -0.5, steps=2000)
+    with pytest.raises(ValueError, match="not 2001"):
+        verify_flexible(blocks, TWO_CELL, 0.5, -0.5, steps=2001)
 
 
 def test_lowcost_draws_do_not_read_uninitialised_memory(monkeypatch):
