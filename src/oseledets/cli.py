@@ -37,7 +37,6 @@ from .scalars import BadTerm, encode
 
 DEFAULT_THRESHOLDS = (4.0, 8.0, 16.0, 32.0)
 SAMPLE_CHUNKS = 8  # fixed, so reports do not depend on --jobs
-WRITE_SLICE = 1 << 20  # characters per write of a text file
 
 
 class _UsageError(Exception):
@@ -64,15 +63,12 @@ def _write_report(out_dir: str, name: str, obj: dict) -> Path:
 
 
 def _write_text(out_dir: str, name: str, parts) -> Path:
-    """Write an iterable of text parts, each in WRITE_SLICE slices, so no
-    encoded copy of a whole multi-megabyte CSV sits beside the text; a lazy
-    iterable keeps only one part in memory."""
+    """Write an iterable of text parts, each whole; a lazy iterable keeps
+    only one part in memory."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
-        for text in parts:
-            for start in range(0, len(text), WRITE_SLICE):
-                f.write(text[start : start + WRITE_SLICE])
+        f.writelines(parts)
     return path
 
 
@@ -177,8 +173,8 @@ def cmd_flexible(args) -> int:
     rep = flexible.verify_flexible(blocks, eta, r1, r2, mode=args.mode, steps=args.steps)
     obj = encode({"config": _config(args), "seed": str(args.seed), "report": rep})
     report = _write_report(args.out, "flexible_report.json", obj)
-    rows = range(0, max(len(rep.step_cost), 1), flexible.CSV_ROWS)  # 0 rows: the header
-    parts = (rep.to_csv(lo, lo + flexible.CSV_ROWS) for lo in rows)
+    rows = range(0, max(len(rep.step_cost), 1), flexible.STEP_BLOCK)  # 0 rows: the header
+    parts = (rep.to_csv(lo, lo + flexible.STEP_BLOCK) for lo in rows)
     csv = _write_text(args.out, "flexible_steps.csv", parts)
     print(f"mode {rep.mode}  steps {rep.steps}  rates ({r1!r}, {r2!r})")
     print(f"exponents ({rep.lambda_hat[0]!r}, {rep.lambda_hat[1]!r})")

@@ -131,23 +131,30 @@ def exponents_of_product(scaled: ScaledMat2, log_dets: np.ndarray) -> LyapunovPa
     return LyapunovPair(top, float(np.sum(log_dets)) / n - top)
 
 
-def estimate_E2_forward(window: OrbitWindow, depth: int) -> float:
-    """Forward-contracted line at time 0: the s2 right-singular line of the
-    depth-step product over [0, depth).  Error decays like
-    exp(-(top - bottom) * depth)."""
+def contracted_line(forward: ScaledMat2) -> float:
+    """E2 read off a forward product: its s2 right-singular line."""
     # singular_lines, not svd2: a deep product is numerically rank-1 and
     # trips svd2's invertibility guard, but its lines stay well-conditioned
-    scaled = cocycle_product_scaled(window, 0, depth)
-    _, right = gl2.singular_lines(scaled.mat)
+    _, right = gl2.singular_lines(forward.mat)
     return float(gl2.canon_line(right + math.pi / 2.0))
 
 
-def estimate_E1_backward(window: OrbitWindow, depth: int) -> float:
-    """Backward-expanded line at time 0: the image of the top right-singular
-    line of the product over [-depth, 0), i.e. that product's left line."""
-    scaled = cocycle_product_scaled(window, -depth, depth)
-    left, _ = gl2.singular_lines(scaled.mat)
+def expanded_line(backward: ScaledMat2) -> float:
+    """E1 read off a backward product: the image of its top right-singular
+    line, i.e. its left line."""
+    left, _ = gl2.singular_lines(backward.mat)
     return float(left)
+
+
+def estimate_E2_forward(window: OrbitWindow, depth: int) -> float:
+    """Forward-contracted line at time 0, read off the depth-step product
+    over [0, depth).  Error decays like exp(-(top - bottom) * depth)."""
+    return contracted_line(cocycle_product_scaled(window, 0, depth))
+
+
+def estimate_E1_backward(window: OrbitWindow, depth: int) -> float:
+    """Backward-expanded line at time 0, read off the product over [-depth, 0)."""
+    return expanded_line(cocycle_product_scaled(window, -depth, depth))
 
 
 def suggested_depth(gap: float, target: float = 1e-8) -> int:

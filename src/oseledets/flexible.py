@@ -32,19 +32,14 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import gl2, skyscraper
 from .cocycle import OrbitWindow, ProductTree, WindowExhausted
-from .estimation import (
-    NoData,
-    estimate_E1_backward,
-    estimate_E2_forward,
-    exponents_of_product,
-)
+from .estimation import NoData, contracted_line, expanded_line, exponents_of_product
 from .scalars import encode, float_strs
 from .skyscraper import ensure
 
@@ -63,10 +58,8 @@ COVARIANCE_TOL = 1e-9
 # an estimated direction agrees with the prescribed one below this angle
 AGREEMENT_TOL = 1e-3
 
-CSV_ROWS = 1 << 16  # rows per part osl writes
-
 # steps per block in simulate_blocks and verify_flexible's KS statistic, and
-# rows per ConstructionReport.to_csv formatting chunk:
+# rows per ConstructionReport.to_csv formatting chunk and per part osl writes:
 # 800k lowcost steps built in 0.48 s at 2^13 or 2^14, 0.54 s at 2^12, 0.64 s at
 # 2^10 and 0.65 s in one block (best of 5, 2-core x86); largest array 256 KiB
 STEP_BLOCK = 1 << 13
@@ -490,21 +483,19 @@ def piece_cost_caps(pieces: list[Piece], r1: float, r2: float) -> np.ndarray:
     return caps
 
 
-def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float, theta=None) -> np.ndarray:
+def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float) -> np.ndarray:
     """Per-transition travel cost along the window's prescribed splittings.
 
     One entry per consecutive stored pair (length len(window) - 1).  The
     bounded regime prices every step by the symmetric gap-ratio cost; the
     lowcost regime prices only actual splitting changes, by the worst-lift
     cost gl2.transfer_cost_general, since an unchanged splitting travels
-    for free.  theta: the prescribed gap angles, when the caller holds them.
+    for free.
     """
     if window.prescribed_f is None:
         raise ValueError("window carries no prescribed splittings")
-    x1 = window.prescribed_f[:, 0]
-    if theta is None:
-        theta = gl2.line_angle(x1, window.prescribed_f[:, 1])
-    return _move_costs(x1, theta, mode, r1, r2)
+    x1, x2 = window.prescribed_f[:, 0], window.prescribed_f[:, 1]
+    return _move_costs(x1, gl2.line_angle(x1, x2), mode, r1, r2)
 
 
 def _move_costs(x1, theta, mode: str, r1: float, r2: float) -> np.ndarray:
@@ -781,15 +772,11 @@ class ConstructionReport:
     step_theta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("tv_distance", "ks_theta", "max_cost"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.agreement_fraction <= 1.0:
-            raise ValueError("agreement_fraction must lie in [0, 1]")
-        if not 0.0 <= self.tv_distance <= 1.0:
-            raise ValueError("tv_distance must lie in [0, 1]")
-        if not 0.0 <= self.ks_theta <= 1.0:
-            raise ValueError("ks_theta must lie in [0, 1]")
+        if not self.max_cost >= 0.0:
+            raise ValueError("max_cost must be >= 0")
+        for name in ("tv_distance", "ks_theta", "agreement_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
     def to_obj(self) -> dict:
         return encode({f.name: getattr(self, f.name) for f in fields(self) if f.repr})
@@ -873,51 +860,37 @@ def _put(column, values: np.ndarray, lo: int, size: int) -> np.ndarray:
 class _DirectionSpans:
     """verify_flexible's direction agreement, counted as the blocks pass.
 
-    The estimates at time t read the factors over [t - depth, t + depth);
-    spans that overlap are merged.  A span inside one block is read there
-    in place; one that crosses a block edge is copied from the blocks it
-    meets.  Each span is estimated once its last block has been added, so
-    only the spans a block touches are held.
+    Each time t gets two ProductTrees, over [t - depth, t) and [t, t +
+    depth), and each block pushes into them the slice of it they overlap,
+    so the estimators' bits come out for any block cuts.  The prescribed
+    lines at t are read as t's block passes; t is scored, and its trees
+    dropped, once the blocks reach t + depth.
     """
 
     def __init__(self, times, depth: int):
         self.depth, self.agree = depth, 0
-        self.todo = []  # [lo, hi, times] in reverse time order
-        for t in times:  # increasing
-            if self.todo and t - depth <= self.todo[-1][1]:
-                self.todo[-1][1] = t + depth
-                self.todo[-1][2].append(t)
-            else:
-                self.todo.append([t - depth, t + depth, [t]])
-        self.todo.reverse()
-        self.open = []  # (window, times) of spans begun
+        self.todo = list(times)[::-1]  # times not begun, the next one last
+        self.open = []  # [t, backward tree, forward tree, prescribed lines]
 
     def add(self, block: OrbitWindow) -> None:
-        while self.todo and self.todo[-1][0] < block.end:
-            lo, hi, times = self.todo.pop()
-            if block.offset <= lo and hi <= block.end:
-                span = block
-            else:
-                span = OrbitWindow(lo, np.empty((hi - lo, 2, 2)), np.empty((hi - lo, 2)),
-                                   log_scales=np.empty(hi - lo), log_dets=np.empty(hi - lo))
-            self.open.append((span, times))
-        for span, _ in self.open:
-            if span is not block:
-                lo, hi = max(span.offset, block.offset), min(span.end, block.end)
-                for name in ("matrices", "prescribed_f", "log_scales", "log_dets"):
-                    part = getattr(block, name)[lo - block.offset : hi - block.offset]
-                    getattr(span, name)[lo - span.offset : hi - span.offset] = part
-        while self.open and self.open[0][0].end <= block.end:
-            span, times = self.open.pop(0)
-            for t in times:
-                shifted = replace(span, offset=span.offset - t)
-                e1 = estimate_E1_backward(shifted, self.depth)
-                e2 = estimate_E2_forward(shifted, self.depth)
-                x1, x2 = span.prescribed_f[span.slot(t)]
-                self.agree += bool(
-                    float(gl2.line_angle(e1, x1)) < AGREEMENT_TOL
-                    and float(gl2.line_angle(e2, x2)) < AGREEMENT_TOL
-                )
+        d, lo, hi = self.depth, block.offset, block.end
+        while self.todo and self.todo[-1] - d < hi:
+            self.open.append([self.todo.pop(), ProductTree(), ProductTree(), None])
+        for entry in self.open:
+            t = entry[0]
+            for tree, a, b in ((entry[1], t - d, t), (entry[2], t, t + d)):
+                a, b = max(a, lo) - lo, min(b, hi) - lo
+                if a < b:
+                    tree.push(block.matrices[a:b], block.log_scales[a:b])
+            if lo <= t < hi:
+                entry[3] = tuple(block.prescribed_f[t - lo])  # no view of the block
+        while self.open and self.open[0][0] + d <= hi:
+            _, backward, forward, (x1, x2) = self.open.pop(0)
+            e1, e2 = expanded_line(backward.result()), contracted_line(forward.result())
+            self.agree += bool(
+                float(gl2.line_angle(e1, x1)) < AGREEMENT_TOL
+                and float(gl2.line_angle(e2, x2)) < AGREEMENT_TOL
+            )
 
 
 def verify_flexible(
@@ -934,10 +907,10 @@ def verify_flexible(
     KS on the gap-angle marginal); step cost stats for the given mode; and
     direction agreement at 100 evenly spread interior times, estimating E1
     backward and E2 forward with depth ceil(20 / (r1 - r2)) * 10 and
-    comparing both to the prescribed splitting within 1e-3 rad.  Beside
+    comparing both to the prescribed splitting within 1e-3 rad, each
+    product streamed through a ProductTree too (_DirectionSpans).  Beside
     the report's columns (gap angle, cost and label per step) it keeps the
-    forward stretch's log|det| values, so np.sum reads them as one array,
-    and the direction spans the current block touches (_DirectionSpans);
+    forward stretch's log|det| values, so np.sum reads them as one array;
     no window of blocks is ever held.
     """
     if isinstance(blocks, OrbitWindow):

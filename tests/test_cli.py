@@ -416,7 +416,7 @@ def test_flexible_asks_for_its_csv_part_by_part(tmp_path, monkeypatch):
         calls.append((start, stop))
         return to_csv(rep, start, stop)
 
-    monkeypatch.setattr(flexible, "CSV_ROWS", 1000)
+    monkeypatch.setattr(flexible, "STEP_BLOCK", 1000)
     monkeypatch.setattr(flexible.ConstructionReport, "to_csv", recording)
     spec = write_spec(tmp_path, "eta.json", TWO_CELL)
     code = cli.main(
@@ -470,26 +470,59 @@ def test_flexible_atom_at_alpha_pi_builds(mode, bound, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_text_is_written_in_slices(tmp_path):
-    # the whole text is never encoded at once: the peak stays near two slices
+def test_text_parts_are_written_whole_one_at_a_time(tmp_path, monkeypatch):
+    # each part goes to the file in one write before the next part is made,
+    # so a lazy iterable of parts holds one part at a time
     import tracemalloc
+    from pathlib import Path
 
-    text = "0.1,2,3\n" * (6 * cli.WRITE_SLICE // 8 + 1)
+    size, count = 3 << 20, 4
+    writes, real_open = [], Path.open
+
+    class Recording:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            writes.append(len(text))
+            return self.f.write(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    def parts():
+        for i in range(count):
+            assert len(writes) == i, "a part was made before the one before it was written"
+            yield f"{i}" * size
+
+    monkeypatch.setattr(Path, "open", lambda self, *a, **k: Recording(real_open(self, *a, **k)))
+    cli._write_text(str(tmp_path / "d"), "steps.csv", parts())
+    monkeypatch.undo()
+    assert writes == [size] * count
     tracemalloc.start()
     try:
-        path = cli._write_text(str(tmp_path / "d"), "steps.csv", [text])
+        lazy = (f"{i}" * size for i in range(count))
+        path = cli._write_text(str(tmp_path / "e"), "steps.csv", lazy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.read_text() == text
-    assert peak < 3 * cli.WRITE_SLICE
+    assert path.read_text() == "".join(f"{i}" * size for i in range(count))
+    # one part and its encoded copy, not the four parts
+    assert peak < 3 * size, peak
 
 
 def test_flexible_csv_is_written_part_by_part(tmp_path):
-    # what osl flexible passes: one lazy to_csv call per CSV_ROWS rows
+    # what osl flexible passes: one lazy to_csv call per STEP_BLOCK rows
     import tracemalloc
 
-    rows, k = 200_000, flexible.CSV_ROWS
+    rows, k = 200_000, flexible.STEP_BLOCK
     rng = np.random.default_rng(4)
     rep = flexible.ConstructionReport(
         lambda_hat=(0.5, -0.5), tv_distance=0.0, ks_theta=0.0, max_cost=0.0,
@@ -510,7 +543,7 @@ def test_flexible_csv_is_written_part_by_part(tmp_path):
         tracemalloc.stop()
     assert path.read_text() == rep.to_csv()
     # beside the part being formatted, at most two parts of text; the whole
-    # CSV (about 3 parts) joined from its chunks would hold twice that
+    # CSV (about 25 parts) joined from its chunks would hold over ten times that
     assert peak < one + 2 * len(text), (peak, one, len(text))
 
 

@@ -14,6 +14,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 from oseledets import flexible as fx
 from oseledets import gl2, skyscraper, verify
 from oseledets.cocycle import TREE_BLOCK, OrbitWindow
-from oseledets.estimation import NoData
+from oseledets import estimation
+from oseledets.estimation import NoData, estimate_E1_backward, estimate_E2_forward
 from oseledets.flexible import (
     BadEtaSpec,
     Cell,
@@ -813,6 +815,46 @@ def test_block_path_is_the_window_path(name, mode, rates, steps, build_seed, cut
             assert np.array_equal(getattr(got, column), getattr(want, column))
 
 
+@pytest.mark.filterwarnings("ignore:fewer than 1000 forward steps")
+@pytest.mark.parametrize("mode", sorted(MODE_BOUNDS))
+@pytest.mark.parametrize("steps,rates,block", [
+    (410, (0.5, -0.5), None),  # 2 depth + 10 steps: the spans of all 11 times overlap
+    (410, (0.5, -0.5), 3),  # overlapping spans across block edges
+    (50_000, (0.5, -0.5), 997),  # 400-step spans 480 apart, some across an edge
+    (410, (800.0, 799.0), 3),  # factors with a log-scale
+])
+def test_streamed_direction_lines_are_the_estimators(monkeypatch, mode, steps, rates, block):
+    # agreement_fraction reads 1.0 whether or not a line drifts by a bit, so
+    # compare the lines verify_flexible reads with the estimators' on the
+    # joined window, for the built blocks and for random cuts of the window
+    r1, r2 = rates
+    depth = fx.direction_depth(r1, r2)
+    if block is not None:
+        monkeypatch.setattr(fx, "STEP_BLOCK", block)
+    w = simulate_flexible(FOUR_CELL, r1, r2, mode, steps, seed=31, **MODE_BOUNDS[mode])
+    times = dict.fromkeys(
+        np.round(np.linspace(w.offset + depth, w.end - depth, num=100)).astype(int).tolist())
+    want = [(estimate_E1_backward(replace(w, offset=w.offset - t), depth),
+             estimate_E2_forward(replace(w, offset=w.offset - t), depth)) for t in times]
+
+    got = {"e1": [], "e2": []}
+
+    def recording(key, read):
+        def line(product):
+            got[key].append(read(product))
+            return got[key][-1]
+        return line
+
+    monkeypatch.setattr(fx, "expanded_line", recording("e1", estimation.expanded_line))
+    monkeypatch.setattr(fx, "contracted_line", recording("e2", estimation.contracted_line))
+    cuts = np.random.default_rng(steps).integers(0, steps, 5)
+    built = simulate_blocks(FOUR_CELL, r1, r2, mode, steps, seed=31, **MODE_BOUNDS[mode])
+    for blocks in (built, window_blocks(w, sorted({0, steps, *cuts.tolist()}))):
+        got["e1"], got["e2"] = [], []
+        verify_flexible(blocks, FOUR_CELL, r1, r2, mode=mode, steps=steps)
+        assert list(zip(got["e1"], got["e2"])) == want
+
+
 def test_block_build_raises_before_its_first_block():
     # osl flexible maps these to exit codes before it verifies anything
     with pytest.raises(fx.BuildTooLarge):
@@ -1010,6 +1052,12 @@ def test_report_validates_invariants():
         ConstructionReport(tv_distance=-0.1, agreement_fraction=1.0, **kw)
     with pytest.raises(ValueError):
         ConstructionReport(tv_distance=0.0, agreement_fraction=1.5, **kw)
+    # each distance is checked once, on [0, 1]
+    for name in ("tv_distance", "ks_theta"):
+        for bad in (-0.1, 1.5, math.nan):
+            args = {**kw, "tv_distance": 0.0, name: bad, "agreement_fraction": 1.0}
+            with pytest.raises(ValueError, match=name):
+                ConstructionReport(**args)
 
 
 def _per_row_csv(rep) -> str:
@@ -1023,8 +1071,15 @@ def _per_row_csv(rep) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("rows,part", [(0, fx.CSV_ROWS), (1, fx.CSV_ROWS), (1, 1), (9, 1)]
-                         + [(2 * k + 1, k) for k in (fx.CSV_ROWS - 1, fx.CSV_ROWS, fx.CSV_ROWS + 1)])
+# osl asks for parts of STEP_BLOCK rows; a part of 8 STEP_BLOCK rows is
+# formatted in eight chunks
+WIDE = 8 * fx.STEP_BLOCK
+
+
+@pytest.mark.parametrize("rows,part", [(0, WIDE), (1, WIDE), (1, 1), (9, 1)]
+                         + [(2 * k + 1, k) for k in (WIDE - 1, WIDE, WIDE + 1)]
+                         + [(2 * k + 1, k) for k in (fx.STEP_BLOCK - 1, fx.STEP_BLOCK,
+                                                     fx.STEP_BLOCK + 1)])
 def test_report_csv_parts_join_to_the_whole(rows, part):
     rng = np.random.default_rng(rows)
     rep = ConstructionReport(
@@ -1040,7 +1095,7 @@ def test_report_csv_parts_join_to_the_whole(rows, part):
     assert whole.count("\n") == rows + 1
 
 
-@pytest.mark.parametrize("rows", [0, 1, 7, fx.CSV_ROWS + 5])
+@pytest.mark.parametrize("rows", [0, 1, 7, WIDE + 5])
 def test_report_csv_matches_per_row_writer(rows):
     rng = np.random.default_rng(rows)
     special = np.array([0.0, -0.0, -0.0, 0.0, np.nan, np.nan, 5e-324, 1e16, 1e16, 0.1, 0.1])
