@@ -124,7 +124,8 @@ class MatrixDistribution:
 
         Uniforms are consumed step after step, field-major within a step:
         atoms use one stream of n uniforms; triangular draws all a then all
-        b; rotgain all angles then all gains."""
+        b; rotgain all angles then all gains, and builds each rotation from
+        the tangent of its half angle (``gl2.cos_sin``)."""
         if self.kind == "atoms":
             idx = np.searchsorted(np.cumsum(self.weights), rng.random((steps, n)), side="left")
             idx = np.minimum(idx, len(self.weights) - 1)
@@ -147,17 +148,17 @@ class MatrixDistribution:
             out[0, 0], out[0, 1] = a, np.exp(b) if self.log_scale_b else b
             out[1, 0], out[1, 1] = 0.0, unit
             return out, log_scale, log_det
-        ang = self.angle.icdf(u[:, 0])
-        np.cos(ang, out=out[0, 0])
-        np.sin(ang, out=out[1, 0])
-        out[0, 1], out[1, 1] = -out[1, 0], out[0, 0]
+        c, s = gl2.cos_sin(self.angle.icdf(u[:, 0]))
         t = self.log_gain.icdf(u[:, 1])
         up, down = t, -t
         if np.abs(t).max() > LOG_SAFE:  # one test per block; scaling is rare
             log_scale = np.maximum(np.abs(t) - LOG_SAFE, 0.0)
             up, down = t - log_scale, -t - log_scale
-        out[:, 0] *= np.exp(up)  # columns scale by e^t and e^-t
-        out[:, 1] *= np.exp(down)
+        up, down = np.exp(up), np.exp(down)  # columns scale by e^t and e^-t
+        np.multiply(c, up, out=out[0, 0])
+        np.multiply(s, up, out=out[1, 0])
+        np.multiply(s, -down, out=out[0, 1])
+        np.multiply(c, down, out=out[1, 1])
         return out, log_scale, np.zeros((steps, n))
 
     def sample_matrices(self, rng: np.random.Generator, n: int) -> tuple:

@@ -59,8 +59,9 @@ PRODUCT_DEPTH = 256
 # triangular_series gives up once more than this many prefix products exceed 1
 SERIES_DIVERGE_CAP = 1000
 
-# a product sampler of bounded condition checks its lines every STOP_EVERY
-# steps and stops once none moved by STOP_TOL radians since the last check
+# a product sampler of bounded condition checks each trial's line every
+# STOP_EVERY steps and retires the trial once its line moved by less than
+# STOP_TOL radians since the last check
 STOP_EVERY = 8
 STOP_TOL = 1e-12
 
@@ -229,12 +230,12 @@ def _doubled_right_angles(prod: np.ndarray) -> np.ndarray:
     return np.stack([a * a + c * c - b * b - d * d, 2.0 * (a * b + c * d)])
 
 
-def _all_settled(last: np.ndarray, now: np.ndarray) -> bool:
-    """Whether every line moved less than STOP_TOL between two doubled-angle
+def _settled(last: np.ndarray, now: np.ndarray) -> np.ndarray:
+    """Per line, whether it moved less than STOP_TOL between two doubled-angle
     readings: a change dt has |sin 2dt| < sin(2 STOP_TOL) and cos 2dt > 0."""
     (x0, y0), (x1, y1) = last, now
     bound = (2.0 * STOP_TOL) ** 2 * (x0 * x0 + y0 * y0) * (x1 * x1 + y1 * y1)
-    return bool(np.all(((x0 * y1 - y0 * x1) ** 2 < bound) & (x0 * x1 + y0 * y1 > 0.0)))
+    return ((x0 * y1 - y0 * x1) ** 2 < bound) & (x0 * x1 + y0 * y1 > 0.0)
 
 
 def _product_right_lines(
@@ -242,37 +243,51 @@ def _product_right_lines(
 ) -> np.ndarray:
     """s1 right lines of g_d ... g_1 (each g transposed if asked), trials at once.
 
-    The product, a (2, 2, trials) entry array, takes each new factor on the
+    The product, a (2, 2, live) entry array, takes each new factor on the
     left, without its scale, which moves no line, and is renormalized by its
-    max-abs entry every step.  For a law of bounded condition it stops at
-    the first multiple of STOP_EVERY steps where every line moved less than
-    STOP_TOL since the previous multiple; otherwise it runs to depth.
+    max-abs entry every step.  For a law of bounded condition each trial is
+    tested at every multiple of STOP_EVERY steps: once its line moved less
+    than STOP_TOL since the previous multiple, the trial retires with that
+    product, and later steps draw factors for the live trials only.  Every
+    other law runs all trials to depth.
     """
     settles = nu.bounded_condition
+    check = STOP_EVERY if settles else depth
+    final = np.empty((2, 2, trials))
+    live = np.arange(trials)
     prod = np.eye(2)[:, :, None].repeat(trials, axis=2)
-    block = max(1, BLOCK_ELEMENTS // trials)
-    if settles:  # draw little beyond the step where the product may stop
-        block = min(block, STOP_EVERY)
     last = None
-    for start in range(0, depth, block):
-        g = nu.sample_block(rng, min(block, depth - start), trials)[0]
+    step = 0
+    while step < depth and live.size:
+        n = live.size
+        # a block never crosses a check, where the live set may shrink
+        block = min(max(1, BLOCK_ELEMENTS // n), check - step % check, depth - step)
+        g = nu.sample_block(rng, block, n)[0]
         if transpose:
             g = g.swapaxes(0, 1)
-        for s in range(g.shape[2]):  # g[s] @ prod: later factors act on the left
+        for s in range(block):  # g[s] @ prod: later factors act on the left
             new = g[:, 0, s, None] * prod[0] + g[:, 1, s, None] * prod[1]
-            scale = np.abs(new).reshape(4, trials).max(axis=0)
+            scale = np.abs(new).reshape(4, n).max(axis=0)
             if not scale.all():
                 # a rank-1 (underflowed) factor annihilated a rank-1 product
                 # u v^T: exactly, g u is only tiny, and the lines stay those of u v^T
                 dead = scale == 0.0
                 new[:, :, dead], scale[dead] = prod[:, :, dead], 1.0
             prod = new / scale
-            if settles and (start + s + 1) % STOP_EVERY == 0:
-                now = _doubled_right_angles(prod)
-                if last is not None and _all_settled(last, now):
-                    return _right_lines(prod)
-                last = now
-    return _right_lines(prod)
+        step += block
+        if settles and step % check == 0:
+            now = _doubled_right_angles(prod)
+            if last is not None:
+                done = _settled(last, now)
+                if done.any():
+                    gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+                    final[:, :, live[gone]] = prod.take(gone, axis=2)
+                    # take, not a mask, which would leave the live product
+                    # trial-major and every later step strided
+                    live, prod, now = live[keep], prod.take(keep, axis=2), now.take(keep, axis=1)
+            last = now
+    final[:, :, live] = prod
+    return _right_lines(final)
 
 
 def oseledets_angle_samples(
@@ -289,14 +304,15 @@ def oseledets_angle_samples(
     g_d ... g_1, the backward half the s1 line of g_d^T ... g_1^T, which is
     the left s1 line of g_1 ... g_d with g_1 the factor nearest time 0.
 
-    ``depth`` caps the number of factors.  A law of bounded condition
-    (``MatrixDistribution.bounded_condition``) stops each half of a call
-    once every trial's line has settled (see _product_right_lines), usually
-    well before the cap; such a law cannot bring a huge factor after its
-    lines look settled.  Every other law runs to the cap, since under a
-    heavy tail a rare huge factor can still turn a settled line.  Draws are
-    step-major, so a stopped half consumes a prefix of the full-depth stream.
-    A gap below the resolution of a line (about 1e-16 rad) comes out as 0.
+    ``depth`` caps the number of factors.  Under a law of bounded condition
+    (``MatrixDistribution.bounded_condition``) each trial of a half retires
+    once its own line has settled (see _product_right_lines), usually well
+    before the cap; such a law cannot bring a huge factor after a line looks
+    settled.  Every other law runs to the cap, since under a heavy tail a
+    rare huge factor can still turn a settled line.  Draws are step-major,
+    and field-major within a step, over the trials still live at that step,
+    so no block size changes a sample.  A gap below the resolution of a line
+    (about 1e-16 rad) comes out as 0.
     """
     rng_b, rng_f = _spawn_rngs(seed, 2)
     e1 = _product_right_lines(nu, rng_b, trials, depth, transpose=True)
@@ -346,12 +362,13 @@ def _exact_plan(a: float) -> tuple[float, float, int]:
     return kappa, c, max(NEGLOG_HEAD, math.ceil(c / kappa))
 
 
-def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x), axis=1)) by a max shift; overwrites x.  All -inf rows give -inf."""
+def _logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log(sum(exp(x), axis=1)), the row maxima) by a max shift; overwrites
+    x.  An all -inf row gives -inf for both."""
     top = x.max(axis=1)
-    top[np.isneginf(top)] = 0.0
-    x -= top[:, None]
-    return np.log(np.exp(x, out=x).sum(axis=1)) + top
+    shift = np.where(np.isneginf(top), 0.0, top)
+    x -= shift[:, None]
+    return np.log(np.exp(x, out=x).sum(axis=1)) + shift, top
 
 
 @np.errstate(divide="ignore")  # log 0 = -inf is intended
@@ -411,9 +428,8 @@ def triangular_gap_neglog_samples(
             if not nu.log_scale_b:
                 np.log(terms, out=terms)
             terms[:, 1:] += lag
-            if exact:  # the exceedance thresholds rise from the row max
-                top[r : r + n] = terms.max(axis=1)
-            total[r : r + n] = _logsumexp_rows(terms)
+            # top: the row maxima, where an exact row's exceedance thresholds start
+            total[r : r + n], top[r : r + n] = _logsumexp_rows(terms)
         if exact and kappa < math.inf:  # a = 0 keeps term 0 alone
             _add_exceedances(nu, total, top, kappa, c, head, rng)
         out[done : done + m] = 0.5 * np.logaddexp(0.0, 2.0 * total)

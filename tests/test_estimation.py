@@ -203,20 +203,35 @@ def test_angle_samples_deterministic_and_in_range():
     assert np.all(a > 0) and np.all(a <= math.pi / 2 + 1e-12)
 
 
-def _stack_angle_samples(nu, trials, depth, seed):
+def _stack_angle_samples(nu, trials, depth, seed, retire=False):
     """Reference sampler: full (trials, 2, 2) stacks, one matrix draw and
     one @ per step, renormalized by the max-abs entry every step, always to
     the full depth.  The backward half multiplies the transposed draws, and
-    both halves read right singular lines."""
+    both halves read right singular lines.
+
+    The retiring twin (``retire``): every STOP_EVERY steps each trial whose
+    reading settled since the previous check keeps the line it has, and
+    each later step draws sample_matrices(rng, live) for the live trials."""
     rng_b, rng_f = est._spawn_rngs(seed, 2)
 
     def right_lines(rng, transpose):
         prod = np.tile(np.eye(2), (trials, 1, 1))
-        for _ in range(depth):
-            g, _, _ = nu.sample_matrices(rng, trials)
+        lines, live, last = np.empty(trials), np.arange(trials), None
+        for step in range(1, depth + 1):
+            g, _, _ = nu.sample_matrices(rng, live.size)
             prod = (g.transpose(0, 2, 1) if transpose else g) @ prod
-            prod /= np.abs(prod).reshape(trials, 4).max(axis=1)[:, None, None]
-        return gl2.singular_lines(prod)[1]
+            prod /= np.abs(prod).reshape(live.size, 4).max(axis=1)[:, None, None]
+            if retire and step % est.STOP_EVERY == 0:
+                now = est._doubled_right_angles(prod.transpose(1, 2, 0))
+                if last is not None:
+                    done = est._settled(last, now)
+                    lines[live[done]] = gl2.singular_lines(prod[done])[1]
+                    live, prod, now = live[~done], prod[~done], now[:, ~done]
+                last = now
+            if not live.size:
+                break
+        lines[live] = gl2.singular_lines(prod)[1]
+        return lines
 
     e1 = right_lines(rng_b, transpose=True)
     right = right_lines(rng_f, transpose=False)
@@ -247,7 +262,7 @@ def test_angle_kernel_matches_stack_oracle(monkeypatch, law, trials, depth, bloc
     nu = KERNEL_LAWS[law]
     monkeypatch.setattr(est, "BLOCK_ELEMENTS", block_elements)
     got = oseledets_angle_samples(nu, trials, depth, seed=21)
-    want = _stack_angle_samples(nu, trials, depth, seed=21)
+    want = _stack_angle_samples(nu, trials, depth, seed=21, retire=nu.bounded_condition)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
@@ -262,13 +277,16 @@ def test_angle_samples_do_not_depend_on_block(monkeypatch, law):
 
 
 def _rotgain_block_oracle(nu, rng, steps, n):
-    """Rotgain draws as first written: both columns scaled at once through a
-    stacked (2, steps, n) array of e^t and e^-t."""
+    """Rotgain draws written out: each rotation from the tangent t of its
+    half angle, cos = (1 - t^2) / (1 + t^2) and sin = 2t / (1 + t^2), and
+    both columns scaled at once through a stacked (2, steps, n) array of
+    e^t and e^-t."""
     u = rng.random((steps, 2, n))
     out = np.empty((2, 2, steps, n))
-    ang = nu.angle.icdf(u[:, 0])
-    out[0, 0], out[0, 1] = np.cos(ang), -np.sin(ang)
-    out[1, 0], out[1, 1] = -out[0, 1], out[0, 0]
+    tan = np.tan(nu.angle.icdf(u[:, 0]) / 2.0)
+    cos, sin = (1.0 - tan**2) / (1.0 + tan**2), 2.0 * tan / (1.0 + tan**2)
+    out[0, 0], out[0, 1] = cos, -sin
+    out[1, 0], out[1, 1] = sin, cos
     t = nu.log_gain.icdf(u[:, 1])
     out *= np.exp([t, -t])
     return out
@@ -298,17 +316,17 @@ def test_sample_block_steps_match_sample_matrices():
             np.testing.assert_array_equal(log_det[s], step_det)
 
 
-def _count_steps(monkeypatch):
-    """Record the steps of every sample_block call."""
-    steps = []
+def _record_draws(monkeypatch):
+    """Record (rng, steps, n) of every sample_block call."""
+    draws = []
     draw = cocycle.MatrixDistribution.sample_block
 
-    def counting(self, rng, n_steps, n):
-        steps.append(n_steps)
+    def recording(self, rng, n_steps, n):
+        draws.append((rng, n_steps, n))
         return draw(self, rng, n_steps, n)
 
-    monkeypatch.setattr(cocycle.MatrixDistribution, "sample_block", counting)
-    return steps
+    monkeypatch.setattr(cocycle.MatrixDistribution, "sample_block", recording)
+    return draws
 
 
 BOUNDED_LAWS = {
@@ -326,12 +344,40 @@ BOUNDED_LAWS = {
 def test_bounded_laws_stop_early_and_match_full_depth(monkeypatch, law):
     nu = BOUNDED_LAWS[law]
     assert nu.bounded_condition
-    steps = _count_steps(monkeypatch)
+    draws = _record_draws(monkeypatch)
     got = oseledets_angle_samples(nu, 400, 256, seed=13)
-    assert sum(steps) < 256  # both halves together stop before one reaches the cap
+    halves = {}  # per product half: (steps, matrices drawn)
+    for rng, n_steps, n in draws:
+        steps, drawn = halves.get(id(rng), (0, 0))
+        halves[id(rng)] = steps + n_steps, drawn + n_steps * n
+    assert len(halves) == 2
+    steps, drawn = (sum(col) for col in zip(*halves.values()))
+    assert steps < 256  # both halves together stop before one reaches the cap
+    # settled trials retire: fewer draws than a batch that stops at its last
+    # step.  Rotgain trials settle from step 40 to 80; the other two laws'
+    # within 16 steps of each other, which leaves less to save
+    share = 0.6 if law == "rotgain" else 0.85
+    assert drawn <= share * 2 * 400 * max(s for s, _ in halves.values())
     monkeypatch.undo()
-    want = _stack_angle_samples(nu, 400, 256, seed=13)
+    want = _stack_angle_samples(nu, 400, 256, seed=13, retire=True)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("law", ["rotgain", "shear_atoms"])
+def test_retiring_sampler_keeps_the_full_depth_tail(law):
+    # retiring settled trials draws a different stream, but not a different
+    # law: truncated means agree with an independent full-depth run
+    nu = BOUNDED_LAWS[law]
+    with np.errstate(divide="ignore"):  # a gap of 0 reads as -log sin 0 = inf
+        got, want = (
+            angle_tail_report_neglog(-np.log(np.sin(th)), (4.0, 8.0, 16.0, 32.0))
+            for th in (
+                oseledets_angle_samples(nu, 4000, est.PRODUCT_DEPTH, seed=41),
+                _stack_angle_samples(nu, 4000, est.PRODUCT_DEPTH, seed=42),
+            )
+        )
+    for m1, s1, m2, s2 in zip(got.truncated_means, got.stderrs, want.truncated_means, want.stderrs):
+        assert abs(m1 - m2) <= 3.0 * math.hypot(s1, s2)
 
 
 @pytest.mark.parametrize(
@@ -347,9 +393,9 @@ def test_bounded_laws_stop_early_and_match_full_depth(monkeypatch, law):
     ids=["signed_a_dyadic_log_b", "rotgain_gain_0.15"],
 )
 def test_unsettled_laws_run_to_the_cap(monkeypatch, nu):
-    steps = _count_steps(monkeypatch)
+    draws = _record_draws(monkeypatch)
     th = oseledets_angle_samples(nu, 300, 100, seed=4)
-    assert sum(steps) == 2 * 100
+    assert sum(steps for _, steps, _ in draws) == 2 * 100
     assert np.all((th >= 0) & (th <= math.pi / 2))
 
 
@@ -358,14 +404,17 @@ def test_settled_readings_compare_right_lines():
         prod = mat2(2, 0, 0, 0.5) @ gl2.rotation(-np.asarray(t))
         return est._doubled_right_angles(prod.transpose(1, 2, 0))
 
+    def settled(a, b):
+        return est._settled(reading(a), reading(b)).tolist()
+
     base = np.array([0.3, 1.2, 2.9])
-    assert est._all_settled(reading(base), reading(base + 0.5e-12))
-    assert est._all_settled(reading(base), reading(base + math.pi))  # the same lines
-    assert not est._all_settled(reading(base), reading(base + [0.0, 2e-12, 0.0]))
-    assert not est._all_settled(reading(base), reading(base + [0.0, 0.0, math.pi / 2]))
+    assert settled(base, base + 0.5e-12) == [True] * 3
+    assert settled(base, base + math.pi) == [True] * 3  # the same lines
+    assert settled(base, base + [0.0, 2e-12, 0.0]) == [True, False, True]
+    assert settled(base, base + [0.0, 0.0, math.pi / 2]) == [True, True, False]
     # a conformal product has no s1 line: never settled
     eye = est._doubled_right_angles(np.eye(2)[:, :, None].repeat(3, axis=2))
-    assert not est._all_settled(eye, eye)
+    assert est._settled(eye, eye).tolist() == [False] * 3
 
 
 def test_bounded_condition_from_supports():
@@ -485,7 +534,7 @@ def _chunk_neglog_samples(nu, trials, depth, seed):
         braw = np.asarray(nu.b.sample(rng, m * depth), dtype=float).reshape(m, depth)
         terms = braw if nu.log_scale_b else np.log(braw)
         terms[:, 1:] += prefix
-        out[done : done + m] = 0.5 * np.logaddexp(0.0, 2.0 * est._logsumexp_rows(terms))
+        out[done : done + m] = 0.5 * np.logaddexp(0.0, 2.0 * est._logsumexp_rows(terms)[0])
         done += m
     return out
 
@@ -594,15 +643,18 @@ def test_logsumexp_rows_matches_scipy():
     x[7, :50] = -np.inf
     x[9, 0] = -np.inf
     want = logsumexp(x, axis=1)
-    got = est._logsumexp_rows(x.copy())
+    got, top = est._logsumexp_rows(x.copy())
     np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    np.testing.assert_array_equal(top, x.max(axis=1))
 
 
 def test_logsumexp_rows_all_neginf_row():
     x = np.full((2, 5), -np.inf)
     x[1, 3] = 2.0
     with np.errstate(divide="ignore"):
-        np.testing.assert_array_equal(est._logsumexp_rows(x), [-np.inf, 2.0])
+        total, top = est._logsumexp_rows(x)
+    np.testing.assert_array_equal(total, [-np.inf, 2.0])
+    np.testing.assert_array_equal(top, [-np.inf, 2.0])
 
 
 def test_log_domain_support_predicate():

@@ -44,6 +44,22 @@ def random_invertible(n, rng=RNG, lo=-5.0, hi=5.0, det_floor=1e-6):
 # svd2
 
 
+def test_cos_sin_from_the_half_angle_tangent():
+    rng = np.random.default_rng(11)
+    edges = [0.0, math.pi, -math.pi, math.pi / 2, 1e-300, 1e6, -1e6, 3e15]
+    angle = np.concatenate(
+        [rng.uniform(0.0, math.pi, 1_000_000), rng.uniform(-50.0, 50.0, 1_000_000), edges]
+    )
+    c, s = gl2.cos_sin(angle)
+    assert np.abs(c - np.cos(angle)).max() <= 4.5e-16
+    assert np.abs(s - np.sin(angle)).max() <= 4.5e-16
+    assert np.abs(c * c + s * s - 1.0).max() <= 1e-15
+    # rotation is built from the same pair
+    c, s = c[-len(edges) :], s[-len(edges) :]
+    want = np.stack([[c, -s], [s, c]]).transpose(2, 0, 1)
+    np.testing.assert_array_equal(gl2.rotation(edges), want)
+
+
 def test_svd2_diagonal_fixture():
     s1, s2, left, right = gl2.svd2(mat2(2, 0, 0, 0.5))
     assert s1 == pytest.approx(2.0, abs=1e-15)
