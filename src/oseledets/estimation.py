@@ -61,7 +61,7 @@ SERIES_DIVERGE_CAP = 1000
 
 # a product sampler of bounded condition checks each trial's line every
 # STOP_EVERY steps and retires the trial once its line moved by less than
-# STOP_TOL radians since the last check
+# STOP_TOL radians since the last check and its s2/s1 is below STOP_TOL
 STOP_EVERY = 8
 STOP_TOL = 1e-12
 
@@ -238,6 +238,14 @@ def _settled(last: np.ndarray, now: np.ndarray) -> np.ndarray:
     return ((x0 * y1 - y0 * x1) ** 2 < bound) & (x0 * x1 + y0 * y1 > 0.0)
 
 
+def _rank_one(prod: np.ndarray) -> np.ndarray:
+    """Per trial of a (2, 2, trials) entry array, whether s2/s1 = |det| / s1^2
+    <= 2 |det| / |prod|_F^2 is below STOP_TOL.  Conformal factors (rotations,
+    -I) can hold a line still, never shrink this bound on how far it turns."""
+    a, b, c, d = prod.reshape(4, -1)
+    return 2.0 * np.abs(a * d - b * c) < STOP_TOL * (a * a + b * b + c * c + d * d)
+
+
 def _product_right_lines(
     nu: MatrixDistribution, rng, trials: int, depth: int, transpose: bool
 ) -> np.ndarray:
@@ -247,17 +255,15 @@ def _product_right_lines(
     left, without its scale, which moves no line, and is renormalized by its
     max-abs entry every step.  For a law of bounded condition each trial is
     tested at every multiple of STOP_EVERY steps: once its line moved less
-    than STOP_TOL since the previous multiple, the trial retires with that
-    product, and later steps draw factors for the live trials only.  Every
-    other law runs all trials to depth.
+    than STOP_TOL since the previous multiple and its product is rank-1 to
+    STOP_TOL, it retires with that product, and later steps draw factors for
+    the live trials only.  Every other law runs all trials to depth.
     """
     settles = nu.bounded_condition
     check = STOP_EVERY if settles else depth
-    final = np.empty((2, 2, trials))
-    live = np.arange(trials)
+    final, live = np.empty((2, 2, trials)), np.arange(trials)
     prod = np.eye(2)[:, :, None].repeat(trials, axis=2)
-    last = None
-    step = 0
+    last, step = None, 0
     while step < depth and live.size:
         n = live.size
         # a block never crosses a check, where the live set may shrink
@@ -278,12 +284,11 @@ def _product_right_lines(
         if settles and step % check == 0:
             now = _doubled_right_angles(prod)
             if last is not None:
-                done = _settled(last, now)
+                done = _settled(last, now) & _rank_one(prod)
                 if done.any():
                     gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
                     final[:, :, live[gone]] = prod.take(gone, axis=2)
-                    # take, not a mask, which would leave the live product
-                    # trial-major and every later step strided
+                    # take: a mask would leave prod trial-major, every step strided
                     live, prod, now = live[keep], prod.take(keep, axis=2), now.take(keep, axis=1)
             last = now
     final[:, :, live] = prod
@@ -307,11 +312,10 @@ def oseledets_angle_samples(
     ``depth`` caps the number of factors.  Under a law of bounded condition
     (``MatrixDistribution.bounded_condition``) each trial of a half retires
     once its own line has settled (see _product_right_lines), usually well
-    before the cap; such a law cannot bring a huge factor after a line looks
-    settled.  Every other law runs to the cap, since under a heavy tail a
+    before the cap.  Every other law runs to the cap: under a heavy tail a
     rare huge factor can still turn a settled line.  Draws are step-major,
-    and field-major within a step, over the trials still live at that step,
-    so no block size changes a sample.  A gap below the resolution of a line
+    field-major within a step, over the trials live at that step, so no
+    block size changes a sample.  A gap below the resolution of a line
     (about 1e-16 rad) comes out as 0.
     """
     rng_b, rng_f = _spawn_rngs(seed, 2)

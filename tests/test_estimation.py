@@ -210,8 +210,9 @@ def _stack_angle_samples(nu, trials, depth, seed, retire=False):
     both halves read right singular lines.
 
     The retiring twin (``retire``): every STOP_EVERY steps each trial whose
-    reading settled since the previous check keeps the line it has, and
-    each later step draws sample_matrices(rng, live) for the live trials."""
+    reading settled since the previous check, with a product rank-1 to
+    STOP_TOL, keeps the line it has, and each later step draws
+    sample_matrices(rng, live) for the live trials."""
     rng_b, rng_f = est._spawn_rngs(seed, 2)
 
     def right_lines(rng, transpose):
@@ -224,7 +225,7 @@ def _stack_angle_samples(nu, trials, depth, seed, retire=False):
             if retire and step % est.STOP_EVERY == 0:
                 now = est._doubled_right_angles(prod.transpose(1, 2, 0))
                 if last is not None:
-                    done = est._settled(last, now)
+                    done = est._settled(last, now) & est._rank_one(prod.transpose(1, 2, 0))
                     lines[live[done]] = gl2.singular_lines(prod[done])[1]
                     live, prod, now = live[~done], prod[~done], now[:, ~done]
                 last = now
@@ -334,13 +335,18 @@ BOUNDED_LAWS = {
     "shear_atoms": cocycle.atoms_distribution(
         [(mat2(1, 1, 0, 1), 0.5), (mat2(1, 0, 1, 1), 0.5)]
     ),
+    # a run of STOP_EVERY rotations (0.7^8 = 0.058 per check) leaves every
+    # right line exactly in place, converged or not
+    "rotation_atoms": cocycle.atoms_distribution(
+        [(mat2(4, 0, 0, 0.25), 0.3), (gl2.rotation(0.3), 0.7)]
+    ),
     "negative_a_triangular": cocycle.triangular_distribution(
         scalars.uniform(-0.6, -0.2), scalars.uniform(-1.0, 2.0)
     ),
 }
 
 
-@pytest.mark.parametrize("law", sorted(BOUNDED_LAWS))
+@pytest.mark.parametrize("law", ["negative_a_triangular", "rotgain", "shear_atoms"])
 def test_bounded_laws_stop_early_and_match_full_depth(monkeypatch, law):
     nu = BOUNDED_LAWS[law]
     assert nu.bounded_condition
@@ -363,7 +369,35 @@ def test_bounded_laws_stop_early_and_match_full_depth(monkeypatch, law):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("law", ["rotgain", "shear_atoms"])
+@pytest.mark.parametrize("law", sorted(BOUNDED_LAWS))
+def test_retired_lines_are_converged_lines(monkeypatch, law):
+    # the oracle twin shares the retirement rule, so check the rule itself:
+    # 256 more factors from a fresh stream turn no written-out line by 1e-9
+    nu, trials = BOUNDED_LAWS[law], 400
+    finals, right_lines = [], est._right_lines
+
+    def recording(prod):  # each half's written-out products, retired or at the cap
+        finals.append(prod)
+        return right_lines(prod)
+
+    monkeypatch.setattr(est, "_right_lines", recording)
+    draws = _record_draws(monkeypatch)
+    rng = np.random.default_rng(3)
+    for transpose in (True, False):
+        est._product_right_lines(nu, rng, trials, 256, transpose)
+    assert sum(steps * n for _, steps, n in draws) < 0.3 * 2 * trials * 256
+    more = np.random.default_rng(4)
+    for prod, transpose in zip(finals, (True, False)):
+        prod = prod.transpose(2, 0, 1)
+        lines = gl2.singular_lines(prod)[1]
+        for _ in range(256):
+            g = nu.sample_matrices(more, trials)[0]
+            prod = (g.transpose(0, 2, 1) if transpose else g) @ prod
+            prod /= np.abs(prod).reshape(trials, 4).max(axis=1)[:, None, None]
+        assert gl2.line_angle(lines, gl2.singular_lines(prod)[1]).max() < 1e-9
+
+
+@pytest.mark.parametrize("law", ["rotgain", "shear_atoms", "rotation_atoms"])
 def test_retiring_sampler_keeps_the_full_depth_tail(law):
     # retiring settled trials draws a different stream, but not a different
     # law: truncated means agree with an independent full-depth run
@@ -415,6 +449,16 @@ def test_settled_readings_compare_right_lines():
     # a conformal product has no s1 line: never settled
     eye = est._doubled_right_angles(np.eye(2)[:, :, None].repeat(3, axis=2))
     assert est._settled(eye, eye).tolist() == [False] * 3
+
+
+def test_rank_one_reads_s2_over_s1():
+    # s2/s1 of R(0.7) diag(1, r) R(-1.1) is r; rotations and -I never pass
+    r = np.array([0.0, 1e-14, 0.4e-12, 2e-12, 1e-6, 1.0])
+    diag = np.eye(2) * np.stack([np.ones_like(r), r], axis=1)[:, None]
+    prods = gl2.rotation(0.7) @ diag @ gl2.rotation(-1.1)
+    assert est._rank_one(prods.transpose(1, 2, 0)).tolist() == [True] * 3 + [False] * 3
+    conformal = np.stack([gl2.rotation(0.3), -np.eye(2)]).transpose(1, 2, 0)
+    assert est._rank_one(conformal).tolist() == [False, False]
 
 
 def test_bounded_condition_from_supports():
