@@ -221,19 +221,15 @@ class TailRule:
     def expand(self) -> list[Piece]:
         """Truncate once the undistributed mass certifiably drops below
         TAIL_RESIDUAL; that remainder is folded into the last retained piece
-        so the expansion carries exactly total_mass."""
+        so the expansion carries exactly total_mass.  BadEtaSpec if a gap
+        angle scales to 0 first."""
         out: list[Piece] = []
-        w = self.first_weight
-        scale = 1.0
-        remaining = self.total_mass
+        w, scale, remaining, c = self.first_weight, 1.0, self.total_mass, self.cell
         while True:
             remaining -= w
-            cell = Cell(
-                self.cell.alpha_lo,
-                self.cell.alpha_hi,
-                self.cell.theta_lo * scale,
-                self.cell.theta_hi * scale,
-            )
+            if not c.theta_lo * scale > 0.0:
+                raise BadEtaSpec(f"tail piece {len(out)} scales theta_lo {c.theta_lo!r} to 0")
+            cell = Cell(c.alpha_lo, c.alpha_hi, c.theta_lo * scale, c.theta_hi * scale)
             if remaining < TAIL_RESIDUAL:
                 out.append(Piece(w + remaining, cell))
                 return out
@@ -272,6 +268,8 @@ class EtaSpec:
             total += self.tail_rule.total_mass
         if abs(total - 1.0) > skyscraper.MASS_TOL:
             raise BadEtaSpec(f"mixture mass {total!r} is not 1")
+        # the tail is expanded once, as the spec is made, so decompose_eta reads it
+        object.__setattr__(self, "_tail", tuple(self.tail_rule.expand()) if self.tail_rule else ())
 
     def to_obj(self) -> dict:
         obj = {"pieces": [{"weight": w, "cell": cell} for w, cell in self.pieces]}
@@ -296,13 +294,12 @@ class EtaSpec:
 def decompose_eta(eta: EtaSpec) -> list[Piece]:
     """Flatten the mixture into ordered pieces.
 
-    The declarative tail is expanded (truncated at a certified residual
-    below 1e-12, folded into its last piece); zero-mass pieces are dropped
-    with a warning.  Order is exactly: explicit pieces, then tail pieces.
+    The declarative tail comes expanded as the spec was made (truncated at
+    a certified residual below 1e-12, folded into its last piece); zero-mass
+    pieces are dropped with a warning.  Order is exactly: explicit pieces,
+    then tail pieces.
     """
-    flat = list(eta.pieces)
-    if eta.tail_rule is not None:
-        flat.extend(eta.tail_rule.expand())
+    flat = [*eta.pieces, *eta._tail]
     for idx, piece in enumerate(flat):
         if piece.weight <= 0.0:
             warnings.warn(f"dropping zero-mass mixture piece {idx}")
@@ -454,14 +451,17 @@ def piece_cost_caps(pieces: list[Piece], r1: float, r2: float) -> np.ndarray:
     """Nondecreasing caps C_n for the worst travel cost within the union of
     cells 0..n; the lowcost height schedule divides epsilon by these.
 
-    A pair cap bounds the worst-lift cost from any splitting in cell x to
-    any in cell y: ||M|| <= e^r1 * cos(theta'/2) / sin(theta/2) and
-    ||M^-1|| <= e^-r2 * cos(theta/2) / sin(theta'/2), both maximized at the
+    Moves are priced at the centred log-gains (h, -h), h = (r1 - r2) / 2,
+    the ones simulate_blocks builds with, so the caps depend on r1 - r2
+    only.  A pair cap bounds the worst-lift cost from any splitting in cell
+    x to any in cell y: ||M|| <= e^h * cos(theta'/2) / sin(theta/2) and
+    ||M^-1|| <= e^h * cos(theta/2) / sin(theta'/2), both maximized at the
     cells' lower theta edges; between two atoms it is the exact
     gl2.transfer_cost_general, 0 for identical ones.  C_n is the running
     max of the caps between cell n and each cell i <= n, both ways, taken
     one numpy row per n.
     """
+    h = 0.5 * (r1 - r2)
     cells = [p.cell for p in pieces]
     lsin = np.array([math.log(math.sin(c.theta_lo / 2.0)) for c in cells])
     lcos = np.array([math.log(math.cos(c.theta_lo / 2.0)) for c in cells])
@@ -471,14 +471,14 @@ def piece_cost_caps(pieces: list[Piece], r1: float, r2: float) -> np.ndarray:
     caps = np.empty(len(cells))
     best = 0.0
     for n in range(len(cells)):
-        into = np.maximum(r1 + lcos[n] - lsin[: n + 1], -r2 + lcos[: n + 1] - lsin[n])
-        out = np.maximum(r1 + lcos[:n] - lsin[n], -r2 + lcos[n] - lsin[:n])
+        into = np.maximum(h + lcos[n] - lsin[: n + 1], h + lcos[: n + 1] - lsin[n])
+        out = np.maximum(h + lcos[:n] - lsin[n], h + lcos[n] - lsin[:n])
         if atom[n]:
             both = np.flatnonzero(atom[: n + 1])
             fresh = both[(alpha[both] != alpha[n]) | (theta[both] != theta[n])]
             into[both] = out[both[:-1]] = 0.0  # identical splittings travel for free
-            into[fresh] = gl2.transfer_cost_general(theta[fresh], theta[n], r1, r2)
-            out[fresh] = gl2.transfer_cost_general(theta[n], theta[fresh], r1, r2)
+            into[fresh] = gl2.transfer_cost_general(theta[fresh], theta[n], h, -h)
+            out[fresh] = gl2.transfer_cost_general(theta[n], theta[fresh], h, -h)
         best = caps[n] = max(best, into.max(), out.max(initial=0.0))
     return caps
 
@@ -489,8 +489,8 @@ def step_costs(window: OrbitWindow, mode: str, r1: float, r2: float) -> np.ndarr
     One entry per consecutive stored pair (length len(window) - 1).  The
     bounded regime prices every step by the symmetric gap-ratio cost; the
     lowcost regime prices only actual splitting changes, by the worst-lift
-    cost gl2.transfer_cost_general, since an unchanged splitting travels
-    for free.
+    cost gl2.transfer_cost_general at the centred log-gains (h, -h), h =
+    (r1 - r2) / 2, since an unchanged splitting travels for free.
     """
     if window.prescribed_f is None:
         raise ValueError("window carries no prescribed splittings")
@@ -506,9 +506,8 @@ def _move_costs(x1, theta, mode: str, r1: float, r2: float) -> np.ndarray:
         changed = (np.diff(x1) != 0.0) | (np.diff(theta) != 0.0)
         out = np.zeros(len(x1) - 1)
         if changed.any():
-            out[changed] = gl2.transfer_cost_general(
-                theta[:-1][changed], theta[1:][changed], r1, r2
-            )
+            h = 0.5 * (r1 - r2)
+            out[changed] = gl2.transfer_cost_general(theta[:-1][changed], theta[1:][changed], h, -h)
         return out
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -549,8 +548,11 @@ def simulate_blocks(
 
     Every check and random draw happens in this call, so BuildTooLarge,
     UnboundedGap and ValueError are raised here, not while the blocks are
-    read.  Each block carries its matrices, log-scales, log-dets, prescribed
-    lines and labels, and is checked as it is made: every prescribed line is
+    read.  The build runs at the centred rates +-h, h = (r1 - r2) / 2, and
+    m / w, m = (r1 + r2) / 2 over the total weight w, is every step's
+    log-scale, so matrices, splittings and labels depend on r1 - r2 only.
+    Each block carries its matrices, log-scales, log-dets, prescribed lines
+    and labels, and is checked as it is made: every prescribed line is
     carried to its successor, and in bounded mode every step stays below the
     budget, across block edges too.  Lowcost mode keeps one splitting per
     tower entered and expands a block's splittings when it is made.
@@ -561,15 +563,12 @@ def simulate_blocks(
         raise ValueError("steps must be >= 1")
     pieces = decompose_eta(eta)
     # every splitting is drawn inside a mixture cell, where the log-gains are
-    # the constants r_j / (total weight), so their mixture averages are r_j
+    # the constants r_j / (total weight), so their mixture averages are r_j;
+    # the scalar e^m, m = (r1 + r2) / 2, moves no line: it is the log-scale
     total = math.fsum(p.weight for p in pieces)
-    # entries of a factor or its inverse reach e^max(r1, -r2) / sin t at the
-    # smallest gap angle t; past half the float range e^(r1 / total) moves
-    # into a constant log-scale, and the matrix part's entries stay bounded
-    theta_min = min(p.cell.theta_lo for p in pieces)
-    size = 0.5 * math.log(np.finfo(float).max) + math.log(math.sin(theta_min))
-    log_scale = 0.0 if max(r1, -r2) <= size else r1 / total
-    gains = np.exp([r1 / total - log_scale, r2 / total - log_scale])
+    h = 0.5 * (r1 - r2)
+    log_scale = 0.5 * (r1 + r2) / total
+    gains = np.exp([h / total, -h / total])
     size_limit = max(steps, SIZE_FLOOR) // skyscraper.OVERDRAW_TOWERS
     rng = np.random.default_rng(seed)
 
@@ -713,10 +712,10 @@ def simulate_flexible(
     prescribed_f[i] is (x1, x2) line angles at time offset + i; labels[i]
     is the tower label (bounded) or the piece index (lowcost); the window
     is centered so both causal direction estimates have room.  Factors
-    carry one constant log-scale, 0 while max(r1, -r2) stays within half
-    the float range (at the smallest gap angle), else r1 / total weight.
-    The library, the battery and the demos join a window this way; osl
-    flexible hands the blocks to verify_flexible and never holds one.
+    carry one constant log-scale, (r1 + r2) / (2 total weight), and the
+    matrices the centred gains.  The library, the battery and the demos
+    join a window this way; osl flexible hands the blocks to verify_flexible
+    and never holds one.
     """
     blocks = simulate_blocks(eta, r1, r2, mode, steps, seed, budget=budget, epsilon=epsilon)
     matrices = np.empty((steps, 2, 2))
@@ -833,10 +832,11 @@ def rate_limit_error(eta: EtaSpec, r1: float, r2: float) -> str | None:
     """Why simulate_flexible cannot build rates (r1, r2) on this mixture, or
     None when it can.  Carrying a line errs by about e^(r1 - r2) 2^-52 / sin t
     rad at the mixture's smallest gap angle t, so r1 - r2 must stay below
-    log(COVARIANCE_TOL sin(t) 2^52), 14.1 at t = 0.3.  The rates' magnitude
-    is free: the build moves e^(r1 / total weight) into a log-scale."""
+    log(COVARIANCE_TOL sin(t) 2^52), 14.1 at t = 0.3, and the centred
+    log-gains +-(r1 - r2) / 2 below 7.7 in magnitude.  The rates' magnitude
+    is free: the build moves e^((r1 + r2) / 2) into its log-scale."""
     sin_t = math.sin(min(p.cell.theta_lo for p in decompose_eta(eta)))
-    gap = math.log(COVARIANCE_TOL * sin_t * 2.0**52)
+    gap = math.log(sin_t) + math.log(COVARIANCE_TOL * 2.0**52)  # sin_t may be subnormal
     if r1 - r2 > gap:
         return (
             f"rates r1 - r2 = {r1 - r2:.4g} exceed {gap:.4g}, the most at which this "

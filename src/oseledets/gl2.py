@@ -321,9 +321,9 @@ def transfer_cost_general(theta, theta_prime, psi1: float, psi2: float) -> np.nd
     multiplies that matrix by a rotation, an isometry, and in the lift frames
     U, V it is V diag(+-e^psi1, +-e^psi2) U^-1, where an overall sign keeps
     norms, leaving two sign patterns.  Array-generic in the gap angles (each
-    in (0, pi/2]), like interp_singular_values.  Log-gains past 700 in
-    magnitude, near log(DBL_MAX) = 709.78, are shifted by c = max(psi1,
-    psi2) and c is added back to log s1, so e^psi stays a finite float.
+    in (0, pi/2]), like interp_singular_values.  The flexible build passes
+    its centred log-gains +-(r1 - r2) / 2, which its precision limit keeps
+    below about 7.7 in magnitude, so e^psi is an ordinary float.
     """
     theta = np.asarray(theta, dtype=float)
     theta_prime = np.asarray(theta_prime, dtype=float)
@@ -331,12 +331,11 @@ def transfer_cost_general(theta, theta_prime, psi1: float, psi2: float) -> np.nd
     v = _unit_columns(np.zeros_like(theta_prime), theta_prime)
     u_inv = inv2(u)
     log_det = np.log(np.sin(theta_prime)) - np.log(np.sin(theta)) + psi1 + psi2
-    c = max(psi1, psi2) if max(abs(psi1), abs(psi2)) > 700.0 else 0.0
     best = None
     for sign in (1.0, -1.0):
-        d = np.array([[math.exp(psi1 - c), 0.0], [0.0, sign * math.exp(psi2 - c)]])
+        d = np.array([[math.exp(psi1), 0.0], [0.0, sign * math.exp(psi2)]])
         m = v @ (d @ u_inv)
-        log_s1 = np.log(top_singular(m)) + c
+        log_s1 = np.log(top_singular(m))
         # log ||m^-1|| = log s1 - log |det m|, stable even when s2 underflows
         val = np.maximum(log_s1, log_s1 - log_det)
         best = val if best is None else np.maximum(best, val)

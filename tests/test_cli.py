@@ -701,15 +701,16 @@ def test_flexible_rate_gap_limit_at_tiny_gap_angles(tmp_path, capsys):
         assert cli.main(argv) == code
 
 
-# at smallest gap angle 0.3, max(r1, -r2) past log(DBL_MAX) / 2 + log sin(0.3) =
-# 353.7 is where the build moves e^r1 into a log-scale; old_code keeps each
-# case's id, the exit code of the usage error that stood at that limit
+# the build moves e^m, m = (r1 + r2) / 2 over the total weight, into its
+# log-scale at every rate magnitude; each case's id still names the exit
+# code it had when a usage error stood at max(r1, -r2) = 353.7
 @pytest.mark.parametrize("mode", [["bounded", "--budget", "0.5"], ["lowcost", "--epsilon", "0.1"]])
-@pytest.mark.parametrize(
-    "rates,old_code",
-    [("353,352", 0), ("-352,-353", 0), ("355,354", 64), ("800,799", 64), ("-375,-376", 64)],
-)
-def test_flexible_rate_magnitude_limit(mode, rates, old_code, tmp_path):
+@pytest.mark.parametrize("rates", [
+    pytest.param("353,352", id="353,352-0"), pytest.param("-352,-353", id="-352,-353-0"),
+    pytest.param("355,354", id="355,354-64"), pytest.param("800,799", id="800,799-64"),
+    pytest.param("-375,-376", id="-375,-376-64"),
+])
+def test_flexible_rate_magnitude_limit(mode, rates, tmp_path):
     spec = write_spec(tmp_path, "eta.json", NARROW)
     argv = ["flexible", "--spec", spec, "--mode", *mode, "--steps", "2000", "--seed", "1",
             f"--rates={rates}", "--out", str(tmp_path / "r")]
@@ -723,7 +724,24 @@ def test_flexible_rate_magnitude_limit(mode, rates, old_code, tmp_path):
         assert float(report["tv_distance"]) < 0.03
     bound = {"budget": 0.5} if mode[0] == "bounded" else {"epsilon": 0.1}
     window = flexible.simulate_flexible(NARROW, r1, r2, mode[0], 2000, 1, **bound)
-    assert np.all(window.log_scales == (r1 if old_code == 64 else 0.0))
+    total = math.fsum(p.weight for p in decompose_eta(NARROW))
+    assert np.all(window.log_scales == (r1 + r2) / 2 / total)
+
+
+def test_flexible_lowcost_builds_at_a_million(tmp_path):
+    # lowcost towers are priced at the centred rates, so a common rate of
+    # 1e6 needs no taller tower than 0.5,-0.5
+    eta = EtaSpec(pieces=(
+        (0.4, uniform_cell(0.1, 0.8, 0.30, 0.50)), (0.3, uniform_cell(1.0, 1.7, 0.50, 0.70)),
+        (0.2, uniform_cell(1.9, 2.6, 0.80, 1.00)), (0.1, uniform_cell(2.7, 3.1, 1.20, 1.40)),
+    ))
+    spec = write_spec(tmp_path, "eta.json", eta)
+    argv = ["flexible", "--spec", spec, "--mode", "lowcost", "--epsilon", "0.1",
+            "--rates=1000000.5,999999.5", "--steps", "20000", "--seed", "7"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r" / "flexible_report.json").read_text())["report"]
+    top, bottom = (float(v) for v in report["lambda_hat"])
+    assert abs(top - 1000000.5) < 0.05 and abs(bottom - 999999.5) < 0.05
 
 
 def test_flexible_lowcost_one_piece_builds(tmp_path, capsys):
@@ -868,6 +886,35 @@ def test_cell_edges_must_be_pairs(alpha, tmp_path, capsys):
     assert cli.main(argv) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage error: malformed mixture spec") and err.count("\n") == 1
+
+
+# a tail rule whose gap angles underflow to 0 before its mass is spent, and
+# a gap angle so small that sin(theta) * 1e-9 underflows: each ends in a
+# one-line usage error, not a traceback
+TINY_ANGLE_SPECS = {
+    "tail-underflow": ({
+        "pieces": [{"weight": "0.5", "cell": {"alpha": ["0.1", "0.8"], "theta": ["0.3", "0.5"]}}],
+        "tail_rule": {"first_weight": "0.05", "weight_ratio": "0.9", "theta_ratio": "0.01",
+                      "cell": {"alpha": ["1.0", "1.7"], "theta": ["0.6", "0.9"]}},
+    }, "usage error: malformed mixture spec: tail piece 162 scales theta_lo 0.6 to 0\n"),
+    "subnormal-theta": ({"pieces": [
+        {"weight": "0.5", "cell": {"alpha": ["0.1", "0.8"], "theta": ["1e-320", "0.5"]}},
+        {"weight": "0.5", "cell": {"alpha": ["1.0", "1.7"], "theta": ["0.6", "0.9"]}},
+    ]}, "usage error: rates r1 - r2 = 1 exceed -721.5, "),
+}
+
+
+@pytest.mark.parametrize("mode", [["bounded", "--budget", "0.5"], ["lowcost", "--epsilon", "0.1"]])
+@pytest.mark.parametrize("name", list(TINY_ANGLE_SPECS))
+def test_tiny_gap_angles_exit_sixtyfour(name, mode, tmp_path, capsys):
+    obj, message = TINY_ANGLE_SPECS[name]
+    spec = tmp_path / "eta.json"
+    spec.write_text(json.dumps(obj))
+    argv = ["flexible", "--spec", str(spec), "--mode", *mode, "--steps", "2000"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
 
 
 def test_integer_past_the_float_range_exits_sixtyfour(tmp_path, capsys):

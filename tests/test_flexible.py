@@ -440,86 +440,54 @@ def test_piece_cost_caps_exact_for_atoms():
     assert caps[1] == expect
 
 
-def unshifted_cost_general(theta, theta_prime, psi1: float, psi2: float) -> np.ndarray:
-    """gl2.transfer_cost_general without its log-form shift: e^psi1 and
-    e^psi2 enter the diagonal as they are, the reference for |psi| <= 700."""
-    theta = np.asarray(theta, dtype=float)
-    theta_prime = np.asarray(theta_prime, dtype=float)
-    u_inv = gl2.inv2(gl2._unit_columns(np.zeros_like(theta), theta))
-    v = gl2._unit_columns(np.zeros_like(theta_prime), theta_prime)
-    log_det = np.log(np.sin(theta_prime)) - np.log(np.sin(theta)) + psi1 + psi2
-    best = None
-    for sign in (1.0, -1.0):
-        d = np.array([[math.exp(psi1), 0.0], [0.0, sign * math.exp(psi2)]])
-        log_s1 = np.log(gl2.top_singular(v @ (d @ u_inv)))
-        val = np.maximum(log_s1, log_s1 - log_det)
-        best = val if best is None else np.maximum(best, val)
-    return best
-
-
-def test_general_cost_keeps_its_bits_inside_the_float_range():
-    rng = np.random.default_rng(21)
-    th, thp = rng.uniform(0.1, math.pi / 2, (2, 500))
-    for psi1 in (0.5, 1.5, 353.0, 699.0, 700.0, -350.0, -686.0):
-        for gap in (0.0, 1.0, 14.0):  # every psi2 within [-700, 700]
-            got = gl2.transfer_cost_general(th, thp, psi1, psi1 - gap)
-            np.testing.assert_array_equal(got, unshifted_cost_general(th, thp, psi1, psi1 - gap))
-
-
-def shifted_lift_cost(x, y, psi1: float, psi2: float) -> float:
-    """verify._lift_cost with both log-gains shifted by c = max(psi1, psi2)
-    by hand: svd2 of each shifted lift matrix, c added back to each log
-    singular value."""
-    c = max(psi1, psi2)
-    psi = gl2.eigen_matrix(x, psi1 - c, psi2 - c)
-    flips = [np.array([i, j]) * math.pi for i in (0, 1) for j in (0, 1)]
-    xs = [gl2.canonical_lift(x) + f for f in flips]
-    ys = [gl2.canonical_lift(y) + f for f in flips]
-    best = -math.inf
-    for xt in xs:
-        for yt in ys:
-            s1, s2, _, _ = gl2.svd2(gl2.interp_matrix(xt, yt) @ psi)
-            best = max(best, math.log(float(s1)) + c, -(math.log(float(s2)) + c))
-    return best
-
-
-@pytest.mark.parametrize("rates", [(800.0, 799.0), (-800.0, -801.0)])
-def test_general_cost_past_the_float_range(rates):
-    rng = np.random.default_rng(22)
-    for _ in range(50):
-        th, thp = rng.uniform(0.05, math.pi / 2, 2)
-        a1, a2 = rng.uniform(0.0, math.pi, 2)
-        x = gl2.splitting(a1, gl2.canon_line(a1 + th))
-        y = gl2.splitting(a2, gl2.canon_line(a2 + thp))
-        got = float(gl2.transfer_cost_general(th, thp, *rates))
-        assert math.isfinite(got)
-        assert got == pytest.approx(shifted_lift_cost(x, y, *rates), abs=1e-9)
-
-
 def test_lowcost_costs_past_the_float_range():
-    # atom cells take the exact cost in piece_cost_caps; the window's
-    # splitting changes take it in step_costs
+    # moves are priced at the centred log-gains, so (800, 799) costs what
+    # (0.5, -0.5) costs, bit for bit: atom cells take the exact cost in
+    # piece_cost_caps, the window's splitting changes take it in step_costs
     eta = EtaSpec(pieces=((0.5, atom_cell(0.3, 0.4)), (0.5, atom_cell(0.9, 1.2))))
     caps = piece_cost_caps(decompose_eta(eta), 800.0, 799.0)
-    assert caps[0] == 0.0 and math.isfinite(caps[1]) and caps[1] > 799.0
+    assert caps[0] == 0.0 and caps[1] > 0.0
+    assert caps.tolist() == piece_cost_caps(decompose_eta(eta), 0.5, -0.5).tolist()
     w = simulate_flexible(eta, 800.0, 799.0, "lowcost", 20000, seed=4, epsilon=1.0)
     cost = step_costs(w, "lowcost", 800.0, 799.0)
-    assert np.count_nonzero(cost) > 1 and np.all(np.isfinite(cost)) and cost.max() <= caps[1]
+    assert np.count_nonzero(cost) > 1 and cost.max() <= caps[1]
+    np.testing.assert_array_equal(cost, step_costs(w, "lowcost", 0.5, -0.5))
 
 
 def test_scaled_build_matches_stepwise_assembly():
-    # rates just past max(r1, -r2) = 353.7, where the build first moves
-    # e^r1 into a log-scale (smallest gap angle 0.3) but F is still finite
+    # the build moves e^m, m = (r1 + r2) / 2 = 354.5, into its log-scale;
+    # at these rates F itself is still a finite float to compare with
     eta = EtaSpec(pieces=((0.6, uniform_cell(0.1, 0.8, 0.3, 0.5)),
                           (0.4, uniform_cell(1.0, 1.7, 0.6, 0.9))))
     w = simulate_flexible(eta, 355.0, 354.0, "bounded", 1000, seed=5, budget=0.5)
-    assert np.all(w.log_scales == 355.0)
+    assert np.all(w.log_scales == 354.5)
     for i in range(len(w) - 1):
         f = assemble_F(gl2.splitting(*w.prescribed_f[i]), gl2.splitting(*w.prescribed_f[i + 1]),
                        355.0, 354.0)
-        got = math.exp(355.0) * w.matrices[i]
+        got = math.exp(354.5) * w.matrices[i]
         assert float(np.abs(got - f).max()) <= 1e-12 * float(np.abs(f).max())
         assert w.log_dets[i] == pytest.approx(np.linalg.slogdet(f)[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("mode,bound", [("bounded", {"budget": 0.5}), ("lowcost", {"epsilon": 0.1})])
+def test_common_rate_moves_only_the_exponents(mode, bound):
+    # e^m, m = (r1 + r2) / 2, moves no Oseledets line and shifts both
+    # exponents by m, so at gap 1 every m builds the m = 0 steps
+    def report(m):
+        r1, r2 = m + 0.5, m - 0.5
+        blocks = simulate_blocks(FOUR_CELL, r1, r2, mode, 20000, seed=3, **bound)
+        return verify_flexible(blocks, FOUR_CELL, r1, r2, mode=mode, steps=20000)
+
+    base = report(0.0)
+    want = base.to_obj()
+    for m in (10.0, -10.0, 800.0, -800.0, 1e6):
+        rep = report(m)
+        same_csv = rep.to_csv() == base.to_csv()  # a bool: pytest would diff the texts
+        assert same_csv
+        got = rep.to_obj()
+        assert {k for k in want if got[k] != want[k]} == {"lambda_hat", "rates"}
+        assert rep.rates == (m + 0.5, m - 0.5)
+        np.testing.assert_allclose(np.subtract(rep.lambda_hat, m), base.lambda_hat, atol=1e-9)
 
 
 def pairwise_cost_cap(x: Cell, y: Cell, r1: float, r2: float) -> float:
@@ -566,9 +534,14 @@ def cells_with_repeats(draw):
 @seed(20264)
 @given(cells_with_repeats(), st.floats(-3.0, 3.0), st.floats(0.0, 4.0))
 def test_piece_cost_caps_match_pairwise_reference(cells, r2, gap):
+    # moves are priced at the centred log-gains (h, -h), so the caps read
+    # r1 - r2 alone
     pieces = [fx.Piece(1.0, cell) for cell in cells]
-    got = piece_cost_caps(pieces, r2 + gap, r2)
-    assert got.tolist() == pairwise_cost_caps(cells, r2 + gap, r2)
+    r1 = r2 + gap
+    h = 0.5 * (r1 - r2)
+    got = piece_cost_caps(pieces, r1, r2)
+    assert got.tolist() == pairwise_cost_caps(cells, h, -h)
+    assert got.tolist() == piece_cost_caps(pieces, r1 - r2, 0.0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -983,12 +956,14 @@ def test_verify_two_cell_report():
 
 def test_verify_birkhoff_averages_hit_rates():
     # every factor stretches the canonical lift of its prescribed line j by
-    # the constant e^r_j (TWO_CELL's weights sum to 1), so averages are exact
+    # the constant e^r_j (TWO_CELL's weights sum to 1), so averages are exact;
+    # the matrices carry the centred gains e^(r_j - m), the log-scale m = 0.2
     w = simulate_flexible(TWO_CELL, 0.7, -0.3, "bounded", 5000, seed=16, budget=0.6)
     u = np.stack(gl2.canonical_lift(gl2.splitting(*w.prescribed_f.T)), axis=-1)
     for j, r in enumerate((0.7, -0.3)):
         unit = np.stack([np.cos(u[:, j]), np.sin(u[:, j])], axis=-1)
         gain = np.log(np.linalg.norm(np.einsum("nik,nk->ni", w.matrices, unit), axis=1))
+        gain += w.log_scales
         assert float(np.abs(gain - r).max()) < 1e-10
 
 
