@@ -59,9 +59,9 @@ COVARIANCE_TOL = 1e-9
 AGREEMENT_TOL = 1e-3
 
 # steps per block in simulate_blocks and verify_flexible's KS statistic, and
-# rows per ConstructionReport.to_csv formatting chunk and per part osl writes:
-# 800k lowcost steps built in 0.48 s at 2^13 or 2^14, 0.54 s at 2^12, 0.64 s at
-# 2^10 and 0.65 s in one block (best of 5, 2-core x86); largest array 256 KiB
+# rows per ConstructionReport.to_csv chunk and per part osl writes: 800k lowcost
+# / 500k bounded steps built in 0.035 / 0.16 s at 2^12, 0.024 / 0.15 s at 2^13
+# and 0.017 / 0.15 s at 2^14 (best of 5, 2-core x86); largest array 256 KiB
 STEP_BLOCK = 1 << 13
 
 # a build may need at most max(steps, 2^20) / skyscraper.OVERDRAW_TOWERS
@@ -555,7 +555,8 @@ def simulate_blocks(
     and labels, and is checked as it is made: every prescribed line is
     carried to its successor, and in bounded mode every step stays below the
     budget, across block edges too.  Lowcost mode keeps one splitting per
-    tower entered and expands a block's splittings when it is made.
+    tower entered.  Frames are made once per run of equal splittings, and
+    everything else once per run of equal moves (length 1 in bounded mode).
     """
     if not r1 >= r2:
         raise ValueError("need r1 >= r2")
@@ -606,13 +607,10 @@ def simulate_blocks(
     heights, lengths, start = skyscraper.renewal_towers(pi, steps + 1, rng)
     tower_end = np.cumsum(lengths)
 
-    def towers(lo, hi):
-        return np.searchsorted(tower_end, np.arange(lo, hi), side="right")
-
     if mode == "bounded":
         def labels_at(lo, hi):  # tower labels of steps lo..hi - 1, checked from step lo - 1
             k = np.arange(max(lo - 1, 0), hi)
-            seg = towers(k[0], hi)
+            seg = np.searchsorted(tower_end, k, side="right")
             levels = k - (tower_end[seg] - lengths[seg])
             levels[seg == 0] += start
             return skyscraper.trajectory_labels(heights[seg], levels)[lo - k[0] :]
@@ -625,52 +623,59 @@ def simulate_blocks(
         alpha, theta = _draw_cells([c.cell for c in chain], owner, rng)
         del owner
 
-        def splittings(lo, hi):  # (alpha, theta) at lo..hi, labels at lo..hi - 1
-            return alpha[lo : hi + 1], theta[lo : hi + 1], labels_at(lo, hi)
+        def splittings(lo, hi):  # (alpha, theta) at lo..hi, runs of 1, labels at lo..hi - 1
+            return alpha[lo : hi + 1], theta[lo : hi + 1], 1, labels_at(lo, hi)
     else:
         # f is constant up each tower: one draw per tower entered
         seg_piece = np.searchsorted(np.asarray(ks), heights)
         np.minimum(seg_piece, len(pieces) - 1, out=seg_piece)  # a split lone piece reads 0
         seg_alpha, seg_theta = _draw_cells([p.cell for p in pieces], seg_piece, rng)
 
-        def splittings(lo, hi):
-            seg = towers(lo, hi + 1)
-            return seg_alpha[seg], seg_theta[seg], seg_piece[seg[:-1]]
+        def splittings(lo, hi):  # one run per tower met
+            first, last = np.searchsorted(tower_end, (lo, hi), side="right")
+            seg = np.arange(first, last + 1)
+            runs = np.diff(np.minimum(tower_end[seg], hi + 1), prepend=lo)
+            return seg_alpha[seg], seg_theta[seg], runs, np.repeat(seg_piece[seg], runs)[:-1]
 
     def blocks():
         # steps [lo, hi) read the splittings at lo..hi, so neighbouring blocks
         # share one splitting and every move across a block edge is checked
         for lo in range(0, steps, STEP_BLOCK):
             hi = min(lo + STEP_BLOCK, steps)
-            a, t, labels = splittings(lo, hi)
+            a, t, runs, labels = splittings(lo, hi)
+            # run j of equal splittings makes runs[j] - 1 moves that stay put,
+            # then one move to run j + 1; each distinct move is built once
+            reps = np.ones(2 * len(a) - 1, dtype=np.int64)
+            reps[::2] = np.subtract(runs, 1)
+            keep = np.flatnonzero(reps)
+            src, dst, reps = keep >> 1, (keep + 1) >> 1, reps[keep]
             # canonical-lift frames: theta <= pi/2 makes (alpha, alpha + theta)
             # the lift outright, no flip needed
-            frames = gl2._unit_columns(a, a + t)
-            # F = frames[1:] diag(gains) frames[:-1]^-1: the diagonal scales rows
-            mats = gl2.inv2(frames[:-1])
+            b = a + t
+            frames = gl2._unit_columns(a, b)
+            # F = frames[dst] diag(gains) frames[src]^-1: the diagonal scales rows
+            mats = np.take(gl2.inv2(frames), src, axis=0)
             mats *= gains[:, None]
-            mats = np.matmul(frames[1:], mats)
+            mats = np.matmul(np.take(frames, dst, axis=0), mats)
 
             # hard contracts: the cocycle carries each prescribed line to its
             # successor, and the bounded regime never exceeds its budget
-            for angles in (a, a + t):
-                miss = gl2.line_angle(gl2.projective_action(mats, angles[:-1]), angles[1:])
-                ensure(np.all(miss < COVARIANCE_TOL), "prescribed line not carried")
+            for j, angles in enumerate((a, b)):
+                image = gl2.line_image(mats, frames[src, 0, j], frames[src, 1, j])
+                ensure(np.all(gl2.line_angle(image, angles[dst]) < COVARIANCE_TOL),
+                       "prescribed line not carried")
             if mode == "bounded":
-                moves = gl2.transfer_cost_bounded(t[:-1], t[1:])
+                moves = gl2.transfer_cost_bounded(t[src], t[dst])
                 ensure(np.all(moves < budget), "budget exceeded along the window")
-
-            prescribed = np.empty((hi - lo, 2))
-            prescribed[:, 0] = gl2.canon_line(a[:-1])
-            prescribed[:, 1] = gl2.canon_line(a[:-1] + t[:-1])
-            yield OrbitWindow(
+            lines = np.stack([gl2.canon_line(a), gl2.canon_line(b)], axis=1)
+            yield OrbitWindow(  # one entry per step, each move repeated along its run
                 offset=lo - steps // 2,
-                matrices=mats,
-                prescribed_f=prescribed,
+                matrices=np.repeat(mats, reps, axis=0),
+                prescribed_f=np.repeat(np.take(lines, src, axis=0), reps, axis=0),
                 labels=np.asarray(labels, dtype=np.int64),
                 seed=seed if isinstance(seed, (int, np.integer)) else None,
                 log_scales=np.broadcast_to(log_scale, hi - lo),
-                log_dets=np.log(np.abs(gl2.det2(mats))) + 2.0 * log_scale,
+                log_dets=np.repeat(np.log(np.abs(gl2.det2(mats))) + 2.0 * log_scale, reps),
             )
 
     return blocks()
@@ -746,7 +751,7 @@ class ConstructionReport:
     """Verification summary for a prescribed-splitting window.
 
     lambda_hat: exponent estimates (top, bottom).  tv_distance: total
-    variation between empirical piece frequencies and the mixture weights.
+    variation between empirical cell frequencies and the cells' weights.
     ks_theta: Kolmogorov-Smirnov distance between the empirical gap-angle
     law and the mixture's closed-form marginal.  max_cost / mean_cost: step
     travel cost stats.  agreement_fraction: fraction of sampled times where
@@ -784,16 +789,28 @@ class ConstructionReport:
         """Rows [start, stop) of the CSV, the header first when start is 0:
         one row per stored transition, with the absolute step, its travel
         cost, the label at the step's source, and the source gap angle.
-        The whole text by default, formatted STEP_BLOCK rows at a time: a
-        chunk takes about 316 bytes per row of Python strings."""
+        The whole text by default, formatted STEP_BLOCK rows at a time: a run
+        of bitwise-equal (cost, label, theta) is its steps joined by one suffix
+        (75 bytes per row of Python strings up lowcost towers), unless most
+        rows differ, when each row is one f-string (280 bytes per row)."""
         stop = len(self.step_cost) if stop is None else min(stop, len(self.step_cost))
         parts = ["step,cost,label,theta\n"] if start == 0 else []
         for lo in range(start, stop, STEP_BLOCK):
             part = slice(lo, min(lo + STEP_BLOCK, stop))
-            cost, theta = float_strs(self.step_cost[part]), float_strs(self.step_theta[part])
-            steps = range(self.offset + lo, self.offset + lo + len(cost))
-            rows = zip(steps, cost, self.step_label[part].tolist(), theta)
-            parts.append("".join(f"{s},{c},{k},{t}\n" for s, c, k, t in rows))
+            cost, label, theta = self.step_cost[part], self.step_label[part], self.step_theta[part]
+            keys = (cost.view(np.int64), label, theta.view(np.int64))
+            starts = np.flatnonzero(np.r_[True, np.any([k[1:] != k[:-1] for k in keys], axis=0)])
+            step = self.offset + lo
+            if 2 * len(starts) > len(cost):
+                rows = zip(itertools.count(step), float_strs(cost), label.tolist(),
+                           float_strs(theta))
+                parts.append("".join(f"{s},{c},{k},{t}\n" for s, c, k, t in rows))
+                continue
+            bounds = (np.append(starts, len(cost)) + step).tolist()
+            runs = zip(float_strs(cost[starts]), label[starts].tolist(), float_strs(theta[starts]))
+            for a, b, (c, k, t) in zip(bounds, bounds[1:], runs):
+                suffix = f",{c},{k},{t}\n"
+                parts.append(suffix.join(map(str, range(a, b))) + suffix)
         return "".join(parts)
 
 
@@ -903,8 +920,8 @@ def verify_flexible(
     simulate_blocks yields them, read once each; a window is one block.
     Exponents via exponents_of_product, the forward stretch streamed
     through a ProductTree; the splitting's empirical law against the
-    mixture (total variation over the piece partition, counted per block,
-    KS on the gap-angle marginal); step cost stats for the given mode; and
+    mixture (total variation over the distinct cells, counted per block and
+    run of equal lines, KS on the gap-angle marginal); step costs; and
     direction agreement at 100 evenly spread interior times, estimating E1
     backward and E2 forward with depth ceil(20 / (r1 - r2)) * 10 and
     comparing both to the prescribed splitting within 1e-3 rad, each
@@ -922,6 +939,9 @@ def verify_flexible(
     if n < 2 * depth + 10:
         raise NoData(f"window of {n} steps is too short for depth {depth}")
     pieces = decompose_eta(eta)
+    cell_weights = {}  # pieces on one cell are one cell of the law
+    for w, cell in pieces:
+        cell_weights[cell] = cell_weights.get(cell, 0.0) + w
     blocks = iter(blocks)
     first = next(blocks, None)
     if first is None:
@@ -935,7 +955,7 @@ def verify_flexible(
         np.round(np.linspace(offset + depth, offset + n - depth, num=100)).astype(int).tolist())
     spans = _DirectionSpans(times, depth)
     tree = ProductTree()
-    counts = np.zeros(len(pieces), dtype=np.int64)
+    counts = np.zeros(len(cell_weights), dtype=np.int64)
     theta_col = cost = labels = log_dets = None  # the forward log_dets start at time 0
     end, last = offset, None
     for block in itertools.chain([first], blocks):
@@ -945,13 +965,17 @@ def verify_flexible(
             raise ValueError(f"block at {block.offset} does not follow the steps before {end}")
         end = block.end
         x1, x2 = block.prescribed_f[:, 0], block.prescribed_f[:, 1]
-        theta = gl2.line_angle(x1, x2)
-        unassigned = np.ones(len(block), dtype=bool)
-        for idx, piece in enumerate(pieces):
-            hit = unassigned & piece.cell.contains(x1, theta)
-            counts[idx] += np.count_nonzero(hit)
+        # the gap angle and the cell are found once per run of equal lines
+        starts = np.flatnonzero(np.r_[True, (x1[1:] != x1[:-1]) | (x2[1:] != x2[:-1])])
+        runs = np.diff(starts, append=len(block))
+        x1_run, theta = x1[starts], gl2.line_angle(x1[starts], x2[starts])
+        unassigned = np.ones(len(starts), dtype=bool)
+        for idx, cell in enumerate(cell_weights):
+            hit = unassigned & cell.contains(x1_run, theta)
+            counts[idx] += runs[hit].sum()
             unassigned &= ~hit
         ensure(not unassigned.any(), "a prescribed splitting fell outside every cell")
+        theta = np.repeat(theta, runs)
         lo = block.offset - offset
         if last is None:
             cost = _put(cost, _move_costs(x1, theta, mode, r1, r2), 0, n - 1)
@@ -972,9 +996,7 @@ def verify_flexible(
 
     lam = exponents_of_product(tree.result(), log_dets)
     del log_dets  # before the KS statistic's sorted copy
-    freqs = counts / n
-    weights = np.asarray([p.weight for p in pieces])
-    tv = 0.5 * float(np.abs(freqs - weights).sum())
+    tv = 0.5 * float(np.abs(counts / n - np.asarray(list(cell_weights.values()))).sum())
     ks = _ks_distance(pieces, theta_col)
 
     return ConstructionReport(

@@ -51,7 +51,12 @@ class UnitVectorPair(NamedTuple):
 
 
 def canon_line(alpha):
-    """Reduce an angle modulo pi into [0, pi)."""
+    """Reduce an angle modulo pi into [0, pi), bit for bit as np.mod: an array
+    within [-pi, 2pi) is shifted by +pi, 0 or -pi instead, which is exact by
+    Sterbenz for -pi, rounds as np.mod's own +pi, and makes -0.0 +0.0."""
+    a = np.asarray(alpha, dtype=float)
+    if a.ndim and a.size and -math.pi <= a.min() and a.max() < 2.0 * math.pi:
+        return a + ((a < 0.0) * math.pi - (a >= math.pi) * math.pi)
     return np.mod(alpha, math.pi)
 
 
@@ -173,7 +178,7 @@ def log_norm_max(g) -> np.ndarray:
 
 def line_angle(alpha1, alpha2) -> np.ndarray:
     """Angle between two projective lines, in [0, pi/2]."""
-    d = np.abs(np.mod(np.asarray(alpha1, dtype=float) - alpha2, math.pi))
+    d = np.abs(canon_line(np.asarray(alpha1, dtype=float) - alpha2))
     return np.minimum(d, math.pi - d)
 
 
@@ -185,9 +190,12 @@ def vector_angle(u1, u2) -> np.ndarray:
 
 def projective_action(g, alpha) -> np.ndarray:
     """Image line angle of the line at angle alpha under g."""
+    return line_image(g, np.cos(alpha), np.sin(alpha))
+
+
+def line_image(g, c, s) -> np.ndarray:
+    """Image line angle under g of the line through the vector (c, s)."""
     g = np.asarray(g, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    c, s = np.cos(alpha), np.sin(alpha)
     wx = g[..., 0, 0] * c + g[..., 0, 1] * s
     wy = g[..., 1, 0] * c + g[..., 1, 1] * s
     return canon_line(np.arctan2(wy, wx))

@@ -469,6 +469,52 @@ def test_scaled_build_matches_stepwise_assembly():
         assert w.log_dets[i] == pytest.approx(np.linalg.slogdet(f)[1], abs=1e-12)
 
 
+LONE = EtaSpec(pieces=((1.0, uniform_cell(0.1, 0.8, 0.3, 0.5)),))
+
+
+@pytest.mark.parametrize("block", [3, 1000])
+@pytest.mark.parametrize("eta,mode,bound", [
+    (FOUR_CELL, "bounded", {"budget": 0.5}),
+    (FOUR_CELL, "lowcost", {"epsilon": 0.1}),
+    (LONE, "lowcost", {"epsilon": 0.1}),
+], ids=["bounded", "lowcost", "lowcost-lone"])
+def test_build_by_runs_matches_per_step_reference(monkeypatch, block, eta, mode, bound):
+    # the build makes each run's frames and each distinct move's matrix once;
+    # one step at a time, on the same walk and draws, the formulas give the
+    # same bits, also where runs cross block edges
+    def recorded(fn, calls):
+        def wrapper(*args):
+            calls.append((args, fn(*args)))
+            return calls[-1][1]
+        return wrapper
+
+    draws, walks = [], []
+    monkeypatch.setattr(fx, "_draw_cells", recorded(fx._draw_cells, draws))
+    monkeypatch.setattr(skyscraper, "renewal_towers", recorded(skyscraper.renewal_towers, walks))
+    monkeypatch.setattr(fx, "STEP_BLOCK", block)
+    steps, r1, r2 = 3001, 0.7, -0.3
+    w = simulate_flexible(eta, r1, r2, mode, steps, seed=4, **bound)
+    ((_, owner, _), (alpha, theta)), = draws
+    ((tower_law, *_), (heights, lengths, _)), = walks
+    if mode == "lowcost":  # one draw per tower; step k lies in the first tower ending past k
+        tower = np.searchsorted(np.cumsum(lengths), np.arange(steps + 1), side="right")
+        alpha, theta = alpha[tower], theta[tower]
+        assert np.array_equal(w.labels, owner[tower[:-1]])
+        assert len(tower_law.entries) == (2 if eta is LONE else 4)  # LONE: heights k, k + 1
+        assert len(np.unique(tower)) > 10  # towers to cross
+    total = math.fsum(p.weight for p in decompose_eta(eta))
+    frames = gl2._unit_columns(alpha, alpha + theta)
+    mats = gl2.inv2(frames[:-1])
+    mats *= np.exp([0.5 * (r1 - r2) / total, -0.5 * (r1 - r2) / total])[:, None]
+    mats = np.matmul(frames[1:], mats)
+    log_scale = 0.5 * (r1 + r2) / total
+    assert np.array_equal(w.matrices, mats)
+    assert np.array_equal(w.log_dets, np.log(np.abs(gl2.det2(mats))) + 2.0 * log_scale)
+    assert np.array_equal(w.prescribed_f[:, 0], np.mod(alpha[:-1], math.pi))
+    assert np.array_equal(w.prescribed_f[:, 1], np.mod(alpha[:-1] + theta[:-1], math.pi))
+    assert np.all(w.log_scales == log_scale)
+
+
 @pytest.mark.parametrize("mode,bound", [("bounded", {"budget": 0.5}), ("lowcost", {"epsilon": 0.1})])
 def test_common_rate_moves_only_the_exponents(mode, bound):
     # e^m, m = (r1 + r2) / 2, moves no Oseledets line and shifts both
@@ -592,8 +638,8 @@ def test_broken_carry_is_a_contract_violation_under_python_optimize():
         from oseledets import flexible, gl2, skyscraper
         from oseledets.verify import _FOUR_CELL
 
-        real = gl2.projective_action
-        gl2.projective_action = lambda g, alpha: real(g, alpha) + 0.1
+        real = gl2.line_image  # what the build's carry contract calls
+        gl2.line_image = lambda g, c, s: real(g, c, s) + 0.1
         try:
             flexible.simulate_flexible(
                 _FOUR_CELL, 0.5, -0.5, "bounded", 500, seed=1, budget=0.5
@@ -954,6 +1000,28 @@ def test_verify_two_cell_report():
     assert rep.steps == 200000 and rep.mode == "bounded"
 
 
+@pytest.mark.parametrize("mode,bound", [("bounded", {"budget": 0.5}), ("lowcost", {"epsilon": 0.1})])
+def test_tv_merges_pieces_on_one_cell(mode, bound):
+    # two half-weight pieces on one cell are one cell of weight 1, not two
+    # cells of which the second never counts a splitting
+    cell = uniform_cell(0.1, 0.8, 0.3, 0.5)
+    eta = EtaSpec(((0.5, cell), (0.5, cell)))
+    blocks = simulate_blocks(eta, 0.5, -0.5, mode, 100_000, seed=1, **bound)
+    rep = verify_flexible(blocks, eta, 0.5, -0.5, mode, steps=100_000)
+    assert rep.tv_distance < 0.03
+
+
+def test_tv_merges_a_repeated_tail_cell():
+    # theta_ratio 1.0 repeats the tail's cell in each of its 2682 pieces;
+    # bounded mode cannot refine such masses into labels (BuildTooLarge)
+    cell = uniform_cell(0.1, 0.8, 0.3, 0.5)
+    eta = EtaSpec(((0.5, cell),), TailRule(0.005, 0.99, uniform_cell(1.0, 1.7, 0.6, 0.9), 1.0))
+    blocks = simulate_blocks(eta, 0.5, -0.5, "lowcost", 100_000, seed=1, epsilon=0.1)
+    rep = verify_flexible(blocks, eta, 0.5, -0.5, "lowcost", steps=100_000)
+    assert rep.tv_distance < 0.03
+    assert rep.agreement_fraction == 1.0
+
+
 def test_verify_birkhoff_averages_hit_rates():
     # every factor stretches the canonical lift of its prescribed line j by
     # the constant e^r_j (TWO_CELL's weights sum to 1), so averages are exact;
@@ -1084,3 +1152,33 @@ def test_report_csv_matches_per_row_writer(rows):
         step_label=rng.integers(-1, 4, rows), step_theta=theta,
     )
     assert rep.to_csv() == _per_row_csv(rep)
+
+
+def test_report_csv_runs_match_per_row_writer():
+    # lowcost-like rows: runs of equal (cost, label, theta), split where only
+    # the sign of a zero or the label differs, cut at starts and stops that
+    # are not multiples of STEP_BLOCK
+    rng = np.random.default_rng(31)
+    k = fx.STEP_BLOCK
+    lengths = rng.geometric(1 / 30, 3 * k // 10)
+    pool = np.array([0.0, -0.0, np.nan, 5e-324, 0.1, 1e16, 0.3, 0.7])
+    n = int(lengths.sum())
+    theta = np.repeat(pool[rng.integers(0, 3, len(lengths))], lengths)
+    label = np.repeat(rng.integers(0, 3, len(lengths)), lengths)
+    first = np.diff(np.repeat(np.arange(len(lengths)), lengths), prepend=-1) > 0
+    cost = np.where(first, pool[rng.integers(0, pool.size, n)], 0.0)  # a move's cost, then stays
+    cost[rng.integers(0, n, 50)] = -0.0
+    cost[-k // 2 :] = rng.random(k // 2)  # a tail where most rows differ
+    rep = ConstructionReport(
+        lambda_hat=(0.5, -0.5), tv_distance=0.0, ks_theta=0.0, max_cost=0.0,
+        mean_cost=0.0, agreement_fraction=1.0, steps=n + 1, offset=-(n // 2),
+        mode="lowcost", rates=(0.5, -0.5), seed=None, step_cost=cost,
+        step_label=label, step_theta=theta,
+    )
+    lines = _per_row_csv(rep).splitlines(keepends=True)
+    assert n > 3 * k
+    for start, stop in [(0, n), (0, k - 1), (5, k + 7), (k - 1, 2 * k + 3), (k + 1, n - 3),
+                        (n - k // 2 - 1, n + 10), (7, 8)]:
+        want = (lines[0] if start == 0 else "") + "".join(lines[1 + start : 1 + stop])
+        same = rep.to_csv(start, stop) == want  # a bool: pytest would diff the texts
+        assert same, (start, stop)

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseledets import gl2
 from oseledets.gl2 import (
@@ -131,6 +133,46 @@ def test_line_angle_basics():
     th = gl2.line_angle(a, b)
     assert ((0 <= th) & (th <= math.pi / 2 + 1e-15)).all()
     np.testing.assert_allclose(th, gl2.line_angle(b, a))
+
+
+TWO_PI = 2.0 * math.pi
+# the ends of canon_line's shift range [-pi, 2pi), and just past them
+EDGES = [0.0, -0.0, math.pi, -math.pi, math.nextafter(TWO_PI, 0.0), TWO_PI,
+         math.nextafter(-math.pi, -math.inf), math.nextafter(math.pi, 0.0), 5e-324, -5e-324]
+INSIDE = st.one_of(st.sampled_from(EDGES[:5] + EDGES[7:]),
+                   st.floats(-math.pi, math.nextafter(TWO_PI, 0.0)))
+ANY = st.one_of(INSIDE, st.sampled_from(EDGES + [math.nan, math.inf, -math.inf]), st.floats())
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(inside=st.lists(INSIDE, min_size=1, max_size=30), anywhere=st.lists(ANY, max_size=30))
+def test_canon_line_and_line_angle_are_their_mod_forms_bitwise(inside, anywhere):
+    def mod_line_angle(a, b):
+        d = np.abs(np.mod(np.asarray(a, dtype=float) - b, math.pi))
+        return np.minimum(d, math.pi - d)
+
+    with np.errstate(invalid="ignore"):  # inf and nan inputs
+        for xs in (inside, anywhere, inside + anywhere):
+            x = np.array(xs, dtype=float)
+            assert np.array_equal(bits(gl2.canon_line(x)), bits(np.mod(x, math.pi)))
+            y = x[::-1].copy()
+            assert np.array_equal(bits(gl2.line_angle(x, y)), bits(mod_line_angle(x, y)))
+        for v in inside[:1] + anywhere[:1]:  # a scalar stays a numpy scalar
+            assert type(gl2.canon_line(v)) is type(np.mod(v, math.pi))
+            assert bits(gl2.canon_line(v)) == bits(np.mod(v, math.pi))
+
+
+def test_canon_line_edges():
+    x = np.array(EDGES)
+    assert np.array_equal(bits(gl2.canon_line(x)), bits(np.mod(x, math.pi)))
+    inside = np.array(EDGES[:5])  # all within [-pi, 2pi): the shift, not fmod
+    got = gl2.canon_line(inside)
+    assert np.array_equal(bits(got), bits(np.mod(inside, math.pi)))
+    assert not np.signbit(got).any()  # -0.0 and -pi land on +0.0
 
 
 def test_projective_action_fixture():
