@@ -772,17 +772,16 @@ class DriftReport(NamedTuple):
 
 
 def _sup_walk_batch(phi: ScalarDist, c: float, horizon: int, trials: int, rng) -> np.ndarray:
+    """Suprema of trials walks of horizon steps 2c - phi, in row blocks of
+    about 2^14 draws that stay in cache; each walk is a consecutive stretch
+    of one draw stream, so the bits do not depend on the block size."""
     sups = np.empty(trials)
-    done = 0
-    rows = max(1, min(CHUNK, (4 << 20) // max(horizon, 1)))
-    while done < trials:
-        m = min(rows, trials - done)
-        steps = 2.0 * c - np.asarray(phi.sample(rng, m * horizon), dtype=float).reshape(
-            m, horizon
-        )
-        walk = np.cumsum(steps, axis=1)
-        sups[done : done + m] = np.maximum(walk.max(axis=1), 0.0)
-        done += m
+    rows = max(1, min(CHUNK, (1 << 14) // max(horizon, 1)))
+    for lo in range(0, trials, rows):
+        m = min(rows, trials - lo)
+        draws = np.asarray(phi.sample(rng, m * horizon), dtype=float).reshape(m, horizon)
+        walk = np.cumsum(2.0 * c - draws, axis=1)
+        sups[lo : lo + m] = np.maximum(walk.max(axis=1), 0.0)
     return sups
 
 

@@ -250,7 +250,8 @@ class TailRule:
 class EtaSpec:
     """Mixture of uniform rectangle laws: Pieces (weight, Cell), given as
     any (weight, Cell) pairs, plus an optional TailRule; all weights (tail
-    included) must sum to 1."""
+    included) must sum to 1.  The law is normalized once, as the spec is
+    made (decompose_eta), so specs with equal weights per cell build alike."""
 
     pieces: tuple
     tail_rule: TailRule | None = None
@@ -263,13 +264,17 @@ class EtaSpec:
             if not isinstance(cell, Cell):
                 raise BadEtaSpec(f"piece cell {cell!r} is not a Cell")
         object.__setattr__(self, "pieces", pieces)
-        total = math.fsum(w for w, _ in self.pieces)
-        if self.tail_rule is not None:
-            total += self.tail_rule.total_mass
+        rule = self.tail_rule
+        total = math.fsum(w for w, _ in pieces) + (rule.total_mass if rule else 0.0)
         if abs(total - 1.0) > skyscraper.MASS_TOL:
             raise BadEtaSpec(f"mixture mass {total!r} is not 1")
-        # the tail is expanded once, as the spec is made, so decompose_eta reads it
-        object.__setattr__(self, "_tail", tuple(self.tail_rule.expand()) if self.tail_rule else ())
+        law = {}
+        for idx, (w, cell) in enumerate([*pieces, *(rule.expand() if rule else ())]):
+            if w > 0.0:
+                law[cell] = law.get(cell, 0.0) + w
+            else:
+                warnings.warn(f"dropping zero-mass mixture piece {idx}")
+        object.__setattr__(self, "_law", tuple(Piece(w, cell) for cell, w in law.items()))
 
     def to_obj(self) -> dict:
         obj = {"pieces": [{"weight": w, "cell": cell} for w, cell in self.pieces]}
@@ -291,19 +296,15 @@ class EtaSpec:
         return cls.from_obj(json.loads(text))
 
 
-def decompose_eta(eta: EtaSpec) -> list[Piece]:
-    """Flatten the mixture into ordered pieces.
-
-    The declarative tail comes expanded as the spec was made (truncated at
-    a certified residual below 1e-12, folded into its last piece); zero-mass
-    pieces are dropped with a warning.  Order is exactly: explicit pieces,
-    then tail pieces.
-    """
-    flat = [*eta.pieces, *eta._tail]
-    for idx, piece in enumerate(flat):
-        if piece.weight <= 0.0:
-            warnings.warn(f"dropping zero-mass mixture piece {idx}")
-    return [piece for piece in flat if piece.weight > 0.0]
+def decompose_eta(eta: EtaSpec) -> tuple[Piece, ...]:
+    """The mixture's law as ordered pieces on distinct cells, normalized as
+    the spec was made: explicit pieces, then the declarative tail (truncated
+    at a certified residual below 1e-12, folded into its last piece), with
+    zero-mass pieces dropped and pieces on one cell summed where it first
+    appears.
+    The build, its checks and verify_flexible all read these pieces, so
+    piece indices (lowcost labels, budget witnesses) count distinct cells."""
+    return eta._law
 
 
 # ---------------------------------------------------------------------------
@@ -715,12 +716,13 @@ def simulate_flexible(
     builds bands or a tower past max(steps, SIZE_FLOOR) / 16.
 
     prescribed_f[i] is (x1, x2) line angles at time offset + i; labels[i]
-    is the tower label (bounded) or the piece index (lowcost); the window
+    is the tower label (bounded) or the index of the piece in
+    decompose_eta, which counts distinct cells (lowcost); the window
     is centered so both causal direction estimates have room.  Factors
     carry one constant log-scale, (r1 + r2) / (2 total weight), and the
-    matrices the centred gains.  The library, the battery and the demos
-    join a window this way; osl flexible hands the blocks to verify_flexible
-    and never holds one.
+    matrices the centred gains.  The library and the demos join a window
+    this way; osl flexible and the battery's long runs hand the blocks to
+    verify_flexible and never hold one.
     """
     blocks = simulate_blocks(eta, r1, r2, mode, steps, seed, budget=budget, epsilon=epsilon)
     matrices = np.empty((steps, 2, 2))
@@ -917,21 +919,23 @@ def verify_flexible(
     """Close the loop: re-estimate everything the construction prescribed.
 
     blocks is a window, or consecutive blocks of steps steps in total as
-    simulate_blocks yields them, read once each; a window is one block.
-    Exponents via exponents_of_product, the forward stretch streamed
-    through a ProductTree; the splitting's empirical law against the
-    mixture (total variation over the distinct cells, counted per block and
-    run of equal lines, KS on the gap-angle marginal); step costs; and
-    direction agreement at 100 evenly spread interior times, estimating E1
-    backward and E2 forward with depth ceil(20 / (r1 - r2)) * 10 and
-    comparing both to the prescribed splitting within 1e-3 rad, each
-    product streamed through a ProductTree too (_DirectionSpans).  Beside
-    the report's columns (gap angle, cost and label per step) it keeps the
-    forward stretch's log|det| values, so np.sum reads them as one array;
-    no window of blocks is ever held.
+    simulate_blocks yields them, read once each (ValueError without steps);
+    a window is one block.  Exponents via exponents_of_product, the forward
+    stretch streamed through a ProductTree; the splitting's empirical law
+    against decompose_eta's pieces (total variation over their cells,
+    counted per block and run of equal lines, KS on the gap-angle
+    marginal); step costs; and direction agreement at 100 evenly spread
+    interior times, estimating E1 backward and E2 forward with depth
+    ceil(20 / (r1 - r2)) * 10 and comparing both to the prescribed
+    splitting within 1e-3 rad, each product streamed through a ProductTree
+    too (_DirectionSpans).  Beside the report's columns (gap angle, cost
+    and label per step) it keeps the forward stretch's log|det| values, so
+    np.sum reads them as one array; no window of blocks is ever held.
     """
     if isinstance(blocks, OrbitWindow):
         blocks, steps = [blocks], len(blocks)
+    elif steps is None:
+        raise ValueError("blocks other than one window need their total steps")
     if not r1 > r2:
         raise ValueError("need r1 > r2 for a direction-estimate depth")
     n = steps
@@ -939,9 +943,6 @@ def verify_flexible(
     if n < 2 * depth + 10:
         raise NoData(f"window of {n} steps is too short for depth {depth}")
     pieces = decompose_eta(eta)
-    cell_weights = {}  # pieces on one cell are one cell of the law
-    for w, cell in pieces:
-        cell_weights[cell] = cell_weights.get(cell, 0.0) + w
     blocks = iter(blocks)
     first = next(blocks, None)
     if first is None:
@@ -955,7 +956,7 @@ def verify_flexible(
         np.round(np.linspace(offset + depth, offset + n - depth, num=100)).astype(int).tolist())
     spans = _DirectionSpans(times, depth)
     tree = ProductTree()
-    counts = np.zeros(len(cell_weights), dtype=np.int64)
+    counts = np.zeros(len(pieces), dtype=np.int64)
     theta_col = cost = labels = log_dets = None  # the forward log_dets start at time 0
     end, last = offset, None
     for block in itertools.chain([first], blocks):
@@ -970,7 +971,7 @@ def verify_flexible(
         runs = np.diff(starts, append=len(block))
         x1_run, theta = x1[starts], gl2.line_angle(x1[starts], x2[starts])
         unassigned = np.ones(len(starts), dtype=bool)
-        for idx, cell in enumerate(cell_weights):
+        for idx, (_, cell) in enumerate(pieces):
             hit = unassigned & cell.contains(x1_run, theta)
             counts[idx] += runs[hit].sum()
             unassigned &= ~hit
@@ -996,7 +997,7 @@ def verify_flexible(
 
     lam = exponents_of_product(tree.result(), log_dets)
     del log_dets  # before the KS statistic's sorted copy
-    tv = 0.5 * float(np.abs(counts / n - np.asarray(list(cell_weights.values()))).sum())
+    tv = 0.5 * float(np.abs(counts / n - np.array([w for w, _ in pieces])).sum())
     ks = _ks_distance(pieces, theta_col)
 
     return ConstructionReport(

@@ -594,16 +594,6 @@ def _chain_contracts():
         _expect(abs(per[n] - piece.weight) <= 1e-12)
 
 
-def _expect_prescribed_law(w, mode: str, tv_tol: float):
-    """Closed-loop check of a _FOUR_CELL window at rates (0.5, -0.5); returns the report."""
-    rep = flexible.verify_flexible(w, _FOUR_CELL, 0.5, -0.5, mode=mode)
-    _expect(abs(rep.lambda_hat[0] - 0.5) < 0.05, f"top exponent {rep.lambda_hat[0]}")
-    _expect(abs(rep.lambda_hat[1] + 0.5) < 0.05, f"bottom exponent {rep.lambda_hat[1]}")
-    _expect(rep.tv_distance < tv_tol, f"tv distance {rep.tv_distance}")
-    _expect(rep.agreement_fraction >= 0.99, f"agreement {rep.agreement_fraction}")
-    return rep
-
-
 def _expect_drift_bound(g, a1, a2) -> None:
     """Criterion 03's one-step angle-drift bound at every step of an orbit."""
     lhs, rhs = gl2.angle_drift_gap(g, a1, a2)
@@ -611,28 +601,44 @@ def _expect_drift_bound(g, a1, a2) -> None:
     _expect(worst >= -1e-9, f"a step beats the drift bound by {-worst}")
 
 
-def _bounded_run(w, tv_tol):
-    rep = _expect_prescribed_law(w, "bounded", tv_tol)
-    _expect(rep.max_cost < 0.5, "per-step budget is a hard bound")
-    _expect(int(np.abs(np.diff(w.labels)).max()) <= 1)
+def _drift_checked(blocks):
+    """The blocks, each checked against the drift bound as it is read."""
+    for block in blocks:
+        _expect_drift_bound(block.matrices, *block.prescribed_f.T)
+        yield block
+
+
+def _four_cell_report(mode: str, steps: int, seed: int, drift: bool = False, **bound):
+    """verify_flexible's report on a _FOUR_CELL build at rates (0.5, -0.5),
+    read block by block as osl flexible reads it, each drift-checked if drift."""
+    blocks = flexible.simulate_blocks(_FOUR_CELL, 0.5, -0.5, mode, steps, seed, **bound)
+    if drift:
+        blocks = _drift_checked(blocks)
+    return flexible.verify_flexible(blocks, _FOUR_CELL, 0.5, -0.5, mode=mode, steps=steps)
+
+
+def _expect_prescribed_law(rep, tv_tol: float) -> None:
+    """Closed-loop tolerances of a _FOUR_CELL report at rates (0.5, -0.5);
+    a bounded one also keeps its budget 0.5 and moves one label at a time."""
+    _expect(abs(rep.lambda_hat[0] - 0.5) < 0.05, f"top exponent {rep.lambda_hat[0]}")
+    _expect(abs(rep.lambda_hat[1] + 0.5) < 0.05, f"bottom exponent {rep.lambda_hat[1]}")
+    _expect(rep.tv_distance < tv_tol, f"tv distance {rep.tv_distance}")
+    _expect(rep.agreement_fraction >= 0.99, f"agreement {rep.agreement_fraction}")
+    if rep.mode == "bounded":
+        _expect(rep.max_cost < 0.5, "per-step budget is a hard bound")
+        _expect(int(np.abs(np.diff(rep.step_label)).max()) <= 1)
 
 
 @_check("flexible.bounded_steps_stay_in_budget")
 def _bounded_run_fast():
-    w = flexible.simulate_flexible(
-        _FOUR_CELL, 0.5, -0.5, "bounded", 200_000, seed=FAST_SEED, budget=0.5
-    )
-    _bounded_run(w, 0.03)
+    _expect_prescribed_law(_four_cell_report("bounded", 200_000, FAST_SEED, budget=0.5), 0.03)
 
 
 # criterion 09
 @_check("flexible.bounded_run_hits_long_tolerances", fast=False, budget_s=300.0)
 def _bounded_run_long():
-    w = flexible.simulate_flexible(
-        _FOUR_CELL, 0.5, -0.5, "bounded", 1_000_000, seed=101, budget=0.5
-    )
-    _bounded_run(w, 0.02)
-    _expect_drift_bound(w.matrices, *w.prescribed_f.T)
+    rep = _four_cell_report("bounded", 1_000_000, 101, drift=True, budget=0.5)
+    _expect_prescribed_law(rep, 0.02)
 
 
 @_check("flexible.prescribed_lines_are_carried")
@@ -647,35 +653,28 @@ def _prescribed_invariance():
             _expect(float(miss.max()) < 1e-9, f"{mode} line {j} not carried")
 
 
-def _lowcost_mean_cost(w, eps, blockings):
+def _lowcost_mean_cost(rep, eps, blockings):
     """Mean step cost below eps plus three batch-means standard errors, under
     each number of blocks in blockings."""
-    costs = flexible.step_costs(w, "lowcost", 0.5, -0.5)
     for blocks in blockings:
-        mean, se = _batch_mean_se(costs, blocks)
+        mean, se = _batch_mean_se(rep.step_cost, blocks)
         _expect(mean < eps + 3.0 * se, f"mean cost {mean} vs epsilon {eps}, {blocks} blocks")
 
 
 @_check("flexible.lowcost_mean_under_epsilon")
 def _lowcost_run_fast():
-    w = flexible.simulate_flexible(
-        _FOUR_CELL, 0.5, -0.5, "lowcost", 200_000, seed=FAST_SEED, epsilon=0.2
-    )
-    _lowcost_mean_cost(w, 0.2, (40,))
+    _lowcost_mean_cost(_four_cell_report("lowcost", 200_000, FAST_SEED, epsilon=0.2), 0.2, (40,))
 
 
 # criterion 10
 @_check("flexible.lowcost_run_hits_long_tolerances", fast=False, budget_s=300.0)
 def _lowcost_run_long():
-    w = flexible.simulate_flexible(
-        _FOUR_CELL, 0.5, -0.5, "lowcost", 1_000_000, seed=102, epsilon=0.1
-    )
-    _lowcost_mean_cost(w, 0.1, (40, 50))
-    _expect_prescribed_law(w, "lowcost", 0.02)
-    _expect_drift_bound(w.matrices, *w.prescribed_f.T)
+    rep = _four_cell_report("lowcost", 1_000_000, 102, drift=True, epsilon=0.1)
+    _lowcost_mean_cost(rep, 0.1, (40, 50))
+    _expect_prescribed_law(rep, 0.02)
 
 
-# criterion 03 (with 09 and 10, which check it along their million-step windows)
+# criterion 03 (with 09 and 10, which check it block by block along their million-step builds)
 @_check("gl2.angle_drift_bound_on_every_orbit", fast=False)
 def _orbit_drift_bound():
     rng = np.random.default_rng(13)

@@ -758,17 +758,24 @@ def test_flexible_lowcost_one_piece_builds(tmp_path, capsys):
 
 # chains whose refined labels outgrow the window: a heavy mass after a
 # light one splits into int(heavy / light) + 1 labels
+def _tail_rule_spec(theta_ratio: str) -> dict:
+    return {
+        "pieces": [{"weight": "0.8888888888888888",
+                    "cell": {"alpha": ["0.001", "3.0"], "theta": ["0.01", "1.5"]}}],
+        "tail_rule": {"first_weight": "0.1", "weight_ratio": "0.1", "theta_ratio": theta_ratio,
+                      "cell": {"alpha": ["0.5", "1.2"], "theta": ["0.1", "1.5707963267948966"]}},
+    }
+
+
+TAIL_RULE_ARGS = ["--budget", "3.0", "--rates", "1.0,-9.0", "--steps", "500", "--seed", "245"]
+
 LABEL_BLOWUPS = {
     "two-atoms": ({"pieces": [
         {"weight": "1e-09", "cell": {"alpha": ["0.2", "0.2"], "theta": ["1.0", "1.0"]}},
         {"weight": "0.999999999", "cell": {"alpha": ["1.0", "1.0"], "theta": ["0.5", "0.5"]}},
     ]}, ["--budget", "3.0", "--steps", "2000"]),
-    "tail-rule": ({
-        "pieces": [{"weight": "0.8888888888888888",
-                    "cell": {"alpha": ["0.001", "3.0"], "theta": ["0.01", "1.5"]}}],
-        "tail_rule": {"first_weight": "0.1", "weight_ratio": "0.1", "theta_ratio": "1.0",
-                      "cell": {"alpha": ["0.5", "1.2"], "theta": ["0.1", "1.5707963267948966"]}},
-    }, ["--budget", "3.0", "--rates", "1.0,-9.0", "--steps", "500", "--seed", "245"]),
+    # shrinking gap angles put each tail piece on a cell of its own
+    "tail-rule": (_tail_rule_spec("0.9"), TAIL_RULE_ARGS),
     # a label count past the float range: 1.0 / 1e-320 overflows
     "subnormal-weight": ({"pieces": [
         {"weight": "1e-320", "cell": {"alpha": ["0.2", "0.2"], "theta": ["1.0", "1.0"]}},
@@ -796,6 +803,18 @@ def test_flexible_label_blowup_exits_sixtyfour(name, tmp_path, capsys):
     assert err.startswith(f"usage error: budget {extra[1]} needs ")
     assert err.endswith("labels, past the limit 32768\n") and err.count("\n") == 1
     assert not (tmp_path / "r").exists()
+
+
+def test_flexible_bounded_builds_a_repeated_tail_cell(tmp_path, capsys):
+    # theta_ratio 1 puts every tail piece on one cell, which is one cell of
+    # the law, so the chain refines two masses, not one per tail piece
+    spec = tmp_path / "eta.json"
+    spec.write_text(json.dumps(_tail_rule_spec("1.0")))
+    argv = ["flexible", "--spec", str(spec), "--mode", "bounded", *TAIL_RULE_ARGS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # 250 forward steps warn on purpose
+        assert cli.main([*argv, "--out", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "r" / "flexible_steps.csv").exists()
 
 
 def _log_uniform(lo, hi):

@@ -1042,3 +1042,18 @@ def test_drift_misconfiguration():
         negative_drift_supremum(phi, drift_c=2.0, horizon=100, trials=10)
     with pytest.raises(NonNegativeDrift):
         negative_drift_supremum(scalars.constant(-1.0), horizon=100, trials=10)
+
+
+@pytest.mark.parametrize("phi", [
+    scalars.atoms([(0.0, 0.5), (6.0, 0.5)]),
+    scalars.affine(scalars.dyadic(), scale=-1.0, shift=2.0),
+    scalars.uniform(0.0, 4.0),
+])
+def test_sup_walk_blocks_match_one_array(phi):
+    # 300 walks of 700 steps span 14 row blocks; each walk is a consecutive
+    # stretch of one stream, so the blocks read the same bits as one array
+    horizon, trials, c = 700, 300, 0.4
+    got = est._sup_walk_batch(phi, c, horizon, trials, np.random.default_rng(5))
+    draws = np.asarray(phi.sample(np.random.default_rng(5), trials * horizon), dtype=float)
+    walk = np.cumsum(2.0 * c - draws.reshape(trials, horizon), axis=1)
+    assert np.array_equal(got, np.maximum(walk.max(axis=1), 0.0))

@@ -151,13 +151,13 @@ def test_decompose_single_cell():
 
 
 def test_decompose_drops_zero_mass_with_warning():
-    eta = EtaSpec(
-        pieces=((0.6, atom_cell(0.3, 0.4)), (0.0, atom_cell(0.5, 0.6)),
-                (0.4, atom_cell(0.7, 0.8)))
-    )
-    with pytest.warns(UserWarning):
-        pieces = decompose_eta(eta)
-    assert [p.weight for p in pieces] == [0.6, 0.4]
+    # the law is normalized once, as the spec is made, so the spec warns
+    with pytest.warns(UserWarning, match="zero-mass mixture piece 1"):
+        eta = EtaSpec(
+            pieces=((0.6, atom_cell(0.3, 0.4)), (0.0, atom_cell(0.5, 0.6)),
+                    (0.4, atom_cell(0.7, 0.8)))
+        )
+    assert [p.weight for p in decompose_eta(eta)] == [0.6, 0.4]
 
 
 # ---------------------------------------------------------------------------
@@ -1012,14 +1012,49 @@ def test_tv_merges_pieces_on_one_cell(mode, bound):
 
 
 def test_tv_merges_a_repeated_tail_cell():
-    # theta_ratio 1.0 repeats the tail's cell in each of its 2682 pieces;
-    # bounded mode cannot refine such masses into labels (BuildTooLarge)
+    # theta_ratio 1.0 repeats the tail's cell in each of its 2682 expanded
+    # pieces, which the spec sums into one cell of the law (bounded mode
+    # builds it too: test_bounded_builds_a_repeated_tail_cell)
     cell = uniform_cell(0.1, 0.8, 0.3, 0.5)
     eta = EtaSpec(((0.5, cell),), TailRule(0.005, 0.99, uniform_cell(1.0, 1.7, 0.6, 0.9), 1.0))
     blocks = simulate_blocks(eta, 0.5, -0.5, "lowcost", 100_000, seed=1, epsilon=0.1)
     rep = verify_flexible(blocks, eta, 0.5, -0.5, "lowcost", steps=100_000)
     assert rep.tv_distance < 0.03
     assert rep.agreement_fraction == 1.0
+
+
+def test_bounded_builds_a_repeated_tail_cell():
+    # the 39 tail pieces sit on one cell, so the chain refines two masses;
+    # as 40 pieces they needed 9567073084281 labels (BuildTooLarge)
+    tail = TailRule(0.25, 0.5, uniform_cell(1.0, 1.7, 0.6, 0.9), 1.0)
+    eta = EtaSpec(((0.5, uniform_cell(0.1, 0.8, 0.3, 0.5)),), tail)
+    blocks = simulate_blocks(eta, 0.5, -0.5, "bounded", 100_000, seed=1, budget=0.5)
+    rep = verify_flexible(blocks, eta, 0.5, -0.5, "bounded", steps=100_000)
+    assert rep.tv_distance < 0.03
+    assert rep.max_cost < 0.5
+    assert len(decompose_eta(eta)) == 2
+
+
+@pytest.mark.parametrize("mode, bound", [("bounded", {"budget": 0.5}),
+                                         ("lowcost", {"epsilon": 0.2})])
+def test_specs_with_one_law_build_alike(mode, bound):
+    # a law sees only the weight on each cell, so listing a cell twice is
+    # listing it once with the summed weight
+    a, b = uniform_cell(0.1, 0.8, 0.3, 0.5), uniform_cell(1.0, 1.7, 0.5, 0.7)
+    c = atom_cell(2.0, 1.0)
+    split = EtaSpec(((0.25, a), (0.3, b), (0.25, a), (0.2, c)))
+    merged = EtaSpec(((0.5, a), (0.3, b), (0.2, c)))
+    reps = [verify_flexible(simulate_blocks(eta, 0.5, -0.5, mode, 50_000, seed=3, **bound),
+                            eta, 0.5, -0.5, mode, steps=50_000) for eta in (split, merged)]
+    assert reps[0].to_obj() == reps[1].to_obj()
+    assert reps[0].to_csv() == reps[1].to_csv()
+    assert decompose_eta(split) == decompose_eta(merged)
+
+
+def test_verify_blocks_need_steps():
+    blocks = simulate_blocks(TWO_CELL, 0.5, -0.5, "bounded", 1000, seed=1, budget=0.6)
+    with pytest.raises(ValueError, match="total steps"):
+        verify_flexible(blocks, TWO_CELL, 0.5, -0.5, "bounded")
 
 
 def test_verify_birkhoff_averages_hit_rates():
